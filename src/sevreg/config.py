@@ -150,15 +150,6 @@ class RunConfig:
         ):
             section.validate()
 
-    def pairing_for_strategy(self) -> PairingSpec:
-        base = self.stage2.pairing
-        strategy = base.strategy
-        if self.strategy in ("dis", "con", "coarse"):
-            strategy = self.strategy
-        return PairingSpec(
-            strategy=strategy, alpha=base.alpha, beta=base.beta, tau=base.tau
-        )
-
 
 # ---------------------------------------------------------------------------
 # Dict round trips

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,18 +59,63 @@ def _assume_dysarthric(unlabeled: Corpus, label: float) -> Corpus:
     return Corpus(utts, name=f"{unlabeled.name}/assumed")
 
 
+@dataclass
+class Teacher:
+    """A regression fit from the seeded init (no transferred trunk) and, once
+    asked for, the unlabeled pool pseudo-labelled by it. Readers get copies,
+    so an entry shared through a memo never changes."""
+
+    fit: StageResult
+    pool: Corpus | None = None
+
+    def result(self) -> StageResult:
+        return StageResult(
+            net=self.fit.net.copy(), history=[dict(h) for h in self.fit.history]
+        )
+
+    def pseudo(self, unlabeled: Corpus) -> Corpus:
+        if self.pool is None:
+            self.pool = pseudo_label(self.fit.net, unlabeled)
+        return Corpus(list(self.pool.utterances), name=self.pool.name)
+
+
+def teacher_key(resolved: dict, section: str, seed: int) -> str:
+    """Everything a fit without a transferred trunk reads from the config: the
+    seed, the model, the regression-stage section and the world (which fixes
+    the split). The run id is no key: it also hashes the stage-2 settings,
+    which never reach this fit."""
+    return json.dumps(
+        [seed, resolved["model"], resolved[section], resolved["data"]["world"]],
+        sort_keys=True,
+    )
+
+
 def run_single(
     cfg: RunConfig,
     corpora: dict[str, Corpus],
     seed: int,
     run_dir: Path | None = None,
+    memo: dict[str, Teacher] | None = None,
 ) -> dict:
     """One (strategy, seed) run: train the configured stages, evaluate the
     final model in-domain (utterance level) and on the shifted test corpus
-    (speaker level), and optionally persist artifacts."""
+    (speaker level), and optionally persist artifacts.
+
+    `memo` shares teachers between runs on the same corpora: a fit with no
+    transferred trunk is made once per `teacher_key`. Without one, a teacher
+    is still shared between the stages of this run."""
     train, val, test = split_labeled(corpora["labeled"], cfg.data.world)
     resolved = config_to_dict(cfg)
     rid = run_id_for(resolved, seed=seed)
+    memo = {} if memo is None else memo
+
+    def teacher(section: str) -> Teacher:
+        key = teacher_key(resolved, section, seed)
+        if key not in memo:
+            memo[key] = Teacher(
+                train_regression(train, val, cfg.model, getattr(cfg, section), seed)
+            )
+        return memo[key]
 
     artifacts: dict[str, StageResult | Checkpoint | None] = {
         "stage1": None, "stage2": None,
@@ -78,13 +123,13 @@ def run_single(
     pseudo_hist = None
 
     if cfg.strategy == "baseline":
-        final = train_regression(train, val, cfg.model, cfg.stage1, seed)
+        final = teacher("stage1").result()
     else:
         pseudo = None
         if cfg.strategy != "simclr" and not cfg.ablation.skip_stage1:
-            stage1 = train_regression(train, val, cfg.model, cfg.stage1, seed)
-            artifacts["stage1"] = stage1
-            pseudo = pseudo_label(stage1.net, corpora["unlabeled"])
+            stage1 = teacher("stage1")
+            artifacts["stage1"] = stage1.result()
+            pseudo = stage1.pseudo(corpora["unlabeled"])
             pseudo_hist = label_histogram(pseudo)
         elif cfg.strategy != "simclr" and cfg.ablation.skip_stage1:
             pseudo = _assume_dysarthric(
@@ -107,7 +152,11 @@ def run_single(
             stage2 = train_stage2(mixed, cfg.model, cfg.stage2, seed, cfg.strategy)
             artifacts["stage2"] = stage2
             ckpt = checkpoint_from_net(stage2.net, "stage2", resolved)
-        final = train_stage3(train, val, cfg, ckpt, seed=seed)
+        if ckpt is None:
+            # Stage 3 without a trunk is a fit from the seeded init.
+            final = teacher("stage3").result()
+        else:
+            final = train_stage3(train, val, cfg, ckpt, seed=seed)
 
     reports = [
         evaluate(final.net, test, level="utterance"),
@@ -192,8 +241,14 @@ def median_summary(rows: list[dict]) -> dict:
     return summary
 
 
-def run_all(cfg: RunConfig, corpora: dict[str, Corpus], out_root: Path) -> dict:
-    """Repeat run_single over cfg.seeds; write results.csv and summary.json."""
+def run_all(
+    cfg: RunConfig,
+    corpora: dict[str, Corpus],
+    out_root: Path,
+    memo: dict[str, Teacher] | None = None,
+) -> dict:
+    """Repeat run_single over cfg.seeds; write results.csv and summary.json.
+    `memo` is handed to every run_single."""
     resolved = config_to_dict(cfg)
     rid = run_id_for(resolved)
     run_dir = out_root / rid
@@ -203,7 +258,9 @@ def run_all(cfg: RunConfig, corpora: dict[str, Corpus], out_root: Path) -> dict:
     )
     rows: list[dict] = []
     for seed in cfg.seeds:
-        result = run_single(cfg, corpora, seed, run_dir=run_dir / f"seed_{seed}")
+        result = run_single(
+            cfg, corpora, seed, run_dir=run_dir / f"seed_{seed}", memo=memo
+        )
         rows.extend(result["rows"])
     write_results_csv(run_dir / "results.csv", rows)
     summary = median_summary(rows)
@@ -218,11 +275,13 @@ def sweep_tau(
     grid: tuple[float, ...] = TAU_GRID,
 ) -> dict:
     """Run the configured strategy at every grid temperature and report the
-    improvement over the baseline model per dataset."""
+    improvement over the baseline model per dataset. Each seed's teacher is
+    fitted once: the baseline model is the stage-1 model of every run."""
     if cfg.strategy == "baseline":
         raise ConfigError("sweep-tau needs a contrastive strategy, not 'baseline'")
+    memo: dict[str, Teacher] = {}
     base_cfg = replace(cfg, strategy="baseline")
-    baseline = run_all(base_cfg, corpora, out_root)
+    baseline = run_all(base_cfg, corpora, out_root, memo=memo)
     base_summary = baseline["summary"]
 
     sweep_rows = []
@@ -231,7 +290,7 @@ def sweep_tau(
         tau_cfg = replace(
             cfg, stage2=replace(cfg.stage2, pairing=replace(cfg.stage2.pairing, tau=tau))
         )
-        result = run_all(tau_cfg, corpora, out_root)
+        result = run_all(tau_cfg, corpora, out_root, memo=memo)
         runs[tau] = result["run_id"]
         for key, stats in result["summary"].items():
             base = base_summary[key]
@@ -289,12 +348,14 @@ def ablate(
     variants: tuple[str, ...] = ABLATION_VARIANTS,
 ) -> dict:
     """Run every ablation variant plus its parent config; emit a summary that
-    maps variant names to run ids and median metrics."""
+    maps variant names to run ids and median metrics. Each seed's teacher is
+    fitted once and shared by every variant that has one."""
+    memo: dict[str, Teacher] = {}
     results = {}
     for variant in variants:
         if variant not in ABLATION_VARIANTS:
             raise ConfigError(f"unknown ablation variant '{variant}'")
-        result = run_all(ablation_config(cfg, variant), corpora, out_root)
+        result = run_all(ablation_config(cfg, variant), corpora, out_root, memo=memo)
         results[variant] = result
     summary = {
         variant: {"run_id": r["run_id"], "summary": r["summary"]}

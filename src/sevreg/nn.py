@@ -370,8 +370,3 @@ def backward_batch(
     grads["adaptor1.weight"] = gw
     grads["adaptor1.bias"] = gb
     return grads
-
-
-def pooled_embeddings(net: AdaptorNet, seqs: list[np.ndarray]) -> np.ndarray:
-    """Eval-mode post-pooling vectors (B, pooled_dim); used for embedding dumps."""
-    return forward_batch(net, seqs, training=False).pooled

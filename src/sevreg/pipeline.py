@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -103,18 +104,35 @@ def checkpoint_from_net(
 
 
 def net_from_checkpoint(ckpt: Checkpoint) -> AdaptorNet:
-    m = ckpt.meta["model"]
-    net = build_net(
-        feat_dim=m["feat_dim"],
-        seed_or_rng=0,
-        hidden_dim=m["hidden_dim"],
-        out_dim=m["out_dim"],
-        dropout_p=m["dropout_p"],
-        pool=m["pool"],
-        normalize_output=m["normalize_output"],
-        feature_norm=m["feature_norm"],
-    )
+    """Rebuild the network; the checkpoint must hold exactly its tensors,
+    each with the shape the recorded model gives it."""
+    try:
+        m = ckpt.meta["model"]
+        net = build_net(
+            feat_dim=m["feat_dim"],
+            seed_or_rng=0,
+            hidden_dim=m["hidden_dim"],
+            out_dim=m["out_dim"],
+            dropout_p=m["dropout_p"],
+            pool=m["pool"],
+            normalize_output=m["normalize_output"],
+            feature_norm=m["feature_norm"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FeatureFormatError(f"bad model metadata in checkpoint: {exc!r}") from exc
     arrays = net.param_arrays()
+    missing = sorted(set(arrays) - set(ckpt.params))
+    unknown = sorted(set(ckpt.params) - set(arrays))
+    misshapen = sorted(
+        name
+        for name in set(arrays) & set(ckpt.params)
+        if np.shape(ckpt.params[name]) != arrays[name].shape
+    )
+    if missing or unknown or misshapen:
+        raise FeatureFormatError(
+            "checkpoint tensors do not fit the model: "
+            f"missing {missing}, unknown {unknown}, wrong shape {misshapen}"
+        )
     for name, value in ckpt.params.items():
         arrays[name][...] = value
     return net
@@ -141,37 +159,52 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Strict reader for save_checkpoint's layout: a short, malformed or
+    overlong file raises FeatureFormatError at the offending byte."""
     raw = Path(path).read_bytes()
-    if raw[:4] != CKPT_MAGIC:
+    pos = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + n > len(raw):
+            raise FeatureFormatError(f"truncated {what}", offset=pos)
+        pos += n
+        return raw[pos - n : pos]
+
+    def ints(count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", take(4 * count, what))
+
+    if take(4, "magic") != CKPT_MAGIC:
         raise FeatureFormatError("bad magic, not a DSQC checkpoint", offset=0)
-    version, meta_len = struct.unpack_from("<II", raw, 4)
+    version, meta_len = ints(2, "header")
     if version != CKPT_VERSION:
         raise FeatureFormatError(f"unsupported checkpoint version {version}", offset=4)
-    pos = 12
-    meta = json.loads(raw[pos : pos + meta_len].decode())
-    pos += meta_len
-    (n_params,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
+    start = pos
+    try:
+        meta = json.loads(take(meta_len, "metadata").decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FeatureFormatError(f"unreadable metadata: {exc}", offset=start) from exc
+    if not isinstance(meta, dict):
+        raise FeatureFormatError("metadata is not a JSON object", offset=start)
+    (n_params,) = ints(1, "tensor count")
     params = {}
     for _ in range(n_params):
-        (name_len,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        name = raw[pos : pos + name_len].decode()
-        pos += name_len
-        (ndim,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        shape = struct.unpack_from(f"<{ndim}I", raw, pos)
-        pos += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        end = pos + 8 * count
-        if end > len(raw):
-            raise FeatureFormatError("truncated parameter payload", offset=pos)
-        params[name] = (
-            np.frombuffer(raw, dtype="<f8", count=count, offset=pos)
-            .reshape(shape)
-            .copy()
+        start = pos
+        (name_len,) = ints(1, "tensor name length")
+        try:
+            name = take(name_len, "tensor name").decode()
+        except UnicodeDecodeError as exc:
+            raise FeatureFormatError("tensor name is not UTF-8", offset=start) from exc
+        if name in params:
+            raise FeatureFormatError(f"duplicate tensor '{name}'", offset=start)
+        (ndim,) = ints(1, "tensor rank")
+        shape = ints(ndim, "tensor shape")
+        payload = take(8 * math.prod(shape), f"payload of tensor '{name}'")
+        params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    if pos != len(raw):
+        raise FeatureFormatError(
+            f"{len(raw) - pos} trailing bytes after the last tensor", offset=pos
         )
-        pos = end
     return Checkpoint(params=params, meta=meta)
 
 

@@ -119,6 +119,21 @@ class TestStageChain:
         rows = read_results_csv(run_dir / "results.csv")
         assert {r["dataset"] for r in rows} == {"test", "shifted_test"}
 
+    @pytest.mark.parametrize(
+        "blob",
+        [b"DSQC\x01\x00\x00\x00\x05\x00", b"DSQC\x01\x00\x00\x00\x10\x00\x00\x00{\"st"],
+        ids=["ten_bytes", "truncated_metadata"],
+    )
+    def test_evaluate_corrupt_checkpoint_exits_1(self, workspace, tmp_path, capsys, blob):
+        _, config_path, _ = workspace
+        run_dir = tmp_path / "corrupt"
+        run_dir.mkdir()
+        (run_dir / "model.dsqc").write_bytes(blob)
+        code = main(["evaluate", "--config", str(config_path), "--run-dir", str(run_dir)])
+        assert code == 1
+        assert "byte offset" in capsys.readouterr().err
+        assert not (run_dir / "results.csv").exists()
+
     def test_dump_embeddings(self, workspace, tmp_path):
         _, config_path, _ = workspace
         run_dir = tmp_path / "emb"

@@ -363,6 +363,67 @@ class TestCheckpointIO:
         with pytest.raises(FeatureFormatError):
             load_checkpoint(path)
 
+    def test_ten_byte_file(self, tmp_path):
+        path = tmp_path / "short.dsqc"
+        path.write_bytes(b"DSQC" + b"\x01\x00\x00\x00\x00\x00")
+        with pytest.raises(FeatureFormatError) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 4
+
+    def test_truncated_metadata(self, stage1, tmp_path):
+        path = tmp_path / "m.dsqc"
+        save_checkpoint(path, checkpoint_from_net(stage1.net, "stage1", {"a": 1}))
+        path.write_bytes(path.read_bytes()[:30])
+        with pytest.raises(FeatureFormatError) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 12
+
+    def test_corrupt_metadata(self, stage1, tmp_path):
+        path = tmp_path / "m.dsqc"
+        save_checkpoint(path, checkpoint_from_net(stage1.net, "stage1", {"a": 1}))
+        raw = bytearray(path.read_bytes())
+        raw[12] = ord("[")  # '{' -> '[': the JSON no longer parses
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FeatureFormatError) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 12
+
+    def test_trailing_bytes(self, stage1, tmp_path):
+        path = tmp_path / "m.dsqc"
+        save_checkpoint(path, checkpoint_from_net(stage1.net, "stage1", {}))
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(FeatureFormatError, match="4 trailing bytes") as err:
+            load_checkpoint(path)
+        assert err.value.offset == size
+
+    def test_every_truncation_is_a_format_error(self, stage1, tmp_path):
+        path = tmp_path / "m.dsqc"
+        save_checkpoint(path, checkpoint_from_net(stage1.net, "stage1", {}))
+        raw = path.read_bytes()
+        for cut in range(0, len(raw), 7):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FeatureFormatError):
+                load_checkpoint(path)
+
+    def test_missing_tensor_named(self, stage1):
+        ckpt = checkpoint_from_net(stage1.net, "stage1", {})
+        del ckpt.params["head.bias"]
+        with pytest.raises(FeatureFormatError, match=r"missing \['head.bias'\]"):
+            net_from_checkpoint(ckpt)
+
+    def test_unknown_tensor_named(self, stage1):
+        ckpt = checkpoint_from_net(stage1.net, "stage1", {})
+        ckpt.params["extra.weight"] = np.zeros(3)
+        with pytest.raises(FeatureFormatError, match=r"unknown \['extra.weight'\]"):
+            net_from_checkpoint(ckpt)
+
+    def test_misshapen_tensor_named(self, stage1):
+        ckpt = checkpoint_from_net(stage1.net, "stage1", {})
+        ckpt.params["head.bias"] = np.zeros(5)
+        with pytest.raises(FeatureFormatError, match=r"wrong shape \['head.bias'\]"):
+            net_from_checkpoint(ckpt)
+
     def test_config_snapshot_preserved(self, stage1, tmp_path):
         snapshot = {"stage1": {"lr": 1e-4, "epochs": 4}, "strategy": "baseline"}
         ckpt = checkpoint_from_net(stage1.net, "stage1", snapshot)
