@@ -43,7 +43,6 @@ from .pipeline import (
     predict,
     pseudo_label,
     save_checkpoint,
-    train_stage1,
     train_stage2,
     train_stage3,
 )

@@ -11,36 +11,18 @@ import os
 import sys
 from pathlib import Path
 
-from .config import (
-    RunConfig,
-    apply_overrides,
-    config_from_dict,
-    config_to_dict,
-    run_id_for,
-)
+from .config import RunConfig, apply_overrides, config_from_dict, config_to_dict
 from .data import label_histogram, load_corpus, save_corpus
 from .errors import ConfigError, SevregError, TrainingDivergedError
 from .evaluation import write_report_json, write_results_csv
-from .experiments import (
-    ABLATION_VARIANTS,
-    TAU_GRID,
-    ablate,
-    run_all,
-    split_labeled,
-    sweep_tau,
-)
+from .experiments import ABLATION_VARIANTS, TAU_GRID, Stages, ablate, run_all, sweep_tau
 from .pipeline import (
-    build_stage2_corpus,
     checkpoint_from_net,
     dump_embeddings,
-    evaluate,
     load_checkpoint,
     net_from_checkpoint,
     pseudo_label,
     save_checkpoint,
-    train_regression,
-    train_stage2,
-    train_stage3,
 )
 from .synthetic import build_world
 
@@ -95,15 +77,19 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
     return 0
 
 
+def stage_runner(cfg: RunConfig) -> Stages:
+    """The stage commands run one seed, `cfg.seed`, by run-all's rules."""
+    return Stages(cfg, load_world(cfg), cfg.seed)
+
+
 def cmd_stage1(cfg: RunConfig, args) -> int:
-    corpora = load_world(cfg)
-    train, val, _ = split_labeled(corpora["labeled"], cfg.data.world)
+    stages = stage_runner(cfg)
     run_dir = Path(args.run_dir)
+    result = stages.teacher().fit
     persist_config(cfg, run_dir)
-    result = train_regression(train, val, cfg.model, cfg.stage1, cfg.seed)
     save_checkpoint(
         run_dir / "stage1.dsqc",
-        checkpoint_from_net(result.net, "stage1", config_to_dict(cfg)),
+        checkpoint_from_net(result.net, "stage1", stages.resolved),
     )
     (run_dir / "history.json").write_text(json.dumps(result.history, indent=2) + "\n")
     print(f"stage1 checkpoint written to {run_dir / 'stage1.dsqc'}")
@@ -125,72 +111,41 @@ def cmd_pseudo_label(cfg: RunConfig, args) -> int:
 
 
 def cmd_stage2(cfg: RunConfig, args) -> int:
-    corpora = load_world(cfg)
-    train, _, _ = split_labeled(corpora["labeled"], cfg.data.world)
+    stages = stage_runner(cfg)
+    if not stages.has_stage2:
+        raise ConfigError(
+            "this config trains no stage 2 (strategy 'baseline' or ablation.skip_stage2)"
+        )
     run_dir = Path(args.run_dir)
+    result = stages.stage2(stages.pool(lambda: load_corpus(run_dir / "pseudo")))
     persist_config(cfg, run_dir)
-    pool = None
-    if cfg.ablation.use_pseudo:
-        if cfg.strategy == "simclr":
-            pool = corpora["unlabeled"]
-        else:
-            pool = load_corpus(run_dir / "pseudo")
-    mixed = build_stage2_corpus(
-        train, pool, corpora["typical"] if cfg.ablation.use_typical else None
-    )
-    result = train_stage2(mixed, cfg.model, cfg.stage2, cfg.seed, cfg.strategy)
     save_checkpoint(
         run_dir / "stage2.dsqc",
-        checkpoint_from_net(result.net, "stage2", config_to_dict(cfg)),
+        checkpoint_from_net(result.net, "stage2", stages.resolved),
     )
     print(f"stage2 checkpoint written to {run_dir / 'stage2.dsqc'}")
     return 0
 
 
 def cmd_stage3(cfg: RunConfig, args) -> int:
-    corpora = load_world(cfg)
-    train, val, _ = split_labeled(corpora["labeled"], cfg.data.world)
+    stages = stage_runner(cfg)
     run_dir = Path(args.run_dir)
-    ckpt_path = run_dir / "stage2.dsqc"
-    ckpt = load_checkpoint(ckpt_path) if ckpt_path.exists() else None
-    result = train_stage3(train, val, cfg, ckpt)
+    result = stages.final(lambda: load_checkpoint(run_dir / "stage2.dsqc"))
     save_checkpoint(
         run_dir / "model.dsqc",
-        checkpoint_from_net(result.net, "final", config_to_dict(cfg)),
+        checkpoint_from_net(result.net, "final", stages.resolved),
     )
     print(f"final model written to {run_dir / 'model.dsqc'}")
     return 0
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
-    corpora = load_world(cfg)
-    _, _, test = split_labeled(corpora["labeled"], cfg.data.world)
+    stages = stage_runner(cfg)
     run_dir = Path(args.run_dir)
     ckpt_path = Path(args.checkpoint) if args.checkpoint else run_dir / "model.dsqc"
-    net = net_from_checkpoint(load_checkpoint(ckpt_path))
-    reports = [
-        evaluate(net, test, level="utterance"),
-        evaluate(net, corpora["shifted_test"], level="speaker"),
-    ]
-    rid = run_id_for(config_to_dict(cfg), seed=cfg.seed)
-    rows = [
-        {
-            "run_id": rid,
-            "strategy": cfg.strategy,
-            "dataset": r.dataset,
-            "level": r.level,
-            "seed": cfg.seed,
-            "srcc": r.srcc,
-            "pcc": r.pcc,
-            "n": r.n,
-        }
-        for r in reports
-    ]
-    write_report_json(
-        run_dir / "report.json",
-        {"run_id": rid, "reports": [r.to_dict() for r in reports]},
-    )
-    write_results_csv(run_dir / "results.csv", rows)
+    reports = stages.evaluate(net_from_checkpoint(load_checkpoint(ckpt_path)))
+    write_report_json(run_dir / "report.json", stages.report(reports))
+    write_results_csv(run_dir / "results.csv", stages.rows(reports))
     for r in reports:
         tag = " [FLAGGED: " + r.flag_reason + "]" if r.flagged else ""
         print(f"{r.dataset}/{r.level}: srcc={r.srcc} pcc={r.pcc} n={r.n}{tag}")

@@ -18,16 +18,17 @@ from .nn import AdaptorNet, forward_batch
 
 VAR_EPS = 1e-4  # inside the variance-regularizer square root
 
-STRATEGIES = ("sup", "dis", "con", "coarse")
-
 # Per-strategy defaults; the grid {0.1, 1.0, 10.0, 50.0, 100.0} is sweepable.
 DEFAULT_TAU = {"sup": 1.0, "dis": 1.0, "con": 0.1, "coarse": 10.0, "simclr": 0.1}
+
+STRATEGIES = tuple(DEFAULT_TAU)
 
 
 @dataclass
 class PairingSpec:
     """Positive-pair rule: sup (equal labels), dis (equal rounded labels),
-    con (label distance < alpha), coarse (same side of beta)."""
+    con (label distance < alpha), coarse (same side of beta), simclr (the
+    sibling view only; needs no labels)."""
 
     strategy: str = "coarse"
     alpha: float = 0.5
@@ -87,6 +88,8 @@ def build_batch(
 def positive_pairs(batch: Batch, spec: PairingSpec) -> list[np.ndarray]:
     """Per-anchor positive index sets P(i) over the 2B views, self excluded."""
     spec.validate()
+    if spec.strategy == "simclr":
+        return view_pairs(batch.b)
     y = batch.labels
     if np.any(np.isnan(y)):
         raise ParameterError("pairing requires labels on every view")

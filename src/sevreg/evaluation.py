@@ -192,6 +192,11 @@ def read_results_csv(path: str | Path) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def embedding_dtype(dim: int) -> np.dtype:
+    """One packed DSQE row: dim float32s, the label and the provenance byte."""
+    return np.dtype([("v", "<f4", (dim,)), ("label", "<f4"), ("prov", "u1")])
+
+
 def write_embeddings(
     path: str | Path,
     vectors: np.ndarray,
@@ -202,36 +207,39 @@ def write_embeddings(
     n, dim = vectors.shape
     if len(labels) != n or len(provenances) != n:
         raise DimensionError("labels/provenances must match vector count")
-    blob = bytearray()
-    blob += DSQE_MAGIC
-    blob += struct.pack("<III", DSQE_VERSION, n, dim)
-    for i in range(n):
-        blob += vectors[i].astype("<f4").tobytes()
-        label = labels[i] if labels[i] is not None else float("nan")
-        blob += struct.pack("<fB", label, PROVENANCE_BYTE[provenances[i]])
-    Path(path).write_bytes(bytes(blob))
+    rows = np.empty(n, dtype=embedding_dtype(dim))
+    rows["v"] = vectors
+    rows["label"] = [np.nan if y is None else y for y in labels]
+    rows["prov"] = [PROVENANCE_BYTE[p] for p in provenances]
+    header = DSQE_MAGIC + struct.pack("<III", DSQE_VERSION, n, dim)
+    Path(path).write_bytes(header + rows.tobytes())
 
 
 def read_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Inverse of write_embeddings; labels come back as float (NaN if absent)."""
+    """Inverse of write_embeddings; labels come back as float (NaN if absent).
+    A short header, a wrong payload length or an unknown provenance byte
+    raises FeatureFormatError at the offending byte."""
     raw = Path(path).read_bytes()
     if raw[:4] != DSQE_MAGIC:
         raise FeatureFormatError("bad magic, not a DSQE file", offset=0)
-    version, n, dim = struct.unpack("<III", raw[4:16])
+    if len(raw) < 16:
+        raise FeatureFormatError("truncated header", offset=len(raw))
+    version, n, dim = struct.unpack_from("<III", raw, 4)
     if version != DSQE_VERSION:
         raise FeatureFormatError(f"unsupported version {version}", offset=4)
     row_bytes = 4 * dim + 5
     if len(raw) != 16 + n * row_bytes:
-        raise FeatureFormatError("truncated payload", offset=len(raw))
-    by_byte = {v: k for k, v in PROVENANCE_BYTE.items()}
-    vectors = np.empty((n, dim))
-    labels = np.empty(n)
+        raise FeatureFormatError(
+            f"payload of {len(raw) - 16} bytes, expected {n} rows of {row_bytes}",
+            offset=16,
+        )
+    rows = np.frombuffer(raw, dtype=embedding_dtype(dim), count=n, offset=16)
+    names = {v: k for k, v in PROVENANCE_BYTE.items()}
     provenances = []
-    pos = 16
-    for i in range(n):
-        vectors[i] = np.frombuffer(raw, dtype="<f4", count=dim, offset=pos)
-        label, prov = struct.unpack_from("<fB", raw, pos + 4 * dim)
-        labels[i] = label
-        provenances.append(by_byte[prov])
-        pos += row_bytes
-    return vectors, labels, provenances
+    for i, b in enumerate(rows["prov"].tolist()):
+        if b not in names:
+            raise FeatureFormatError(
+                f"unknown provenance byte {b}", offset=16 + (i + 1) * row_bytes - 1
+            )
+        provenances.append(names[b])
+    return rows["v"].astype(np.float64), rows["label"].astype(np.float64), provenances

@@ -8,13 +8,15 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .config import RunConfig, config_to_dict, run_id_for
 from .data import Corpus, Utterance, label_histogram, split
 from .errors import ConfigError
-from .evaluation import write_report_json, write_results_csv
+from .evaluation import EvalReport, write_report_json, write_results_csv
+from .nn import AdaptorNet
 from .pipeline import (
     Checkpoint,
     StageResult,
@@ -90,6 +92,116 @@ def teacher_key(resolved: dict, section: str, seed: int) -> str:
     )
 
 
+class Stages:
+    """The stage steps of one (config, seed) run on a set of corpora. Both
+    run_single and the CLI stage commands call them, so every strategy and
+    ablation decision is made here, once.
+
+    `memo` shares teachers between runs on the same corpora: a fit with no
+    transferred trunk is made once per `teacher_key`."""
+
+    def __init__(
+        self,
+        cfg: RunConfig,
+        corpora: dict[str, Corpus],
+        seed: int,
+        memo: dict[str, Teacher] | None = None,
+    ):
+        self.cfg = cfg
+        self.corpora = corpora
+        self.seed = seed
+        self.memo = {} if memo is None else memo
+        self.train, self.val, self.test = split_labeled(
+            corpora["labeled"], cfg.data.world
+        )
+        self.resolved = config_to_dict(cfg)
+        self.run_id = run_id_for(self.resolved, seed=seed)
+
+    @property
+    def has_stage2(self) -> bool:
+        return self.cfg.strategy != "baseline" and not self.cfg.ablation.skip_stage2
+
+    def teacher(self, section: str = "stage1") -> Teacher:
+        """The regression fit of `section` from the seeded init, memoised."""
+        key = teacher_key(self.resolved, section, self.seed)
+        if key not in self.memo:
+            self.memo[key] = Teacher(
+                train_regression(
+                    self.train, self.val, self.cfg.model,
+                    getattr(self.cfg, section), self.seed,
+                )
+            )
+        return self.memo[key]
+
+    def pool(self, pseudo: Callable[[], Corpus]) -> Corpus | None:
+        """The unlabeled pool as stage 2 would see it: none for `baseline`,
+        raw for label-free `simclr`, wholly assumed dysarthric when stage 1
+        is skipped, else the teacher's pseudo-labels that `pseudo` returns."""
+        cfg = self.cfg
+        if cfg.strategy == "baseline":
+            return None
+        if cfg.strategy == "simclr":
+            return self.corpora["unlabeled"]
+        if cfg.ablation.skip_stage1:
+            return _assume_dysarthric(
+                self.corpora["unlabeled"], cfg.ablation.assumed_dysarthric_label
+            )
+        return pseudo()
+
+    def stage2(self, pool: Corpus | None) -> StageResult | None:
+        """Contrastive pretraining on the labeled split, the pool and the
+        typical corpus, each as the ablation switches allow; None when the
+        config has no stage 2."""
+        if not self.has_stage2:
+            return None
+        cfg = self.cfg
+        mixed = build_stage2_corpus(
+            self.train,
+            pool if cfg.ablation.use_pseudo else None,
+            self.corpora["typical"] if cfg.ablation.use_typical else None,
+        )
+        return train_stage2(mixed, cfg.model, cfg.stage2, self.seed, cfg.strategy)
+
+    def final(self, stage2: Callable[[], Checkpoint]) -> StageResult:
+        """The evaluated model: a fine-tune from the trunk of the checkpoint
+        `stage2` returns, or without a stage 2 the teacher fit of `stage1`
+        (baseline) or `stage3` (stage 2 skipped)."""
+        if not self.has_stage2:
+            section = "stage1" if self.cfg.strategy == "baseline" else "stage3"
+            return self.teacher(section).result()
+        return train_stage3(self.train, self.val, self.cfg, stage2(), seed=self.seed)
+
+    def evaluate(self, net: AdaptorNet) -> list[EvalReport]:
+        """In-domain utterance-level and shifted speaker-level reports."""
+        return [
+            evaluate(net, self.test, level="utterance"),
+            evaluate(net, self.corpora["shifted_test"], level="speaker"),
+        ]
+
+    def rows(self, reports: list[EvalReport]) -> list[dict]:
+        return [
+            {
+                "run_id": self.run_id,
+                "strategy": self.cfg.strategy,
+                "dataset": r.dataset,
+                "level": r.level,
+                "seed": self.seed,
+                "srcc": r.srcc,
+                "pcc": r.pcc,
+                "n": r.n,
+            }
+            for r in reports
+        ]
+
+    def report(self, reports: list[EvalReport]) -> dict:
+        return {
+            "run_id": self.run_id,
+            "strategy": self.cfg.strategy,
+            "seed": self.seed,
+            "reports": [r.to_dict() for r in reports],
+        }
+
+
 def run_single(
     cfg: RunConfig,
     corpora: dict[str, Corpus],
@@ -99,126 +211,60 @@ def run_single(
 ) -> dict:
     """One (strategy, seed) run: train the configured stages, evaluate the
     final model in-domain (utterance level) and on the shifted test corpus
-    (speaker level), and optionally persist artifacts.
+    (speaker level), and optionally persist artifacts. Without a `memo`, a
+    teacher is still shared between the stages of this run."""
+    stages = Stages(cfg, corpora, seed, memo)
+    stage1: StageResult | None = None  # the teacher fit, once the pool reads it
 
-    `memo` shares teachers between runs on the same corpora: a fit with no
-    transferred trunk is made once per `teacher_key`. Without one, a teacher
-    is still shared between the stages of this run."""
-    train, val, test = split_labeled(corpora["labeled"], cfg.data.world)
-    resolved = config_to_dict(cfg)
-    rid = run_id_for(resolved, seed=seed)
-    memo = {} if memo is None else memo
+    def pseudo() -> Corpus:
+        nonlocal stage1
+        teacher = stages.teacher("stage1")
+        stage1 = teacher.fit
+        return teacher.pseudo(corpora["unlabeled"])
 
-    def teacher(section: str) -> Teacher:
-        key = teacher_key(resolved, section, seed)
-        if key not in memo:
-            memo[key] = Teacher(
-                train_regression(train, val, cfg.model, getattr(cfg, section), seed)
-            )
-        return memo[key]
-
-    artifacts: dict[str, StageResult | Checkpoint | None] = {
-        "stage1": None, "stage2": None,
-    }
-    pseudo_hist = None
-
-    if cfg.strategy == "baseline":
-        final = teacher("stage1").result()
-    else:
-        pseudo = None
-        if cfg.strategy != "simclr" and not cfg.ablation.skip_stage1:
-            stage1 = teacher("stage1")
-            artifacts["stage1"] = stage1.result()
-            pseudo = stage1.pseudo(corpora["unlabeled"])
-            pseudo_hist = label_histogram(pseudo)
-        elif cfg.strategy != "simclr" and cfg.ablation.skip_stage1:
-            pseudo = _assume_dysarthric(
-                corpora["unlabeled"], cfg.ablation.assumed_dysarthric_label
-            )
-            pseudo_hist = label_histogram(pseudo)
-
-        ckpt = None
-        if not cfg.ablation.skip_stage2:
-            if cfg.strategy == "simclr":
-                # Label-free pretraining: the raw pool participates unlabeled.
-                pool = corpora["unlabeled"] if cfg.ablation.use_pseudo else None
-            else:
-                pool = pseudo if cfg.ablation.use_pseudo else None
-            mixed = build_stage2_corpus(
-                train,
-                pool,
-                corpora["typical"] if cfg.ablation.use_typical else None,
-            )
-            stage2 = train_stage2(mixed, cfg.model, cfg.stage2, seed, cfg.strategy)
-            artifacts["stage2"] = stage2
-            ckpt = checkpoint_from_net(stage2.net, "stage2", resolved)
-        if ckpt is None:
-            # Stage 3 without a trunk is a fit from the seeded init.
-            final = teacher("stage3").result()
-        else:
-            final = train_stage3(train, val, cfg, ckpt, seed=seed)
-
-    reports = [
-        evaluate(final.net, test, level="utterance"),
-        evaluate(final.net, corpora["shifted_test"], level="speaker"),
-    ]
-    rows = [
-        {
-            "run_id": rid,
-            "strategy": cfg.strategy,
-            "dataset": r.dataset,
-            "level": r.level,
-            "seed": seed,
-            "srcc": r.srcc,
-            "pcc": r.pcc,
-            "n": r.n,
-        }
-        for r in reports
-    ]
+    pool = stages.pool(pseudo)
+    stage2 = stages.stage2(pool)
+    final = stages.final(
+        lambda: checkpoint_from_net(stage2.net, "stage2", stages.resolved)
+    )
+    reports = stages.evaluate(final.net)
 
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
-        write_report_json(
-            run_dir / "report.json",
-            {
-                "run_id": rid,
-                "strategy": cfg.strategy,
-                "seed": seed,
-                "reports": [r.to_dict() for r in reports],
-            },
-        )
+        write_report_json(run_dir / "report.json", stages.report(reports))
         (run_dir / "history.json").write_text(
             json.dumps(
                 {
-                    "stage1": artifacts["stage1"].history if artifacts["stage1"] else [],
-                    "stage2": artifacts["stage2"].history if artifacts["stage2"] else [],
+                    "stage1": stage1.history if stage1 else [],
+                    "stage2": stage2.history if stage2 else [],
                     "final": final.history,
                 },
                 indent=2,
             )
             + "\n"
         )
-        if pseudo_hist is not None:
+        if pool is not None and any(u.label is not None for u in pool):
             write_report_json(
                 run_dir / "pseudo_histogram.json",
-                {str(k): v for k, v in pseudo_hist.items()},
+                {str(k): v for k, v in label_histogram(pool).items()},
             )
-        if artifacts["stage1"] is not None:
-            save_checkpoint(
-                run_dir / "stage1.dsqc",
-                checkpoint_from_net(artifacts["stage1"].net, "stage1", resolved),
-            )
-        if artifacts["stage2"] is not None:
-            save_checkpoint(
-                run_dir / "stage2.dsqc",
-                checkpoint_from_net(artifacts["stage2"].net, "stage2", resolved),
-            )
+        for name, result in (("stage1", stage1), ("stage2", stage2)):
+            if result is not None:
+                save_checkpoint(
+                    run_dir / f"{name}.dsqc",
+                    checkpoint_from_net(result.net, name, stages.resolved),
+                )
         save_checkpoint(
             run_dir / "model.dsqc",
-            checkpoint_from_net(final.net, "final", resolved),
+            checkpoint_from_net(final.net, "final", stages.resolved),
         )
 
-    return {"run_id": rid, "rows": rows, "final": final, "reports": reports}
+    return {
+        "run_id": stages.run_id,
+        "rows": stages.rows(reports),
+        "final": final,
+        "reports": reports,
+    }
 
 
 def median_summary(rows: list[dict]) -> dict:

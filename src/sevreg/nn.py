@@ -85,28 +85,17 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def dropout_mask(
-    shape: tuple[int, ...], p: float, rng: np.random.Generator
+    shape: tuple[int, ...], p: float, rng: np.random.Generator | None
 ) -> np.ndarray:
     """Inverted-dropout multiplier: 0 with probability p, else 1/(1-p)."""
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return np.ones(shape)
-    keep = rng.random(shape) >= p
-    return keep / (1.0 - p)
-
-
-def dropout(
-    x: np.ndarray, p: float, rng: np.random.Generator | None, training: bool
-) -> np.ndarray:
-    """Inverted dropout in training mode; identity in eval mode."""
-    if not 0.0 <= p < 1.0:
-        raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
     if rng is None:
         raise ParameterError("training-mode dropout needs a seeded generator")
-    return x * dropout_mask(x.shape, p, rng)
+    keep = rng.random(shape) >= p
+    return keep / (1.0 - p)
 
 
 def stats_pool(h: np.ndarray) -> np.ndarray:

@@ -17,14 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ModelConfig, RegressionStageConfig, RunConfig, Stage2Config
-from .contrastive import (
-    DEFAULT_TAU,
-    PairingSpec,
-    build_batch,
-    simclr_loss,
-    stage2_loss,
-    with_variance,
-)
+from .contrastive import PairingSpec, build_batch, stage2_loss
 from .data import (
     Corpus,
     Utterance,
@@ -319,15 +312,6 @@ def validation_srcc(net: AdaptorNet, val: Corpus) -> float | None:
     return None if report.flagged else report.srcc
 
 
-def train_stage1(
-    train: Corpus, val: Corpus, cfg: RunConfig, seed: int | None = None
-) -> StageResult:
-    """Teacher regression model on the labeled subset."""
-    return train_regression(
-        train, val, cfg.model, cfg.stage1, cfg.seed if seed is None else seed
-    )
-
-
 def predict(net: AdaptorNet, corpus: Corpus, chunk: int = 256) -> np.ndarray:
     """Eval-mode severity scores, clamped to [1, 7]."""
     scores = []
@@ -435,8 +419,13 @@ def train_stage2(
 ) -> StageResult:
     """Train the projector for exactly s2cfg.epochs; final weights returned
     (longer training degrades, so there is no model selection)."""
-    if strategy not in ("simclr", "dis", "con", "coarse", "sup"):
-        raise ParameterError(f"stage 2 cannot run strategy '{strategy}'")
+    pairing = PairingSpec(
+        strategy=strategy,
+        alpha=s2cfg.pairing.alpha,
+        beta=s2cfg.pairing.beta,
+        tau=s2cfg.pairing.tau,
+    )
+    pairing.validate()
     labels = np.array(
         [np.nan if u.label is None else u.label for u in mixed], dtype=float
     )
@@ -453,15 +442,6 @@ def train_stage2(
         pool=model_cfg.pool,
         normalize_output=model_cfg.normalize_embeddings,
         feature_norm=model_cfg.feature_norm,
-    )
-    pairing = PairingSpec(
-        strategy=strategy if strategy != "simclr" else "coarse",
-        alpha=s2cfg.pairing.alpha,
-        beta=s2cfg.pairing.beta,
-        tau=s2cfg.pairing.tau,
-    )
-    simclr_tau = (
-        s2cfg.pairing.tau if s2cfg.pairing.tau is not None else DEFAULT_TAU["simclr"]
     )
 
     feats = [_prepared(u, net.feature_norm) for u in mixed]
@@ -485,13 +465,9 @@ def train_stage2(
             sources = [(feats[i], labels[i]) for i in idx]
             batch = build_batch(sources, s2cfg.augment, aug_rng)
             cache = forward_batch(net, batch.views, training=True, rng=drop_rng)
-            z = cache.out
-            if strategy == "simclr":
-                result = with_variance(
-                    simclr_loss(z, simclr_tau), z, s2cfg.gamma, s2cfg.var_weight
-                )
-            else:
-                result = stage2_loss(z, batch, pairing, s2cfg.gamma, s2cfg.var_weight)
+            result = stage2_loss(
+                cache.out, batch, pairing, s2cfg.gamma, s2cfg.var_weight
+            )
             if not np.isfinite(result.value):
                 raise TrainingDivergedError(
                     f"stage-2 loss diverged at epoch {epoch}", history=history
@@ -529,7 +505,7 @@ def train_stage3(
     val: Corpus,
     cfg: RunConfig,
     encoder_ckpt: Checkpoint | None,
-    seed: int | None = None,
+    seed: int,
 ) -> StageResult:
     """Fine-tune with the first two layers seeded from a stage-2 checkpoint.
 
@@ -541,12 +517,7 @@ def train_stage3(
     if encoder_ckpt is not None:
         init_trunk = {k: encoder_ckpt.params[k] for k in TRANSFER_KEYS}
     return train_regression(
-        train,
-        val,
-        cfg.model,
-        cfg.stage3,
-        cfg.seed if seed is None else seed,
-        init_trunk=init_trunk,
+        train, val, cfg.model, cfg.stage3, seed, init_trunk=init_trunk
     )
 
 

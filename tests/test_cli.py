@@ -157,6 +157,69 @@ class TestStageChain:
         assert set(provs) == {"typical"}
 
 
+CHAIN = ("stage1", "pseudo-label", "stage2", "stage3", "evaluate")
+NO_STAGE2 = ("stage1", "pseudo-label", "stage3", "evaluate")
+
+
+class TestChainEqualsRunAll:
+    """The stage commands run run-all's steps for one seed, `cfg.seed`, so the
+    chain must reproduce run-all's final model and results byte for byte."""
+
+    @pytest.mark.parametrize(
+        "overrides, steps",
+        [
+            ([], CHAIN),
+            (["strategy=simclr"], CHAIN),
+            (["ablation.use_pseudo=false"], CHAIN),
+            (["ablation.skip_stage2=true"], NO_STAGE2),
+            (["strategy=dis", "ablation.skip_stage1=true"], ("stage2", "stage3", "evaluate")),
+            (["strategy=baseline", "stage3.epochs=2"], NO_STAGE2),
+        ],
+        ids=["coarse", "simclr", "no_pseudo", "skip_stage2", "dis_skip_stage1", "baseline"],
+    )
+    def test_chain_matches_run_all(self, workspace, tmp_path, overrides, steps):
+        _, config_path, _ = workspace
+        run_root = tmp_path / "runs"
+        common = [
+            "--config", str(config_path), "seed=2", "seeds=[2]",
+            f"run_root={run_root}", *overrides,
+        ]
+        assert main(["run-all", *common]) == 0
+        (run_all_dir,) = run_root.iterdir()
+        run_dir = tmp_path / "chain"
+        for step in steps:
+            assert main([step, *common, "--run-dir", str(run_dir)]) == 0, step
+        for chain_file, run_all_file in (
+            ("model.dsqc", "seed_2/model.dsqc"),
+            ("results.csv", "results.csv"),
+        ):
+            assert (run_dir / chain_file).read_bytes() == (
+                run_all_dir / run_all_file
+            ).read_bytes(), chain_file
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report == json.loads((run_all_dir / "seed_2/report.json").read_text())
+
+    def test_stage3_without_stage2_checkpoint_exits_1(self, workspace, tmp_path):
+        _, config_path, _ = workspace
+        run_dir = tmp_path / "nostage2"
+        base = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        assert main(["stage1", *base]) == 0
+        assert main(["stage3", *base]) == 1
+        assert not (run_dir / "model.dsqc").exists()
+
+    @pytest.mark.parametrize(
+        "override", ["strategy=baseline", "ablation.skip_stage2=true"]
+    )
+    def test_stage2_without_a_stage2_exits_1(self, workspace, tmp_path, override):
+        _, config_path, _ = workspace
+        run_dir = tmp_path / "nostage2"
+        code = main(
+            ["stage2", "--config", str(config_path), override, "--run-dir", str(run_dir)]
+        )
+        assert code == 1
+        assert not run_dir.exists()
+
+
 class TestRunAll:
     def test_rows_per_seed_and_resolved_config(self, workspace, tmp_path):
         root, _, doc = workspace

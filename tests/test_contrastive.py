@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sevreg.contrastive import (
+    DEFAULT_TAU,
     Batch,
     PairingSpec,
     ntxent_loss,
@@ -15,6 +16,7 @@ from sevreg.contrastive import (
     stage2_loss,
     variance_reg,
     view_pairs,
+    with_variance,
 )
 from sevreg.errors import DimensionError, ParameterError
 from sevreg.nn import build_net
@@ -144,6 +146,11 @@ class TestPairing:
         batch = batch_from_labels([1.0, np.nan])
         with pytest.raises(ParameterError):
             positive_pairs(batch, PairingSpec(strategy="dis"))
+
+    def test_simclr_pairs_siblings_and_needs_no_labels(self):
+        batch = batch_from_labels([np.nan, 2.0, np.nan])
+        got = positive_pairs(batch, PairingSpec(strategy="simclr"))
+        assert [list(p) for p in got] == [list(p) for p in view_pairs(3)]
 
 
 class TestNtxent:
@@ -311,6 +318,19 @@ class TestStage2Loss:
         part = ntxent_loss(z, pairs, tau=0.5)
         var = variance_reg(z, 2.0)
         assert np.allclose(combined.grad, part.grad + 0.3 * var.grad, atol=1e-15)
+
+
+    def test_simclr_entry_equals_simclr_loss(self):
+        # the label-free strategy goes through the same call as the weakly
+        # supervised ones and must keep simclr_loss's values bit for bit
+        rng = np.random.default_rng(17)
+        z = unit_rows(rng, 8, 4)
+        batch = batch_from_labels([np.nan] * 4)
+        spec = PairingSpec(strategy="simclr")
+        combined = stage2_loss(z, batch, spec, gamma=1.0, var_weight=0.2)
+        alone = with_variance(simclr_loss(z, DEFAULT_TAU["simclr"]), z, 1.0, 0.2)
+        assert combined.value == alone.value
+        assert np.array_equal(combined.grad, alone.grad)
 
 
 class TestProject:

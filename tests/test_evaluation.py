@@ -1,5 +1,7 @@
 """Ranks, correlations, aggregation, reports, and the embedding dump format."""
 
+import struct
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevreg.data import Corpus, Utterance
-from sevreg.errors import DegenerateCorrelationError, MappingError, ParameterError
+from sevreg.errors import (
+    DegenerateCorrelationError,
+    FeatureFormatError,
+    MappingError,
+    ParameterError,
+)
 from sevreg.evaluation import (
     EvalReport,
     correlate_scores,
@@ -231,6 +238,42 @@ class TestReportsAndFiles:
         assert np.allclose(got_vecs, vecs, atol=1e-6)
         assert np.isnan(got_labels[2]) and got_labels[0] == 1.0
         assert got_provs == provs
+
+    def test_embeddings_bytes_match_packed_layout(self, tmp_path):
+        rng = np.random.default_rng(9)
+        vecs = rng.standard_normal((4, 3))
+        labels = [1.5, None, 7.0, 2.25]
+        provs = ["labeled", "pseudo", "typical", "pseudo"]
+        path = tmp_path / "e.dsqe"
+        write_embeddings(path, vecs, labels, provs)
+        blob = b"DSQE" + struct.pack("<III", 1, 4, 3)
+        for vec, label, prov in zip(vecs, labels, provs):
+            blob += vec.astype("<f4").tobytes()
+            blob += struct.pack(
+                "<fB", float("nan") if label is None else label,
+                {"labeled": 0, "pseudo": 1, "typical": 2}[prov],
+            )
+        assert path.read_bytes() == blob
+
+    @pytest.mark.parametrize(
+        "corrupt, offset",
+        [
+            (lambda raw: raw[:10], 10),
+            (lambda raw: raw[:-1], 16),
+            (lambda raw: raw + b"\0", 16),
+            (lambda raw: raw[: 16 + 17 + 16] + b"\x09" + raw[16 + 34 :], 16 + 34 - 1),
+            (lambda raw: b"DSQF" + raw[4:], 0),
+        ],
+        ids=["short_header", "truncated", "trailing", "bad_provenance", "bad_magic"],
+    )
+    def test_corrupt_embeddings_raise_format_error(self, tmp_path, corrupt, offset):
+        path = tmp_path / "e.dsqe"
+        vecs = np.arange(9.0).reshape(3, 3)
+        write_embeddings(path, vecs, [1.0, None, 3.0], ["labeled", "pseudo", "typical"])
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(FeatureFormatError) as err:
+            read_embeddings(path)
+        assert err.value.offset == offset
 
     def test_redump_identical(self, tmp_path):
         rng = np.random.default_rng(8)

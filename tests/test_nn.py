@@ -8,7 +8,7 @@ from sevreg.nn import (
     LayerParams,
     backward_batch,
     build_net,
-    dropout,
+    dropout_mask,
     forward_batch,
     huber_loss,
     huber_loss_batch,
@@ -84,28 +84,39 @@ class TestRelu:
 
 
 class TestDropout:
+    def _net(self):
+        return build_net(feat_dim=4, seed_or_rng=0, hidden_dim=6, dropout_p=0.5)
+
     def test_eval_mode_identity(self):
-        x = np.arange(12.0).reshape(3, 4)
-        assert dropout(x, 0.5, None, training=False) is x
+        net = self._net()
+        seqs = [np.random.default_rng(1).normal(size=(5, 4))]
+        cache = forward_batch(net, seqs, training=False, rng=None)
+        assert cache.mask1 is None and cache.mask2 is None
+        assert np.array_equal(cache.h1, relu(cache.a1))
+        assert np.array_equal(cache.h2, relu(cache.a2))
 
     def test_p_zero_identity(self):
-        x = np.ones((4, 4))
-        rng = np.random.default_rng(0)
-        assert np.array_equal(dropout(x, 0.0, rng, training=True), x)
+        assert np.array_equal(dropout_mask((4, 4), 0.0, None), np.ones((4, 4)))
+        assert np.array_equal(
+            dropout_mask((4, 4), 0.0, np.random.default_rng(0)), np.ones((4, 4))
+        )
 
     def test_monte_carlo_expectation(self):
         rng = np.random.default_rng(11)
-        x = np.ones((500, 200))
-        out = dropout(x, 0.5, rng, training=True)
-        assert abs(out.mean() - 1.0) < 0.02
+        mask = dropout_mask((500, 200), 0.5, rng)
+        assert set(np.unique(mask)) == {0.0, 2.0}
+        assert abs(mask.mean() - 1.0) < 0.02
 
     def test_p_out_of_range(self):
         with pytest.raises(ParameterError):
-            dropout(np.ones((2, 2)), 1.0, np.random.default_rng(0), training=True)
+            dropout_mask((2, 2), 1.0, np.random.default_rng(0))
 
     def test_training_without_rng_rejected(self):
         with pytest.raises(ParameterError):
-            dropout(np.ones((2, 2)), 0.5, None, training=True)
+            dropout_mask((2, 2), 0.5, None)
+        seqs = [np.ones((3, 4))]
+        with pytest.raises(ParameterError):
+            forward_batch(self._net(), seqs, training=True, rng=None)
 
 
 class TestStatsPool:

@@ -126,12 +126,13 @@ class TestStage1:
         assert [h["epoch"] for h in stage1.history] == list(range(STAGE.epochs))
         assert all("train_loss" in h and "val_srcc" in h for h in stage1.history)
 
-    def test_train_stage1_wrapper_matches_direct_call(self, splits):
-        from sevreg.pipeline import train_stage1
+    def test_train_stage1_wrapper_matches_direct_call(self, world, splits):
+        from sevreg.experiments import Stages
 
+        # the stage step takes its seed from the argument, not cfg.seed
         train, val, _ = splits
-        cfg = small_cfg(stage1=replace(STAGE, epochs=1), seed=6)
-        a = train_stage1(train, val, cfg)
+        cfg = small_cfg(stage1=replace(STAGE, epochs=1), seed=0)
+        a = Stages(cfg, world, seed=6).teacher().fit
         b = train_regression(train, val, MODEL, replace(STAGE, epochs=1), seed=6)
         for k, v in a.net.param_arrays().items():
             assert np.array_equal(v, b.net.param_arrays()[k])
