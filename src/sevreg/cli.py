@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, apply_overrides, config_from_dict, config_to_dict
-from .data import label_histogram, load_corpus, save_corpus
+from .data import atomic_write, label_histogram, load_corpus, save_corpus
 from .errors import ConfigError, SevregError, TrainingDivergedError
 from .evaluation import write_report_json, write_results_csv
 from .experiments import ABLATION_VARIANTS, TAU_GRID, Stages, ablate, run_all, sweep_tau
@@ -57,9 +57,7 @@ def load_world(cfg: RunConfig):
 
 def persist_config(cfg: RunConfig, directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "config.json").write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
-    )
+    write_report_json(directory / "config.json", config_to_dict(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +80,17 @@ def stage_runner(cfg: RunConfig) -> Stages:
     return Stages(cfg, load_world(cfg), cfg.seed)
 
 
+def require_pseudo_labels(stages: Stages) -> None:
+    if not stages.pseudo_labels:
+        raise ConfigError(
+            "this config reads no stage-1 teacher or pseudo-labels "
+            "(strategy 'baseline' or 'simclr', or ablation.skip_stage1)"
+        )
+
+
 def cmd_stage1(cfg: RunConfig, args) -> int:
     stages = stage_runner(cfg)
+    require_pseudo_labels(stages)
     run_dir = Path(args.run_dir)
     result = stages.teacher().fit
     persist_config(cfg, run_dir)
@@ -91,16 +98,17 @@ def cmd_stage1(cfg: RunConfig, args) -> int:
         run_dir / "stage1.dsqc",
         checkpoint_from_net(result.net, "stage1", stages.resolved),
     )
-    (run_dir / "history.json").write_text(json.dumps(result.history, indent=2) + "\n")
+    atomic_write(run_dir / "history.json", json.dumps(result.history, indent=2) + "\n")
     print(f"stage1 checkpoint written to {run_dir / 'stage1.dsqc'}")
     return 0
 
 
 def cmd_pseudo_label(cfg: RunConfig, args) -> int:
-    corpora = load_world(cfg)
+    stages = stage_runner(cfg)
+    require_pseudo_labels(stages)
     run_dir = Path(args.run_dir)
     ckpt = load_checkpoint(run_dir / "stage1.dsqc")
-    pseudo = pseudo_label(net_from_checkpoint(ckpt), corpora["unlabeled"])
+    pseudo = pseudo_label(net_from_checkpoint(ckpt), stages.corpora["unlabeled"])
     save_corpus(pseudo, run_dir / "pseudo")
     write_report_json(
         run_dir / "pseudo_histogram.json",
@@ -131,6 +139,7 @@ def cmd_stage3(cfg: RunConfig, args) -> int:
     stages = stage_runner(cfg)
     run_dir = Path(args.run_dir)
     result = stages.final(lambda: load_checkpoint(run_dir / "stage2.dsqc"))
+    persist_config(cfg, run_dir)
     save_checkpoint(
         run_dir / "model.dsqc",
         checkpoint_from_net(result.net, "final", stages.resolved),

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .augment import AugmentConfig
-from .contrastive import PairingSpec
+from .contrastive import DEFAULT_TAU, PairingSpec
 from .errors import ConfigError, ParameterError
 from .synthetic import WorldConfig
-
-STRATEGIES = ("baseline", "simclr", "dis", "con", "coarse")
 
 
 @dataclass
@@ -24,19 +23,12 @@ class ModelConfig:
     hidden_dim: int = 320
     embed_dim: int = 128
     dropout: float = 0.1
-    pool: str = "mean_std"
-    normalize_embeddings: bool = True
-    feature_norm: str = "l2"
 
     def validate(self) -> None:
         if self.hidden_dim < 1 or self.embed_dim < 1:
             raise ConfigError("hidden_dim and embed_dim must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.pool not in ("mean_std", "mean"):
-            raise ConfigError(f"unknown pool '{self.pool}'")
-        if self.feature_norm not in ("l2", "zscore", "none"):
-            raise ConfigError(f"unknown feature_norm '{self.feature_norm}'")
 
 
 @dataclass
@@ -48,7 +40,6 @@ class RegressionStageConfig:
     epochs: int = 10
     huber_delta: float = 0.5
     weight_decay: float = 0.01
-    decoupled_weight_decay: bool = True
 
     def validate(self) -> None:
         if self.lr <= 0:
@@ -64,6 +55,24 @@ class RegressionStageConfig:
 
 
 @dataclass
+class PairingConfig:
+    """Stage-2 pairing parameters; the rule itself is the run's `strategy`."""
+
+    alpha: float = 0.5
+    beta: float = 1.5
+    tau: float | None = None
+
+    def spec(self, strategy: str) -> PairingSpec:
+        return PairingSpec(
+            strategy=strategy, alpha=self.alpha, beta=self.beta, tau=self.tau
+        )
+
+    def validate(self) -> None:
+        # The values mean the same under every rule; check them under the default.
+        self.spec(PairingSpec.strategy).validate()
+
+
+@dataclass
 class Stage2Config:
     lr: float = 1e-3
     weight_decay: float = 1e-5
@@ -71,8 +80,7 @@ class Stage2Config:
     batch_size: int = 64
     gamma: float = 1.0
     var_weight: float = 0.1
-    typical_fraction: float | None = None
-    pairing: PairingSpec = field(default_factory=PairingSpec)
+    pairing: PairingConfig = field(default_factory=PairingConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def validate(self) -> None:
@@ -86,8 +94,6 @@ class Stage2Config:
             raise ConfigError("weight_decay must be >= 0")
         if self.gamma < 0 or self.var_weight < 0:
             raise ConfigError("gamma and var_weight must be >= 0")
-        if self.typical_fraction is not None and not 0.0 <= self.typical_fraction <= 1.0:
-            raise ConfigError("typical_fraction must be in [0, 1]")
         try:
             self.pairing.validate()
             self.augment.validate()
@@ -138,9 +144,10 @@ class RunConfig:
     run_root: str = "runs"
 
     def validate(self) -> None:
-        if self.strategy not in STRATEGIES:
+        if self.strategy != "baseline" and self.strategy not in DEFAULT_TAU:
             raise ConfigError(
-                f"strategy must be one of {STRATEGIES}, got '{self.strategy}'"
+                f"strategy must be 'baseline' or one of {tuple(DEFAULT_TAU)}, "
+                f"got '{self.strategy}'"
             )
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
@@ -155,36 +162,26 @@ class RunConfig:
 # Dict round trips
 # ---------------------------------------------------------------------------
 
-_TUPLE_FIELDS = {"t_range", "split", "label_histogram", "seeds"}
-
-
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical JSON-ready nested dict (tuples become lists)."""
     return json.loads(json.dumps(asdict(cfg)))
 
 
 def _build(cls, value, path: str):
+    """Instantiate dataclass `cls` from a JSON object; nested sections and
+    tuple fields are recognised by the field annotations."""
     if not isinstance(value, dict):
         raise ConfigError(f"'{path}' must be an object")
-    known = {f.name: f for f in fields(cls)}
+    hints = typing.get_type_hints(cls)
+    known = {f.name for f in fields(cls)}
     kwargs = {}
     for key, sub in value.items():
         if key not in known:
             raise ConfigError(f"unknown config key '{path}.{key}'".lstrip("."))
-        target = {
-            "world": WorldConfig,
-            "pairing": PairingSpec,
-            "augment": AugmentConfig,
-            "data": DataConfig,
-            "model": ModelConfig,
-            "stage1": RegressionStageConfig,
-            "stage2": Stage2Config,
-            "stage3": RegressionStageConfig,
-            "ablation": AblationConfig,
-        }.get(key)
-        if target is not None and isinstance(sub, dict):
-            kwargs[key] = _build(target, sub, f"{path}.{key}")
-        elif key in _TUPLE_FIELDS and isinstance(sub, list):
+        hint = hints[key]
+        if is_dataclass(hint) and isinstance(sub, dict):
+            kwargs[key] = _build(hint, sub, f"{path}.{key}")
+        elif typing.get_origin(hint) is tuple and isinstance(sub, list):
             kwargs[key] = tuple(sub)
         else:
             kwargs[key] = sub

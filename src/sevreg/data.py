@@ -9,6 +9,7 @@ holds manifest.json plus one DSQF file per utterance.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,6 +101,18 @@ class Corpus:
         return out
 
 
+def atomic_write(path: str | Path, data: str | bytes) -> None:
+    """Write via a temp file + rename so readers never see partial output."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # DSQF feature files
 # ---------------------------------------------------------------------------
@@ -147,7 +160,8 @@ def read_feature_file(path: str | Path) -> np.ndarray:
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
-    """Write manifest.json plus one DSQF file per utterance."""
+    """Write one DSQF file per utterance, then manifest.json, which commits
+    the corpus: it is written last and atomically."""
     directory = Path(directory)
     (directory / "features").mkdir(parents=True, exist_ok=True)
     entries = []
@@ -164,8 +178,8 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
             }
         )
     manifest = {"name": corpus.name, "utterances": entries}
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    atomic_write(
+        directory / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
 
 
@@ -192,27 +206,14 @@ def load_corpus(directory: str | Path) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-def normalize_frames(h: np.ndarray, mode: str = "l2") -> np.ndarray:
-    """Per-frame normalization of a (T, D) matrix.
-
-    'l2' scales each row to unit norm (zero rows stay zero); 'zscore'
-    standardizes each column over the utterance; 'none' is the identity.
-    Both variants are idempotent.
-    """
+def normalize_frames(h: np.ndarray) -> np.ndarray:
+    """Scale each row of a (T, D) matrix to unit L2 norm; zero rows stay zero.
+    Idempotent."""
     if h.ndim != 2 or h.shape[0] < 1:
         raise EmptyInputError(f"normalize_frames needs (T>=1, D), got {h.shape}")
-    if mode == "none":
-        return h
-    if mode == "l2":
-        norms = np.linalg.norm(h, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        return h / norms
-    if mode == "zscore":
-        mean = h.mean(axis=0)
-        std = h.std(axis=0)
-        std[std == 0.0] = 1.0
-        return (h - mean) / std
-    raise ParameterError(f"unknown normalization mode '{mode}'")
+    norms = np.linalg.norm(h, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return h / norms
 
 
 # ---------------------------------------------------------------------------

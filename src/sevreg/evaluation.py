@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .data import Corpus
+from .data import Corpus, atomic_write
 from .errors import (
     DegenerateCorrelationError,
     DimensionError,
@@ -153,16 +152,8 @@ def evaluate_scores(
     )
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file + rename so readers never see partial output."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def write_report_json(path: str | Path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def format_float(x: float | None) -> str:
@@ -179,7 +170,7 @@ def write_results_csv(path: str | Path, rows: list[dict]) -> None:
                 for c in RESULTS_COLUMNS
             )
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_results_csv(path: str | Path) -> list[dict]:
@@ -212,7 +203,7 @@ def write_embeddings(
     rows["label"] = [np.nan if y is None else y for y in labels]
     rows["prov"] = [PROVENANCE_BYTE[p] for p in provenances]
     header = DSQE_MAGIC + struct.pack("<III", DSQE_VERSION, n, dim)
-    Path(path).write_bytes(header + rows.tobytes())
+    atomic_write(path, header + rows.tobytes())
 
 
 def read_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[str]]:

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .config import RunConfig, config_to_dict, run_id_for
-from .data import Corpus, Utterance, label_histogram, split
+from .data import Corpus, Utterance, atomic_write, label_histogram, split
 from .errors import ConfigError
 from .evaluation import EvalReport, write_report_json, write_results_csv
 from .nn import AdaptorNet
@@ -121,6 +121,13 @@ class Stages:
     def has_stage2(self) -> bool:
         return self.cfg.strategy != "baseline" and not self.cfg.ablation.skip_stage2
 
+    @property
+    def pseudo_labels(self) -> bool:
+        """Whether the pool is the stage-1 teacher's pseudo-labels; otherwise
+        no step reads the teacher fit of `stage1` or its pseudo-labels."""
+        cfg = self.cfg
+        return cfg.strategy not in ("baseline", "simclr") and not cfg.ablation.skip_stage1
+
     def teacher(self, section: str = "stage1") -> Teacher:
         """The regression fit of `section` from the seeded init, memoised."""
         key = teacher_key(self.resolved, section, self.seed)
@@ -138,15 +145,15 @@ class Stages:
         raw for label-free `simclr`, wholly assumed dysarthric when stage 1
         is skipped, else the teacher's pseudo-labels that `pseudo` returns."""
         cfg = self.cfg
+        if self.pseudo_labels:
+            return pseudo()
         if cfg.strategy == "baseline":
             return None
         if cfg.strategy == "simclr":
             return self.corpora["unlabeled"]
-        if cfg.ablation.skip_stage1:
-            return _assume_dysarthric(
-                self.corpora["unlabeled"], cfg.ablation.assumed_dysarthric_label
-            )
-        return pseudo()
+        return _assume_dysarthric(
+            self.corpora["unlabeled"], cfg.ablation.assumed_dysarthric_label
+        )
 
     def stage2(self, pool: Corpus | None) -> StageResult | None:
         """Contrastive pretraining on the labeled split, the pool and the
@@ -232,7 +239,8 @@ def run_single(
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
         write_report_json(run_dir / "report.json", stages.report(reports))
-        (run_dir / "history.json").write_text(
+        atomic_write(
+            run_dir / "history.json",
             json.dumps(
                 {
                     "stage1": stage1.history if stage1 else [],
@@ -299,9 +307,7 @@ def run_all(
     rid = run_id_for(resolved)
     run_dir = out_root / rid
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n"
-    )
+    write_report_json(run_dir / "config.json", resolved)
     rows: list[dict] = []
     for seed in cfg.seeds:
         result = run_single(

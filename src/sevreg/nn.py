@@ -125,18 +125,6 @@ def stats_pool_backward(
     return grad_mean / t + grad_std * (h - mean) / (t * std)
 
 
-def mean_pool(h: np.ndarray) -> np.ndarray:
-    """Temporal mean only: (T, D) -> (D,). Ablation alternative to stats_pool."""
-    if h.ndim != 2 or h.shape[0] < 1:
-        raise EmptyInputError(f"mean_pool needs a (T>=1, D) matrix, got {h.shape}")
-    return h.mean(axis=0)
-
-
-def mean_pool_backward(h: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    t = h.shape[0]
-    return np.broadcast_to(grad_out / t, h.shape).copy()
-
-
 def huber_loss(pred: float, target: float, delta: float) -> tuple[float, float]:
     """Huber value and d/dpred. Quadratic for |e| <= delta, linear beyond."""
     if delta <= 0.0:
@@ -183,13 +171,7 @@ class AdaptorNet:
     hidden_dim: int = 320
     out_dim: int = 1
     dropout_p: float = 0.1
-    pool: str = "mean_std"
     normalize_output: bool = False
-    feature_norm: str = "l2"
-
-    @property
-    def pooled_dim(self) -> int:
-        return 2 * self.hidden_dim if self.pool == "mean_std" else self.hidden_dim
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         """Live views of all parameters, keyed 'layer.weight' / 'layer.bias'."""
@@ -206,9 +188,7 @@ class AdaptorNet:
             hidden_dim=self.hidden_dim,
             out_dim=self.out_dim,
             dropout_p=self.dropout_p,
-            pool=self.pool,
             normalize_output=self.normalize_output,
-            feature_norm=self.feature_norm,
         )
         return clone
 
@@ -219,23 +199,18 @@ def build_net(
     hidden_dim: int = 320,
     out_dim: int = 1,
     dropout_p: float = 0.1,
-    pool: str = "mean_std",
     normalize_output: bool = False,
-    feature_norm: str = "l2",
 ) -> AdaptorNet:
     """Seeded construction; head is drawn after the trunk on the same stream."""
-    if pool not in ("mean_std", "mean"):
-        raise ParameterError(f"unknown pooling '{pool}'")
     rng = (
         seed_or_rng
         if isinstance(seed_or_rng, np.random.Generator)
         else np.random.default_rng(seed_or_rng)
     )
-    pooled = 2 * hidden_dim if pool == "mean_std" else hidden_dim
     layers = {
         "adaptor1": init_layer(rng, feat_dim, hidden_dim),
         "adaptor2": init_layer(rng, hidden_dim, hidden_dim),
-        "head": init_layer(rng, pooled, out_dim),
+        "head": init_layer(rng, 2 * hidden_dim, out_dim),
     }
     return AdaptorNet(
         layers=layers,
@@ -243,9 +218,7 @@ def build_net(
         hidden_dim=hidden_dim,
         out_dim=out_dim,
         dropout_p=dropout_p,
-        pool=pool,
         normalize_output=normalize_output,
-        feature_norm=feature_norm,
     )
 
 
@@ -261,7 +234,7 @@ class ForwardCache:
     mask1: np.ndarray | None
     mask2: np.ndarray | None
     offsets: list[int]      # segment boundaries into the stacked rows
-    pooled: np.ndarray      # (B, pooled_dim)
+    pooled: np.ndarray      # (B, 2 * hidden_dim)
     out_raw: np.ndarray     # head output before normalization (B, out_dim)
     out: np.ndarray         # final output (B, out_dim)
     norms: np.ndarray | None = None  # row norms used when normalize_output
@@ -304,9 +277,8 @@ def forward_batch(
     else:
         h2 = r2
 
-    pool_fn = stats_pool if net.pool == "mean_std" else mean_pool
     pooled = np.stack(
-        [pool_fn(h2[offsets[i] : offsets[i + 1]]) for i in range(len(seqs))]
+        [stats_pool(h2[offsets[i] : offsets[i + 1]]) for i in range(len(seqs))]
     )
     out_raw = linear_forward(net.layers["head"], pooled)
 
@@ -339,11 +311,10 @@ def backward_batch(
     grads["head.weight"] = gw
     grads["head.bias"] = gb
 
-    pool_bwd = stats_pool_backward if net.pool == "mean_std" else mean_pool_backward
     grad_h2 = np.empty_like(cache.h2)
     for i in range(len(cache.offsets) - 1):
         lo, hi = cache.offsets[i], cache.offsets[i + 1]
-        grad_h2[lo:hi] = pool_bwd(cache.h2[lo:hi], grad_pooled[i])
+        grad_h2[lo:hi] = stats_pool_backward(cache.h2[lo:hi], grad_pooled[i])
 
     if cache.mask2 is not None:
         grad_h2 = grad_h2 * cache.mask2

@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ModelConfig, RegressionStageConfig, RunConfig, Stage2Config
-from .contrastive import PairingSpec, build_batch, stage2_loss
+from .contrastive import build_batch, stage2_loss
 from .data import (
     Corpus,
     Utterance,
+    atomic_write,
     label_histogram,
     normalize_frames,
     sampler_weights,
@@ -56,11 +57,6 @@ def role_rng(seed: int, role: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(role,)))
 
 
-def _prepared(utt: Utterance, mode: str) -> np.ndarray:
-    """Feature matrix normalized the way the model expects (idempotent)."""
-    return normalize_frames(utt.features, mode)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -84,9 +80,7 @@ def checkpoint_from_net(
             "hidden_dim": net.hidden_dim,
             "out_dim": net.out_dim,
             "dropout_p": net.dropout_p,
-            "pool": net.pool,
             "normalize_output": net.normalize_output,
-            "feature_norm": net.feature_norm,
         },
         "config": config_snapshot,
         "metrics": metrics or {},
@@ -96,23 +90,31 @@ def checkpoint_from_net(
     )
 
 
+# Model metadata that older checkpoints record, each with the only value the
+# model implements; a checkpoint naming another value cannot be loaded.
+FIXED_MODEL_META = {"pool": "mean_std", "feature_norm": "l2"}
+
+
 def net_from_checkpoint(ckpt: Checkpoint) -> AdaptorNet:
     """Rebuild the network; the checkpoint must hold exactly its tensors,
     each with the shape the recorded model gives it."""
     try:
         m = ckpt.meta["model"]
+        fixed = {key: m.get(key, value) for key, value in FIXED_MODEL_META.items()}
         net = build_net(
             feat_dim=m["feat_dim"],
             seed_or_rng=0,
             hidden_dim=m["hidden_dim"],
             out_dim=m["out_dim"],
             dropout_p=m["dropout_p"],
-            pool=m["pool"],
             normalize_output=m["normalize_output"],
-            feature_norm=m["feature_norm"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FeatureFormatError(f"bad model metadata in checkpoint: {exc!r}") from exc
+    if fixed != FIXED_MODEL_META:
+        raise FeatureFormatError(
+            f"checkpoint model {fixed} is not the implemented {FIXED_MODEL_META}"
+        )
     arrays = net.param_arrays()
     missing = sorted(set(arrays) - set(ckpt.params))
     unknown = sorted(set(ckpt.params) - set(arrays))
@@ -148,7 +150,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.tobytes(order="C")
-    Path(path).write_bytes(bytes(blob))
+    atomic_write(path, bytes(blob))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -192,8 +194,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise FeatureFormatError(f"duplicate tensor '{name}'", offset=start)
         (ndim,) = ints(1, "tensor rank")
         shape = ints(ndim, "tensor shape")
+        start = pos
         payload = take(8 * math.prod(shape), f"payload of tensor '{name}'")
-        params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        values = np.frombuffer(payload, dtype="<f8")
+        if not np.all(np.isfinite(values)):
+            raise FeatureFormatError(f"non-finite values in tensor '{name}'", offset=start)
+        params[name] = values.reshape(shape).copy()
     if pos != len(raw):
         raise FeatureFormatError(
             f"{len(raw) - pos} trailing bytes after the last tensor", offset=pos
@@ -219,9 +225,7 @@ def _regression_net(model_cfg: ModelConfig, feat_dim: int, seed: int) -> Adaptor
         hidden_dim=model_cfg.hidden_dim,
         out_dim=1,
         dropout_p=model_cfg.dropout,
-        pool=model_cfg.pool,
         normalize_output=False,
-        feature_norm=model_cfg.feature_norm,
     )
 
 
@@ -234,7 +238,8 @@ def train_regression(
     init_trunk: dict[str, np.ndarray] | None = None,
 ) -> StageResult:
     """Huber regression with label-weighted sampling; returns the checkpoint
-    with the best validation SRCC (the initial model if epochs == 0)."""
+    with the best validation SRCC. That is the initial model if epochs == 0,
+    or, with a warning, if the validation SRCC was undefined on every epoch."""
     feat_dim = train.utterances[0].features.shape[1]
     net = _regression_net(model_cfg, feat_dim, seed)
     if init_trunk is not None:
@@ -255,15 +260,12 @@ def train_regression(
     labels = train.labels()
     weights = sampler_weights(train)
     probs = weights / weights.sum()
-    feats = [_prepared(u, net.feature_norm) for u in train]
+    feats = [normalize_frames(u.features) for u in train]
 
     sampler = role_rng(seed, ROLE_SAMPLER)
     drop_rng = role_rng(seed, ROLE_DROPOUT)
     opt = init_optimizer(
-        net.param_arrays(),
-        lr=stage_cfg.lr,
-        weight_decay=stage_cfg.weight_decay,
-        decoupled=stage_cfg.decoupled_weight_decay,
+        net.param_arrays(), lr=stage_cfg.lr, weight_decay=stage_cfg.weight_decay
     )
 
     history: list[dict] = []
@@ -299,6 +301,11 @@ def train_regression(
         if val_srcc is not None and val_srcc > best_srcc:
             best_srcc = val_srcc
             best_params = {k: v.copy() for k, v in net.param_arrays().items()}
+    if history and best_srcc == -np.inf:
+        logger.warning(
+            "validation SRCC was undefined on all %d epochs; "
+            "keeping the model as it was before training", len(history),
+        )
 
     arrays = net.param_arrays()
     for name, value in best_params.items():
@@ -317,7 +324,7 @@ def predict(net: AdaptorNet, corpus: Corpus, chunk: int = 256) -> np.ndarray:
     scores = []
     utts = corpus.utterances
     for start in range(0, len(utts), chunk):
-        seqs = [_prepared(u, net.feature_norm) for u in utts[start : start + chunk]]
+        seqs = [normalize_frames(u.features) for u in utts[start : start + chunk]]
         out = forward_batch(net, seqs, training=False).out[:, 0]
         scores.append(out)
     return np.clip(np.concatenate(scores), SCORE_MIN, SCORE_MAX)
@@ -375,39 +382,14 @@ def build_stage2_corpus(
     return merged
 
 
-def _stage2_batches(
-    corpus: Corpus,
-    batch_size: int,
-    typical_fraction: float | None,
-    rng: np.random.Generator,
-):
-    """Yield index arrays for one epoch; optionally enforce a typical quota."""
-    n = len(corpus)
-    if typical_fraction is None:
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            if len(idx) >= 2:
-                yield idx
-        return
-    typ = np.array([i for i, u in enumerate(corpus) if u.provenance == "typical"])
-    rest = np.array([i for i, u in enumerate(corpus) if u.provenance != "typical"])
-    typ = typ[rng.permutation(len(typ))] if len(typ) else typ
-    rest = rest[rng.permutation(len(rest))] if len(rest) else rest
-    quota = int(round(typical_fraction * batch_size))
-    t_pos = r_pos = 0
-    while r_pos < len(rest) or t_pos < len(typ):
-        take_t = min(quota, len(typ) - t_pos)
-        take_r = min(batch_size - take_t, len(rest) - r_pos)
-        idx = np.concatenate(
-            [typ[t_pos : t_pos + take_t], rest[r_pos : r_pos + take_r]]
-        ).astype(int)
-        t_pos += take_t
-        r_pos += take_r
+def _stage2_batches(corpus: Corpus, batch_size: int, rng: np.random.Generator):
+    """Yield the index arrays of one shuffled epoch; a last batch of one
+    source is dropped."""
+    order = rng.permutation(len(corpus))
+    for start in range(0, len(corpus), batch_size):
+        idx = order[start : start + batch_size]
         if len(idx) >= 2:
-            yield rng.permutation(idx)
-        if take_t == 0 and take_r == 0:
-            break
+            yield idx
 
 
 def train_stage2(
@@ -419,12 +401,7 @@ def train_stage2(
 ) -> StageResult:
     """Train the projector for exactly s2cfg.epochs; final weights returned
     (longer training degrades, so there is no model selection)."""
-    pairing = PairingSpec(
-        strategy=strategy,
-        alpha=s2cfg.pairing.alpha,
-        beta=s2cfg.pairing.beta,
-        tau=s2cfg.pairing.tau,
-    )
+    pairing = s2cfg.pairing.spec(strategy)
     pairing.validate()
     labels = np.array(
         [np.nan if u.label is None else u.label for u in mixed], dtype=float
@@ -439,12 +416,10 @@ def train_stage2(
         hidden_dim=model_cfg.hidden_dim,
         out_dim=model_cfg.embed_dim,
         dropout_p=model_cfg.dropout,
-        pool=model_cfg.pool,
-        normalize_output=model_cfg.normalize_embeddings,
-        feature_norm=model_cfg.feature_norm,
+        normalize_output=True,
     )
 
-    feats = [_prepared(u, net.feature_norm) for u in mixed]
+    feats = [normalize_frames(u.features) for u in mixed]
     order_rng = role_rng(seed, ROLE_STAGE2_ORDER)
     aug_rng = role_rng(seed, ROLE_STAGE2_AUGMENT)
     drop_rng = role_rng(seed, ROLE_STAGE2_DROPOUT)
@@ -459,9 +434,7 @@ def train_stage2(
     for epoch in range(s2cfg.epochs):
         epoch_losses = []
         skipped = 0
-        for idx in _stage2_batches(
-            mixed, s2cfg.batch_size, s2cfg.typical_fraction, order_rng
-        ):
+        for idx in _stage2_batches(mixed, s2cfg.batch_size, order_rng):
             sources = [(feats[i], labels[i]) for i in idx]
             batch = build_batch(sources, s2cfg.augment, aug_rng)
             cache = forward_batch(net, batch.views, training=True, rng=drop_rng)
@@ -537,7 +510,7 @@ def dump_embeddings(net: AdaptorNet, corpus: Corpus, path) -> None:
     vecs = []
     utts = corpus.utterances
     for start in range(0, len(utts), 256):
-        seqs = [_prepared(u, net.feature_norm) for u in utts[start : start + 256]]
+        seqs = [normalize_frames(u.features) for u in utts[start : start + 256]]
         vecs.append(forward_batch(net, seqs, training=False).pooled)
     write_embeddings(
         path,

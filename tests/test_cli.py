@@ -45,6 +45,18 @@ def workspace(tmp_path_factory):
     return root, config_path, doc
 
 
+# Config keys that selected no path any command takes; they are unknown now.
+REMOVED_KEYS = (
+    "stage2.pairing.strategy",
+    "model.pool",
+    "model.feature_norm",
+    "model.normalize_embeddings",
+    "stage2.typical_fraction",
+    "stage1.decoupled_weight_decay",
+    "stage3.decoupled_weight_decay",
+)
+
+
 def write_config(root: Path, doc: dict, name: str, **updates) -> Path:
     merged = json.loads(json.dumps(doc))
     merged.update(updates)
@@ -77,6 +89,36 @@ class TestConfigHandling:
     def test_bad_strategy_exits_1(self, workspace):
         _, config_path, _ = workspace
         assert main(["run-all", "--config", str(config_path), "strategy=magic"]) == 1
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_exits_1(self, workspace, tmp_path, capsys, key):
+        _, config_path, doc = workspace
+        assert main(["run-all", "--config", str(config_path), f"{key}=1"]) == 1
+        section, *rest = key.split(".")
+        nested = json.loads(json.dumps(doc.get(section, {})))
+        node = nested
+        for part in rest[:-1]:
+            node = node.setdefault(part, {})
+        node[rest[-1]] = 1
+        cfg = write_config(tmp_path, doc, "removed.json", **{section: nested})
+        assert main(["run-all", "--config", str(cfg)]) == 1
+        assert "unknown config key" in capsys.readouterr().err
+
+    def test_schema_comes_from_annotations(self):
+        from sevreg.config import RunConfig, config_from_dict, config_to_dict
+
+        def leaves(node):
+            return sum(leaves(v) for v in node.values()) if isinstance(node, dict) else 1
+
+        assert leaves(config_to_dict(RunConfig())) == 59
+        doc = config_to_dict(RunConfig(seeds=(7, 8)))
+        doc["data"]["world"]["split"] = [0.6, 0.2, 0.2]
+        doc["stage2"]["pairing"]["tau"] = 2.0
+        cfg = config_from_dict(doc)
+        assert cfg.seeds == (7, 8)
+        assert cfg.data.world.split == (0.6, 0.2, 0.2)
+        assert cfg.stage2.pairing.tau == 2.0
+        assert config_to_dict(cfg) == doc
 
     def test_override_value_parsing(self, workspace):
         from sevreg.config import apply_overrides, config_from_dict
@@ -134,6 +176,23 @@ class TestStageChain:
         assert "byte offset" in capsys.readouterr().err
         assert not (run_dir / "results.csv").exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_evaluate_non_finite_checkpoint_exits_1(
+        self, workspace, tmp_path, capsys, value
+    ):
+        from sevreg.pipeline import load_checkpoint, save_checkpoint
+
+        _, config_path, _ = workspace
+        run_dir = tmp_path / "nonfinite"
+        base = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        assert main(["stage1", *base]) == 0
+        ckpt = load_checkpoint(run_dir / "stage1.dsqc")
+        ckpt.params["head.bias"][0] = value
+        save_checkpoint(run_dir / "model.dsqc", ckpt)
+        assert main(["evaluate", *base]) == 1
+        assert "non-finite values in tensor 'head.bias'" in capsys.readouterr().err
+        assert not (run_dir / "results.csv").exists()
+
     def test_dump_embeddings(self, workspace, tmp_path):
         _, config_path, _ = workspace
         run_dir = tmp_path / "emb"
@@ -157,6 +216,15 @@ class TestStageChain:
         assert set(provs) == {"typical"}
 
 
+@pytest.fixture(scope="module")
+def teacher_checkpoint(workspace, tmp_path_factory):
+    """The bytes of a stage-1 checkpoint of the template config."""
+    _, config_path, _ = workspace
+    run_dir = tmp_path_factory.mktemp("teacher")
+    assert main(["stage1", "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
+    return (run_dir / "stage1.dsqc").read_bytes()
+
+
 CHAIN = ("stage1", "pseudo-label", "stage2", "stage3", "evaluate")
 NO_STAGE2 = ("stage1", "pseudo-label", "stage3", "evaluate")
 
@@ -169,11 +237,11 @@ class TestChainEqualsRunAll:
         "overrides, steps",
         [
             ([], CHAIN),
-            (["strategy=simclr"], CHAIN),
+            (["strategy=simclr"], ("stage2", "stage3", "evaluate")),
             (["ablation.use_pseudo=false"], CHAIN),
             (["ablation.skip_stage2=true"], NO_STAGE2),
             (["strategy=dis", "ablation.skip_stage1=true"], ("stage2", "stage3", "evaluate")),
-            (["strategy=baseline", "stage3.epochs=2"], NO_STAGE2),
+            (["strategy=baseline", "stage3.epochs=2"], ("stage3", "evaluate")),
         ],
         ids=["coarse", "simclr", "no_pseudo", "skip_stage2", "dis_skip_stage1", "baseline"],
     )
@@ -218,6 +286,26 @@ class TestChainEqualsRunAll:
         )
         assert code == 1
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize("step", ["stage1", "pseudo-label"])
+    @pytest.mark.parametrize(
+        "override",
+        ["strategy=baseline", "strategy=simclr", "ablation.skip_stage1=true"],
+    )
+    def test_teacher_steps_nothing_reads_exit_1(
+        self, workspace, teacher_checkpoint, tmp_path, capsys, step, override
+    ):
+        _, config_path, _ = workspace
+        run_dir = tmp_path / "noteacher"
+        run_dir.mkdir()
+        (run_dir / "stage1.dsqc").write_bytes(teacher_checkpoint)
+        code = main(
+            [step, "--config", str(config_path), override, "--run-dir", str(run_dir)]
+        )
+        assert code == 1
+        assert "reads no stage-1 teacher" in capsys.readouterr().err
+        assert list(run_dir.iterdir()) == [run_dir / "stage1.dsqc"]
+        assert (run_dir / "stage1.dsqc").read_bytes() == teacher_checkpoint
 
 
 class TestRunAll:

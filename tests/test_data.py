@@ -163,18 +163,6 @@ class TestNormalize:
         twice = normalize_frames(once)
         assert np.max(np.abs(once - twice)) < 1e-12
 
-    def test_zscore_idempotent(self):
-        rng = np.random.default_rng(3)
-        h = rng.standard_normal((10, 4)) * 3 + 2
-        once = normalize_frames(h, mode="zscore")
-        twice = normalize_frames(once, mode="zscore")
-        assert np.max(np.abs(once - twice)) < 1e-12
-        assert np.max(np.abs(once.mean(axis=0))) < 1e-12
-
-    def test_unknown_mode(self):
-        with pytest.raises(ParameterError):
-            normalize_frames(np.ones((1, 2)), mode="minmax")
-
 
 class TestSampler:
     def test_two_bin_weights(self):

@@ -6,7 +6,6 @@ import pytest
 from sevreg.errors import DimensionError, EmptyInputError, ParameterError
 from sevreg.nn import (
     LayerParams,
-    backward_batch,
     build_net,
     dropout_mask,
     forward_batch,
@@ -14,7 +13,6 @@ from sevreg.nn import (
     huber_loss_batch,
     init_layer,
     linear_forward,
-    mean_pool,
     relu,
     relu_backward,
     stats_pool,
@@ -158,10 +156,6 @@ class TestStatsPool:
         grad = stats_pool_backward(h, rng.standard_normal(6))
         assert grad.shape == h.shape
 
-    def test_mean_pool(self):
-        h = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(mean_pool(h), [2.0, 3.0])
-
 
 class TestHuber:
     def test_zero_error(self):
@@ -233,13 +227,3 @@ class TestNet:
         net = build_net(feat_dim=4, seed_or_rng=0)
         with pytest.raises(DimensionError):
             forward_batch(net, [np.ones((3, 5))])
-
-    def test_mean_only_pooling_switch(self):
-        rng = np.random.default_rng(10)
-        net = build_net(feat_dim=4, seed_or_rng=2, hidden_dim=6, pool="mean")
-        assert net.pooled_dim == 6
-        seqs = [rng.standard_normal((5, 4))]
-        cache = forward_batch(net, seqs)
-        assert cache.pooled.shape == (1, 6)
-        grads = backward_batch(net, cache, np.ones((1, 1)))
-        assert grads["adaptor1.weight"].shape == (6, 4)

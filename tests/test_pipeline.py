@@ -122,6 +122,32 @@ class TestStage1:
         with pytest.raises(TrainingDivergedError):
             train_regression(bad, val, MODEL, replace(STAGE, epochs=1), seed=0)
 
+    def test_undefined_validation_keeps_init_with_warning(self, splits, caplog):
+        train, val, _ = splits
+        flat_val = Corpus(
+            [
+                Utterance(id=u.id, speaker_id=u.speaker_id, features=u.features, label=4.0)
+                for u in val
+            ],
+            name="flat",
+        )
+        cfg = replace(STAGE, epochs=2)
+        with caplog.at_level("WARNING", logger="sevreg.pipeline"):
+            result = train_regression(train, flat_val, MODEL, cfg, seed=1)
+        assert "undefined on all 2 epochs" in caplog.text
+        assert [h["val_srcc"] for h in result.history] == [None, None]
+        init = train_regression(train, val, MODEL, replace(STAGE, epochs=0), seed=1)
+        for k, v in result.net.param_arrays().items():
+            assert np.array_equal(v, init.net.param_arrays()[k])
+
+    def test_defined_validation_gives_no_warning(self, splits, caplog):
+        train, val, _ = splits
+        with caplog.at_level("WARNING", logger="sevreg.pipeline"):
+            trained = train_regression(train, val, MODEL, STAGE, seed=0)
+            train_regression(train, val, MODEL, replace(STAGE, epochs=0), seed=0)
+        assert any(h["val_srcc"] is not None for h in trained.history)
+        assert "undefined" not in caplog.text
+
     def test_history_records_epochs(self, stage1):
         assert [h["epoch"] for h in stage1.history] == list(range(STAGE.epochs))
         assert all("train_loss" in h and "val_srcc" in h for h in stage1.history)
@@ -277,14 +303,6 @@ class TestStage2:
         assert reg_stds.min() >= unreg_stds.min()
         assert reg_stds.min() > 0.01  # no collapsed dimension
 
-    def test_typical_fraction_quota(self, stage1, world, splits):
-        train, _, _ = splits
-        pseudo = pseudo_label(stage1.net, world["unlabeled"])
-        mixed = build_stage2_corpus(train, pseudo, world["typical"])
-        cfg = replace(STAGE2, epochs=1, typical_fraction=0.25)
-        result = train_stage2(mixed, MODEL, cfg, 0, "coarse")
-        assert len(result.history) == 1
-
 
 class TestStage3:
     def test_transfer_then_zero_epochs_keeps_trunk(self, stage2_ckpt, splits):
@@ -407,6 +425,56 @@ class TestCheckpointIO:
             with pytest.raises(FeatureFormatError):
                 load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected_at_its_payload(self, stage1, tmp_path, value):
+        ckpt = checkpoint_from_net(stage1.net, "stage1", {})
+        ckpt.params["adaptor2.bias"][3] = value
+        path = tmp_path / "m.dsqc"
+        save_checkpoint(path, ckpt)
+        raw = path.read_bytes()
+        name = b"adaptor2.bias"
+        # name, rank u32, one shape u32, then the payload
+        payload_at = raw.index(name) + len(name) + 8
+        assert raw[payload_at + 24 : payload_at + 32] == np.float64(value).tobytes()
+        with pytest.raises(FeatureFormatError, match="non-finite values in tensor") as err:
+            load_checkpoint(path)
+        assert err.value.offset == payload_at
+
+    def test_interrupted_save_keeps_earlier_file(self, stage1, tmp_path, monkeypatch):
+        import pathlib
+
+        path = tmp_path / "m.dsqc"
+        save_checkpoint(path, checkpoint_from_net(stage1.net, "stage1", {"run": 1}))
+        before = path.read_bytes()
+        real_write = pathlib.Path.write_bytes
+
+        def crash_midway(self, data):
+            real_write(self, data[: len(data) // 2])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", crash_midway)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(path, checkpoint_from_net(stage1.net, "stage1", {"run": 2}))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_older_checkpoint_metadata_loads(self, stage1):
+        ckpt = checkpoint_from_net(stage1.net, "stage1", {})
+        ckpt.meta["model"].update(pool="mean_std", feature_norm="l2")
+        net = net_from_checkpoint(ckpt)
+        for k, v in stage1.net.param_arrays().items():
+            assert np.array_equal(v, net.param_arrays()[k])
+
+    @pytest.mark.parametrize(
+        "field, value", [("feature_norm", "zscore"), ("feature_norm", "none"), ("pool", "mean")]
+    )
+    def test_other_pool_or_feature_norm_rejected(self, stage1, field, value):
+        ckpt = checkpoint_from_net(stage1.net, "stage1", {})
+        ckpt.meta["model"][field] = value
+        with pytest.raises(FeatureFormatError, match=repr(value)):
+            net_from_checkpoint(ckpt)
+
     def test_missing_tensor_named(self, stage1):
         ckpt = checkpoint_from_net(stage1.net, "stage1", {})
         del ckpt.params["head.bias"]
@@ -441,7 +509,7 @@ class TestCheckpointIO:
 
 
 class TestStrategySelectors:
-    @pytest.mark.parametrize("strategy", ["baseline", "simclr", "dis", "con", "coarse"])
+    @pytest.mark.parametrize("strategy", ["baseline", "simclr", "sup", "dis", "con", "coarse"])
     def test_every_strategy_runs_end_to_end(self, world, strategy):
         from sevreg.experiments import run_single
 
