@@ -14,7 +14,6 @@ from .contrastive import (
     PairingSpec,
     ntxent_loss,
     positive_pairs,
-    project,
     simclr_loss,
     stage2_loss,
     variance_reg,

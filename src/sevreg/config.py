@@ -167,28 +167,40 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return json.loads(json.dumps(asdict(cfg)))
 
 
+def _fits(hint, value) -> bool:
+    """Whether a JSON value fits a field annotation: bool is not an int, an
+    int is a float, a tuple is a list of its element types."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if args[-1] is Ellipsis and isinstance(value, list):
+            args = args[:1] * len(value)
+        return isinstance(value, list) and len(args) == len(value) and all(map(_fits, args, value))
+    if args:  # X | None
+        return any(_fits(arg, value) for arg in args)
+    return type(value) is hint or (hint is float and type(value) is int)
+
+
 def _build(cls, value, path: str):
-    """Instantiate dataclass `cls` from a JSON object; nested sections and
-    tuple fields are recognised by the field annotations."""
+    """Instantiate dataclass `cls` from a JSON object; nested sections, tuple
+    fields and the type of every value come from the field annotations."""
     if not isinstance(value, dict):
-        raise ConfigError(f"'{path}' must be an object")
+        raise ConfigError(f"'{path.lstrip('.')}' must be an object")
     hints = typing.get_type_hints(cls)
     known = {f.name for f in fields(cls)}
     kwargs = {}
     for key, sub in value.items():
+        where = f"{path}.{key}".lstrip(".")
         if key not in known:
-            raise ConfigError(f"unknown config key '{path}.{key}'".lstrip("."))
+            raise ConfigError(f"unknown config key '{where}'")
         hint = hints[key]
-        if is_dataclass(hint) and isinstance(sub, dict):
-            kwargs[key] = _build(hint, sub, f"{path}.{key}")
-        elif typing.get_origin(hint) is tuple and isinstance(sub, list):
-            kwargs[key] = tuple(sub)
+        if is_dataclass(hint):
+            kwargs[key] = _build(hint, sub, where)
+        elif not _fits(hint, sub):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"'{where}' must be {name}, got {json.dumps(sub)}")
         else:
-            kwargs[key] = sub
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad value under '{path}': {exc}") from exc
+            kwargs[key] = tuple(sub) if isinstance(sub, list) else sub
+    return cls(**kwargs)
 
 
 def config_from_dict(doc: dict) -> RunConfig:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .augment import AugmentConfig, make_views
 from .errors import DimensionError, ParameterError
-from .nn import AdaptorNet, forward_batch
 
 VAR_EPS = 1e-4  # inside the variance-regularizer square root
 
@@ -225,20 +224,3 @@ def stage2_loss(
     """Contrastive term for the selected pairing plus weighted variance hinge."""
     contrast = ntxent_loss(z, positive_pairs(batch, spec), spec.resolved_tau())
     return with_variance(contrast, z, gamma, var_weight)
-
-
-# ---------------------------------------------------------------------------
-# Projection
-# ---------------------------------------------------------------------------
-
-
-def project(
-    net: AdaptorNet,
-    view: np.ndarray,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Embed one view with the projector; unit-norm when the net normalizes."""
-    if not net.normalize_output:
-        raise ParameterError("project expects a projection-mode network")
-    return forward_batch(net, [view], training=training, rng=rng).out[0]

@@ -1,14 +1,15 @@
 """Corpus representation, feature-file format, sampling, and splits.
 
-A feature sequence is a (T, D) float64 matrix. On disk it is a DSQF file:
-little-endian magic "DSQF", version u32, T u32, D u32, then T*D float32
-values row-major. Values are widened to float64 on load. A corpus directory
+A feature sequence is a (T, D) float64 matrix, stored as a framed DSQF file
+(FrameReader): magic "DSQF", little-endian u32 version, T and D, then T*D
+float32 values row-major, widened to float64 on load. A corpus directory
 holds manifest.json plus one DSQF file per utterance.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -22,11 +23,12 @@ from .errors import (
     MergeError,
     ParameterError,
     PartitionError,
+    SevregError,
 )
 
 DSQF_MAGIC = b"DSQF"
 DSQF_VERSION = 1
-MAX_DIM = 1 << 24  # dimension sanity bound for corrupt headers
+MAX_RANK = 32  # the highest array rank numpy 1.x holds
 
 PROVENANCES = ("labeled", "pseudo", "typical")
 
@@ -114,8 +116,63 @@ def atomic_write(path: str | Path, data: str | bytes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# DSQF feature files
+# Framed binary files (DSQF here, DSQC in pipeline, DSQE in evaluation)
 # ---------------------------------------------------------------------------
+
+
+def pack_u32(*values: int) -> bytes:
+    """Little-endian u32s, the integer type of every framed file."""
+    return struct.pack(f"<{len(values)}I", *values)
+
+
+def frame_header(magic: bytes, version: int, *fields: int) -> bytes:
+    """Start of a framed file: magic, then the u32 version and header fields."""
+    return magic + pack_u32(version, *fields)
+
+
+class FrameReader:
+    """Bounds-checked reads over one framed file; `header` holds the fields
+    after the version. A malformed file raises FeatureFormatError: bad magic at
+    offset 0, a bad version at 4, a truncated field where it starts, non-finite
+    values (finite=True) where the array starts, left-over bytes at the first."""
+
+    def __init__(self, raw: bytes, magic: bytes, version: int, n_fields: int):
+        if raw[:4] != magic:
+            raise FeatureFormatError(f"bad magic, not a {magic.decode()} file", offset=0)
+        self.raw, self.pos = raw, 4
+        found, *self.header = self.u32s(1 + n_fields, "header")
+        if found != version:
+            raise FeatureFormatError(f"unsupported version {found}", offset=4)
+
+    def take(self, nbytes: int, what: str) -> bytes:
+        if nbytes > len(self.raw) - self.pos:
+            raise FeatureFormatError(f"truncated {what}", offset=self.pos)
+        self.pos += nbytes
+        return self.raw[self.pos - nbytes : self.pos]
+
+    def u32s(self, count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", self.take(4 * count, what))
+
+    def check(self, shape: tuple[int, ...], itemsize: int, what: str) -> None:
+        """`shape` items must fit in the bytes left with each zero dimension
+        counted as one, so that no header asks numpy for an impossible array."""
+        need = itemsize * math.prod(max(d, 1) for d in shape)
+        if len(shape) > MAX_RANK or need > len(self.raw) - self.pos:
+            raise FeatureFormatError(f"{what} of shape {shape} overruns the file", self.pos)
+
+    def array(self, dtype, shape: tuple[int, ...], what: str, finite=False) -> np.ndarray:
+        """Read-only C-order array; finite=True rejects NaN and Inf."""
+        dtype, start = np.dtype(dtype), self.pos
+        self.check(shape, dtype.itemsize, what)
+        raw = self.take(dtype.itemsize * math.prod(shape), what)
+        out = np.frombuffer(raw, dtype).reshape(shape)
+        if finite and not np.isfinite(out).all():
+            raise FeatureFormatError(f"non-finite values in {what}", offset=start)
+        return out
+
+    def end(self) -> None:
+        if self.pos != len(self.raw):
+            raise FeatureFormatError(f"{len(self.raw) - self.pos} trailing bytes", self.pos)
 
 
 def write_feature_file(path: str | Path, features: np.ndarray) -> None:
@@ -124,34 +181,19 @@ def write_feature_file(path: str | Path, features: np.ndarray) -> None:
         raise EmptyInputError(f"cannot write feature matrix of shape {features.shape}")
     if not np.all(np.isfinite(features)):
         raise ParameterError("feature matrix contains non-finite values")
-    t, d = features.shape
-    payload = features.astype("<f4").tobytes(order="C")
-    header = DSQF_MAGIC + struct.pack("<III", DSQF_VERSION, t, d)
-    Path(path).write_bytes(header + payload)
+    header = frame_header(DSQF_MAGIC, DSQF_VERSION, *features.shape)
+    Path(path).write_bytes(header + features.astype("<f4").tobytes(order="C"))
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
     """Load a DSQF file back into a float64 (T, D) matrix."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != DSQF_MAGIC:
-        raise FeatureFormatError("bad magic, not a DSQF file", offset=0)
-    if len(raw) < 16:
-        raise FeatureFormatError("truncated header", offset=len(raw))
-    version, t, d = struct.unpack("<III", raw[4:16])
-    if version != DSQF_VERSION:
-        raise FeatureFormatError(f"unsupported version {version}", offset=4)
-    if t < 1:
-        raise FeatureFormatError("zero-frame feature file (T >= 1 required)", offset=8)
-    if d < 1 or t > MAX_DIM or d > MAX_DIM:
-        raise FeatureFormatError(f"implausible dimensions {t}x{d}", offset=8)
-    expected = 16 + 4 * t * d
-    if len(raw) != expected:
-        raise FeatureFormatError(
-            f"payload is {len(raw) - 16} bytes, expected {4 * t * d}",
-            offset=min(len(raw), expected),
-        )
-    data = np.frombuffer(raw, dtype="<f4", offset=16).astype(np.float64)
-    return data.reshape(t, d)
+    frame = FrameReader(Path(path).read_bytes(), DSQF_MAGIC, DSQF_VERSION, 2)
+    t, d = frame.header
+    if t < 1 or d < 1:
+        raise FeatureFormatError(f"empty {t}x{d} feature matrix", offset=8)
+    features = frame.array("<f4", (t, d), "features", finite=True)
+    frame.end()
+    return features.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +226,26 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
 
 
 def load_corpus(directory: str | Path) -> Corpus:
-    """Load a corpus saved by save_corpus; manifest order is preserved."""
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    utts = []
-    for entry in manifest["utterances"]:
-        utts.append(
+    """Load a corpus saved by save_corpus; manifest order is preserved, and
+    a manifest not of the saved shape raises FeatureFormatError."""
+    path = Path(directory) / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+        utts = [
             Utterance(
                 id=entry["id"],
                 speaker_id=entry["speaker_id"],
-                features=read_feature_file(directory / entry["path"]),
+                features=read_feature_file(path.parent / entry["path"]),
                 label=entry["label"],
                 provenance=entry["provenance"],
             )
-        )
-    return Corpus(utts, name=manifest["name"])
+            for entry in manifest["utterances"]
+        ]
+        return Corpus(utts, name=manifest["name"])
+    except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, SevregError):  # a corrupt feature file or a bad value
+            raise
+        raise FeatureFormatError(f"corrupt corpus manifest {path}: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
-import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .data import Corpus, atomic_write
+from .data import PROVENANCES, Corpus, FrameReader, atomic_write, frame_header
 from .errors import (
     DegenerateCorrelationError,
     DimensionError,
+    EmptyInputError,
     FeatureFormatError,
     MappingError,
     ParameterError,
@@ -21,7 +21,6 @@ from .errors import (
 
 DSQE_MAGIC = b"DSQE"
 DSQE_VERSION = 1
-PROVENANCE_BYTE = {"labeled": 0, "pseudo": 1, "typical": 2}
 
 RESULTS_COLUMNS = ("run_id", "strategy", "dataset", "level", "seed", "srcc", "pcc", "n")
 
@@ -194,43 +193,36 @@ def write_embeddings(
     labels: list[float | None],
     provenances: list[str],
 ) -> None:
-    """Binary dump: header, then per row dim float32s + label + provenance byte."""
+    """Framed file with header fields (n, dim), then per row dim float32s,
+    the float32 label and the provenance byte (its index in PROVENANCES)."""
     n, dim = vectors.shape
+    if n < 1:
+        raise EmptyInputError("cannot write an embedding dump without rows")
     if len(labels) != n or len(provenances) != n:
         raise DimensionError("labels/provenances must match vector count")
     rows = np.empty(n, dtype=embedding_dtype(dim))
     rows["v"] = vectors
     rows["label"] = [np.nan if y is None else y for y in labels]
-    rows["prov"] = [PROVENANCE_BYTE[p] for p in provenances]
-    header = DSQE_MAGIC + struct.pack("<III", DSQE_VERSION, n, dim)
-    atomic_write(path, header + rows.tobytes())
+    rows["prov"] = [PROVENANCES.index(p) for p in provenances]
+    atomic_write(path, frame_header(DSQE_MAGIC, DSQE_VERSION, n, dim) + rows.tobytes())
 
 
 def read_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Inverse of write_embeddings; labels come back as float (NaN if absent).
-    A short header, a wrong payload length or an unknown provenance byte
-    raises FeatureFormatError at the offending byte."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != DSQE_MAGIC:
-        raise FeatureFormatError("bad magic, not a DSQE file", offset=0)
-    if len(raw) < 16:
-        raise FeatureFormatError("truncated header", offset=len(raw))
-    version, n, dim = struct.unpack_from("<III", raw, 4)
-    if version != DSQE_VERSION:
-        raise FeatureFormatError(f"unsupported version {version}", offset=4)
-    row_bytes = 4 * dim + 5
-    if len(raw) != 16 + n * row_bytes:
+    A malformed file or an unknown provenance byte raises FeatureFormatError
+    at the offending byte."""
+    frame = FrameReader(Path(path).read_bytes(), DSQE_MAGIC, DSQE_VERSION, 2)
+    n, dim = frame.header
+    frame.check((n, dim), 4, "rows")  # bounds dim before numpy builds the row type
+    start = frame.pos
+    rows = frame.array(embedding_dtype(dim), (n,), "rows")
+    frame.end()
+    prov = rows["prov"]
+    unknown = prov >= len(PROVENANCES)
+    if unknown.any():
+        i = int(np.argmax(unknown))  # the provenance byte ends row i
         raise FeatureFormatError(
-            f"payload of {len(raw) - 16} bytes, expected {n} rows of {row_bytes}",
-            offset=16,
+            f"unknown provenance byte {prov[i]}", offset=start + (i + 1) * rows.itemsize - 1
         )
-    rows = np.frombuffer(raw, dtype=embedding_dtype(dim), count=n, offset=16)
-    names = {v: k for k, v in PROVENANCE_BYTE.items()}
-    provenances = []
-    for i, b in enumerate(rows["prov"].tolist()):
-        if b not in names:
-            raise FeatureFormatError(
-                f"unknown provenance byte {b}", offset=16 + (i + 1) * row_bytes - 1
-            )
-        provenances.append(names[b])
-    return rows["v"].astype(np.float64), rows["label"].astype(np.float64), provenances
+    labels = rows["label"].astype(np.float64)
+    return rows["v"].astype(np.float64), labels, [PROVENANCES[b] for b in prov.tolist()]

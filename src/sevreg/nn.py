@@ -153,9 +153,6 @@ def huber_loss_batch(
 # Adaptor network
 # ---------------------------------------------------------------------------
 
-TRUNK_LAYERS = ("adaptor1", "adaptor2")
-HEAD_LAYER = "head"
-
 
 @dataclass
 class AdaptorNet:
@@ -235,7 +232,6 @@ class ForwardCache:
     mask2: np.ndarray | None
     offsets: list[int]      # segment boundaries into the stacked rows
     pooled: np.ndarray      # (B, 2 * hidden_dim)
-    out_raw: np.ndarray     # head output before normalization (B, out_dim)
     out: np.ndarray         # final output (B, out_dim)
     norms: np.ndarray | None = None  # row norms used when normalize_output
 
@@ -280,17 +276,15 @@ def forward_batch(
     pooled = np.stack(
         [stats_pool(h2[offsets[i] : offsets[i + 1]]) for i in range(len(seqs))]
     )
-    out_raw = linear_forward(net.layers["head"], pooled)
+    out = linear_forward(net.layers["head"], pooled)
 
     norms = None
     if net.normalize_output:
-        norms = np.maximum(np.linalg.norm(out_raw, axis=1, keepdims=True), 1e-12)
-        out = out_raw / norms
-    else:
-        out = out_raw
+        norms = np.maximum(np.linalg.norm(out, axis=1, keepdims=True), 1e-12)
+        out = out / norms
     return ForwardCache(
         x=x, a1=a1, h1=h1, a2=a2, h2=h2, mask1=mask1, mask2=mask2,
-        offsets=offsets, pooled=pooled, out_raw=out_raw, out=out, norms=norms,
+        offsets=offsets, pooled=pooled, out=out, norms=norms,
     )
 
 

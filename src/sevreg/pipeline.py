@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +18,13 @@ from .config import ModelConfig, RegressionStageConfig, RunConfig, Stage2Config
 from .contrastive import build_batch, stage2_loss
 from .data import (
     Corpus,
+    FrameReader,
     Utterance,
     atomic_write,
+    frame_header,
     label_histogram,
     normalize_frames,
+    pack_u32,
     sampler_weights,
 )
 from .errors import (
@@ -134,76 +135,47 @@ def net_from_checkpoint(ckpt: Checkpoint) -> AdaptorNet:
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    """Binary layout: magic, version, meta JSON, then named float64 tensors."""
-    blob = bytearray()
-    blob += CKPT_MAGIC
+    """Framed file whose header field is the metadata length: meta JSON, the
+    tensor count, then per tensor its name length, name, rank, shape and
+    float64 values."""
     meta_bytes = json.dumps(ckpt.meta, sort_keys=True).encode()
-    blob += struct.pack("<II", CKPT_VERSION, len(meta_bytes))
+    blob = bytearray(frame_header(CKPT_MAGIC, CKPT_VERSION, len(meta_bytes)))
     blob += meta_bytes
     names = sorted(ckpt.params)
-    blob += struct.pack("<I", len(names))
+    blob += pack_u32(len(names))
     for name in names:
         arr = np.ascontiguousarray(ckpt.params[name], dtype="<f8")
         name_bytes = name.encode()
-        blob += struct.pack("<I", len(name_bytes))
-        blob += name_bytes
-        blob += struct.pack("<I", arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += arr.tobytes(order="C")
+        blob += pack_u32(len(name_bytes)) + name_bytes
+        blob += pack_u32(arr.ndim, *arr.shape) + arr.tobytes()
     atomic_write(path, bytes(blob))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Strict reader for save_checkpoint's layout: a short, malformed or
     overlong file raises FeatureFormatError at the offending byte."""
-    raw = Path(path).read_bytes()
-    pos = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(raw):
-            raise FeatureFormatError(f"truncated {what}", offset=pos)
-        pos += n
-        return raw[pos - n : pos]
-
-    def ints(count: int, what: str) -> tuple[int, ...]:
-        return struct.unpack(f"<{count}I", take(4 * count, what))
-
-    if take(4, "magic") != CKPT_MAGIC:
-        raise FeatureFormatError("bad magic, not a DSQC checkpoint", offset=0)
-    version, meta_len = ints(2, "header")
-    if version != CKPT_VERSION:
-        raise FeatureFormatError(f"unsupported checkpoint version {version}", offset=4)
-    start = pos
+    frame = FrameReader(Path(path).read_bytes(), CKPT_MAGIC, CKPT_VERSION, 1)
+    start = frame.pos
+    meta_bytes = frame.take(frame.header[0], "metadata")
     try:
-        meta = json.loads(take(meta_len, "metadata").decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        meta = json.loads(meta_bytes.decode())
+    except (ValueError, RecursionError) as exc:
         raise FeatureFormatError(f"unreadable metadata: {exc}", offset=start) from exc
     if not isinstance(meta, dict):
         raise FeatureFormatError("metadata is not a JSON object", offset=start)
-    (n_params,) = ints(1, "tensor count")
     params = {}
-    for _ in range(n_params):
-        start = pos
-        (name_len,) = ints(1, "tensor name length")
+    for _ in range(frame.u32s(1, "tensor count")[0]):
+        start = frame.pos
+        name_len = frame.u32s(1, "tensor name length")[0]
         try:
-            name = take(name_len, "tensor name").decode()
+            name = frame.take(name_len, "tensor name").decode()
         except UnicodeDecodeError as exc:
             raise FeatureFormatError("tensor name is not UTF-8", offset=start) from exc
         if name in params:
             raise FeatureFormatError(f"duplicate tensor '{name}'", offset=start)
-        (ndim,) = ints(1, "tensor rank")
-        shape = ints(ndim, "tensor shape")
-        start = pos
-        payload = take(8 * math.prod(shape), f"payload of tensor '{name}'")
-        values = np.frombuffer(payload, dtype="<f8")
-        if not np.all(np.isfinite(values)):
-            raise FeatureFormatError(f"non-finite values in tensor '{name}'", offset=start)
-        params[name] = values.reshape(shape).copy()
-    if pos != len(raw):
-        raise FeatureFormatError(
-            f"{len(raw) - pos} trailing bytes after the last tensor", offset=pos
-        )
+        shape = frame.u32s(frame.u32s(1, "tensor rank")[0], "tensor shape")
+        params[name] = frame.array("<f8", shape, f"tensor '{name}'", finite=True).copy()
+    frame.end()
     return Checkpoint(params=params, meta=meta)
 
 

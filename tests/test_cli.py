@@ -131,6 +131,36 @@ class TestConfigHandling:
         assert cfg.strategy == "dis"
         assert cfg.stage2.pairing.tau == 0.5
 
+    @pytest.mark.parametrize(
+        "override",
+        ['stage1.lr="abc"', "stage2.pairing=3", "seeds=3", "model.hidden_dim=1.5"],
+    )
+    def test_mistyped_value_exits_1(self, workspace, capsys, override):
+        _, config_path, _ = workspace
+        assert main(["run-all", "--config", str(config_path), override]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "manifest",
+        ["{not json", '{"name": "labeled"}', '{"name": "labeled", "utterances": [{}]}', "[]"],
+        ids=["not_json", "no_utterances", "no_id", "list"],
+    )
+    def test_corrupt_manifest_exits_1(self, workspace, tmp_path, capsys, manifest):
+        from sevreg.cli import CORPUS_NAMES
+
+        root, _, doc = workspace
+        data = tmp_path / "data"
+        for name in CORPUS_NAMES[1:]:
+            (data / name).parent.mkdir(parents=True, exist_ok=True)
+            (data / name).symlink_to(root / "data" / name)
+        (data / CORPUS_NAMES[0]).mkdir()
+        (data / CORPUS_NAMES[0] / "manifest.json").write_text(manifest)
+        cfg = write_config(tmp_path, doc, "m.json", data={"root": str(data), "world": WORLD})
+        assert main(["run-all", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err
+        assert str(data / CORPUS_NAMES[0] / "manifest.json") in err
+
     def test_training_divergence_exits_2(self, workspace, monkeypatch):
         _, config_path, _ = workspace
         from sevreg import cli
@@ -174,6 +204,18 @@ class TestStageChain:
         code = main(["evaluate", "--config", str(config_path), "--run-dir", str(run_dir)])
         assert code == 1
         assert "byte offset" in capsys.readouterr().err
+        assert not (run_dir / "results.csv").exists()
+
+    def test_evaluate_huge_empty_shape_exits_1(self, workspace, tmp_path, capsys):
+        from test_formats import huge_empty_shape_checkpoint
+
+        _, config_path, _ = workspace
+        run_dir = tmp_path / "shape"
+        run_dir.mkdir()
+        (run_dir / "model.dsqc").write_bytes(huge_empty_shape_checkpoint())
+        code = main(["evaluate", "--config", str(config_path), "--run-dir", str(run_dir)])
+        assert code == 1
+        assert "tensor 'w' of shape" in capsys.readouterr().err
         assert not (run_dir / "results.csv").exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])

@@ -11,7 +11,6 @@ from sevreg.contrastive import (
     PairingSpec,
     ntxent_loss,
     positive_pairs,
-    project,
     simclr_loss,
     stage2_loss,
     variance_reg,
@@ -19,7 +18,7 @@ from sevreg.contrastive import (
     with_variance,
 )
 from sevreg.errors import DimensionError, ParameterError
-from sevreg.nn import build_net
+from sevreg.nn import build_net, forward_batch
 
 
 def unit_rows(rng, n, d):
@@ -343,16 +342,11 @@ class TestProject:
     def test_output_shape_and_norm(self):
         net = self.make_projector()
         rng = np.random.default_rng(17)
-        z = project(net, rng.standard_normal((9, 6)))
+        z = forward_batch(net, [rng.standard_normal((9, 6))]).out[0]
         assert z.shape == (128,)
         assert abs(np.linalg.norm(z) - 1.0) < 1e-9
 
     def test_eval_mode_deterministic(self):
         net = self.make_projector()
         view = np.random.default_rng(18).standard_normal((5, 6))
-        assert np.array_equal(project(net, view), project(net, view))
-
-    def test_regression_net_rejected(self):
-        net = build_net(feat_dim=6, seed_or_rng=0)
-        with pytest.raises(ParameterError):
-            project(net, np.ones((2, 6)))
+        assert np.array_equal(forward_batch(net, [view]).out, forward_batch(net, [view]).out)

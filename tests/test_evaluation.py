@@ -258,9 +258,9 @@ class TestReportsAndFiles:
     @pytest.mark.parametrize(
         "corrupt, offset",
         [
-            (lambda raw: raw[:10], 10),
+            (lambda raw: raw[:10], 4),
             (lambda raw: raw[:-1], 16),
-            (lambda raw: raw + b"\0", 16),
+            (lambda raw: raw + b"\0", 67),
             (lambda raw: raw[: 16 + 17 + 16] + b"\x09" + raw[16 + 34 :], 16 + 34 - 1),
             (lambda raw: b"DSQF" + raw[4:], 0),
         ],

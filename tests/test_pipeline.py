@@ -515,8 +515,8 @@ class TestStrategySelectors:
 
         cfg = small_cfg(
             strategy=strategy,
-            stage1=replace(STAGE, epochs=2),
-            stage3=replace(STAGE, epochs=2),
+            stage1=replace(STAGE, lr=3e-3, epochs=4),
+            stage3=replace(STAGE, lr=3e-3, epochs=4),
             stage2=replace(STAGE2, epochs=1),
         )
         result = run_single(cfg, world, seed=0)
@@ -525,6 +525,7 @@ class TestStrategySelectors:
             ("shifted_test", "speaker"),
         }
         assert all(r["strategy"] == strategy for r in result["rows"])
+        assert all(r["srcc"] is not None for r in result["rows"])
 
 
 class TestDumpEmbeddings:
