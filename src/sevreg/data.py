@@ -230,7 +230,7 @@ def load_corpus(directory: str | Path) -> Corpus:
     a manifest not of the saved shape raises FeatureFormatError."""
     path = Path(directory) / "manifest.json"
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(path.read_bytes())
         utts = [
             Utterance(
                 id=entry["id"],
@@ -245,7 +245,18 @@ def load_corpus(directory: str | Path) -> Corpus:
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SevregError):  # a corrupt feature file or a bad value
             raise
-        raise FeatureFormatError(f"corrupt corpus manifest {path}: {exc!r}") from exc
+        raise FeatureFormatError(
+            f"corrupt corpus manifest {path}: {exc!r}", _byte_offset(exc)
+        ) from exc
+
+
+def _byte_offset(exc: Exception) -> int | None:
+    """Where a manifest failed to decode or parse; None for a bad structure."""
+    if isinstance(exc, json.JSONDecodeError):
+        return len(exc.doc[: exc.pos].encode())
+    if isinstance(exc, UnicodeDecodeError):
+        return exc.start
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,11 @@ class TrainingDivergedError(SevregError, RuntimeError):
 
 
 class FeatureFormatError(SevregError, ValueError):
-    """A feature or checkpoint file is malformed; `offset` is the failing byte."""
+    """A feature or checkpoint file is malformed; `offset` is the failing byte,
+    or None when no byte offset applies."""
 
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset
 
 

@@ -224,5 +224,7 @@ def read_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[str]
         raise FeatureFormatError(
             f"unknown provenance byte {prov[i]}", offset=start + (i + 1) * rows.itemsize - 1
         )
-    labels = rows["label"].astype(np.float64)
-    return rows["v"].astype(np.float64), labels, [PROVENANCES[b] for b in prov.tolist()]
+    # A signalling-NaN bit pattern is still NaN; widening it must not warn.
+    with np.errstate(invalid="ignore"):
+        vectors, labels = rows["v"].astype(np.float64), rows["label"].astype(np.float64)
+    return vectors, labels, [PROVENANCES[b] for b in prov.tolist()]

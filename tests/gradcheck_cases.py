@@ -98,6 +98,23 @@ def stats_pool_case(rng):
     return loss_fn, flatten_params({"h": h0})
 
 
+def stats_pool_segments_case(rng):
+    """Weighted sum of the pooled rows of a ragged batch, as forward_batch pools
+    it: the backward reuses the forward statistics."""
+    offsets = np.cumsum([0, 1, 4, 2, 5])
+    h0 = rng.standard_normal((offsets[-1], 3))
+    w = rng.standard_normal((len(offsets) - 1, 6))
+    template = {"h": np.zeros_like(h0)}
+
+    def loss_fn(flat):
+        h = unflatten_params(flat, template)["h"]
+        pooled = stats_pool(h, offsets)
+        value = float(np.sum(pooled * w))
+        return value, flatten_params({"h": stats_pool_backward(h, w, offsets, pooled)})
+
+    return loss_fn, flatten_params({"h": h0})
+
+
 def huber_case(rng):
     """Scalar Huber; the prediction is kept away from the |e| = delta kink."""
     target = float(rng.standard_normal())
@@ -256,6 +273,7 @@ GRADIENT_SUITE = [
     ("relu", relu_case, 1e-4),
     ("dropout-fixed-mask", dropout_fixed_mask_case, 1e-4),
     ("stats_pool", stats_pool_case, 1e-4),
+    ("stats_pool[segments]", stats_pool_segments_case, 1e-4),
     ("huber", huber_case, 1e-4),
     ("regression-net", regression_net_case, 1e-4),
     ("projector", projector_case, 1e-4),

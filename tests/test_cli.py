@@ -141,11 +141,18 @@ class TestConfigHandling:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "manifest",
-        ["{not json", '{"name": "labeled"}', '{"name": "labeled", "utterances": [{}]}', "[]"],
-        ids=["not_json", "no_utterances", "no_id", "list"],
+        "manifest,offset",
+        [
+            ("{not json", 1),
+            ('{"name": "labeled"}', None),
+            ('{"name": "labeled", "utterances": [{}]}', None),
+            ("[]", None),
+            ('{"\u00e9": x}', 7),
+            (b'{"name": "\xff"}', 10),
+        ],
+        ids=["not_json", "no_utterances", "no_id", "list", "non_ascii", "not_utf8"],
     )
-    def test_corrupt_manifest_exits_1(self, workspace, tmp_path, capsys, manifest):
+    def test_corrupt_manifest_exits_1(self, workspace, tmp_path, capsys, manifest, offset):
         from sevreg.cli import CORPUS_NAMES
 
         root, _, doc = workspace
@@ -154,12 +161,40 @@ class TestConfigHandling:
             (data / name).parent.mkdir(parents=True, exist_ok=True)
             (data / name).symlink_to(root / "data" / name)
         (data / CORPUS_NAMES[0]).mkdir()
-        (data / CORPUS_NAMES[0] / "manifest.json").write_text(manifest)
+        raw = manifest.encode() if isinstance(manifest, str) else manifest
+        (data / CORPUS_NAMES[0] / "manifest.json").write_bytes(raw)
         cfg = write_config(tmp_path, doc, "m.json", data={"root": str(data), "world": WORLD})
         assert main(["run-all", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "validation error" in err
         assert str(data / CORPUS_NAMES[0] / "manifest.json") in err
+        # A parse error names the byte JSON stopped at; a bad structure has none.
+        if offset is None:
+            assert "byte offset" not in err
+        else:
+            assert f"(byte offset {offset})" in err
+
+    def test_interrupted_gen_data_exits_1(self, workspace, tmp_path, capsys):
+        from sevreg.cli import CORPUS_NAMES
+
+        root, _, doc = workspace
+        data = tmp_path / "data"
+        for name in CORPUS_NAMES[1:]:
+            (data / name).parent.mkdir(parents=True, exist_ok=True)
+            (data / name).symlink_to(root / "data" / name)
+        # gen-data writes the DSQF files first and the manifest last.
+        features = data / CORPUS_NAMES[0] / "features"
+        features.mkdir(parents=True)
+        for dsqf in sorted((root / "data" / CORPUS_NAMES[0] / "features").iterdir())[:5]:
+            (features / dsqf.name).write_bytes(dsqf.read_bytes())
+        run_root = tmp_path / "runs"
+        cfg = write_config(
+            tmp_path, doc, "partial.json",
+            data={"root": str(data), "world": WORLD}, run_root=str(run_root),
+        )
+        assert main(["run-all", "--config", str(cfg)]) == 1
+        assert "run gen-data first" in capsys.readouterr().err
+        assert not run_root.exists()
 
     def test_training_divergence_exits_2(self, workspace, monkeypatch):
         _, config_path, _ = workspace

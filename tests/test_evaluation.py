@@ -1,6 +1,7 @@
 """Ranks, correlations, aggregation, reports, and the embedding dump format."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,21 @@ class TestReportsAndFiles:
         with pytest.raises(FeatureFormatError) as err:
             read_embeddings(path)
         assert err.value.offset == offset
+
+    def test_signalling_nan_reads_without_warning(self, tmp_path):
+        path = tmp_path / "e.dsqe"
+        write_embeddings(path, np.ones((2, 3)), [1.0, 2.0], ["labeled", "pseudo"])
+        raw = bytearray(path.read_bytes())
+        snan = struct.pack("<I", 0x7FA00000)  # float32 NaN with the quiet bit clear
+        raw[16:20] = snan  # first value of row 0 (rows start after the 16-byte header)
+        raw[28:32] = snan  # label of row 0
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vecs, labels, provs = read_embeddings(path)
+        assert np.isnan(vecs[0, 0]) and np.isnan(labels[0])
+        assert vecs[0, 1] == 1.0 and labels[1] == 2.0
+        assert provs == ["labeled", "pseudo"]
 
     def test_redump_identical(self, tmp_path):
         rng = np.random.default_rng(8)

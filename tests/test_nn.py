@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sevreg import nn
 from sevreg.errors import DimensionError, EmptyInputError, ParameterError
 from sevreg.nn import (
     LayerParams,
@@ -155,6 +158,94 @@ class TestStatsPool:
         h = rng.standard_normal((4, 3))
         grad = stats_pool_backward(h, rng.standard_normal(6))
         assert grad.shape == h.shape
+
+
+def reference_pool(h):
+    """Per-segment statistics pooling as one sequence at a time computes it."""
+    mean = h.mean(axis=0)
+    var = np.square(h - mean).mean(axis=0)
+    std = np.sqrt(var + nn.STD_EPS)
+    return np.concatenate([mean, std])
+
+
+def reference_pool_backward(h, grad_out):
+    t, d = h.shape
+    grad_mean = grad_out[:d]
+    grad_std = grad_out[d:]
+    mean = h.mean(axis=0)
+    var = np.square(h - mean).mean(axis=0)
+    std = np.sqrt(var + nn.STD_EPS)
+    return grad_mean / t + grad_std * (h - mean) / (t * std)
+
+
+def reference_batch(h, offsets, grad):
+    """The references over a stacked batch: pooled rows and grad_h."""
+    segments = [h[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+    pooled = np.stack([reference_pool(seg) for seg in segments])
+    grad_h = np.concatenate([reference_pool_backward(seg, g) for seg, g in zip(segments, grad)])
+    return pooled, grad_h
+
+
+class TestSegmentedStatsPool:
+    """Pooling a stacked batch equals pooling each segment alone, bit for bit."""
+
+    @given(
+        width=st.sampled_from([1, 8, 32, 320]),
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=64),
+        kind=st.sampled_from(["normal", "relu", "constant"]),
+        group_bytes=st.sampled_from([nn.POOL_GROUP_BYTES, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_segment_reference(self, width, lengths, kind, group_bytes, seed):
+        rng = np.random.default_rng(seed)
+        offsets = np.cumsum([0, *lengths])
+        h = rng.standard_normal((offsets[-1], width))
+        if kind == "relu":
+            h = np.maximum(h, 0.0)
+        elif kind == "constant":
+            h = np.repeat(h[:1], offsets[-1], axis=0)
+        grad = rng.standard_normal((len(lengths), 2 * width))
+        want, want_grad = reference_batch(h, offsets, grad)
+        default_bytes = nn.POOL_GROUP_BYTES
+        nn.POOL_GROUP_BYTES = group_bytes
+        try:
+            pooled = stats_pool(h, offsets)
+            got_grad = stats_pool_backward(h, grad, offsets, pooled)
+            recomputed_grad = stats_pool_backward(h, grad, offsets)
+        finally:
+            nn.POOL_GROUP_BYTES = default_bytes
+        assert pooled.tobytes() == want.tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
+        assert recomputed_grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 8, 32, 320])
+    def test_batch_across_group_boundaries(self, width):
+        rng = np.random.default_rng(width)
+        # Mean length 30: about three groups' worth of rows.
+        lengths = rng.integers(1, 60, size=3 * nn.POOL_GROUP_BYTES // (8 * width * 30))
+        lengths[:3] = 1
+        offsets = np.cumsum([0, *lengths])
+        assert offsets[-1] * width * 8 > 2 * nn.POOL_GROUP_BYTES  # several groups
+        h = np.maximum(rng.standard_normal((offsets[-1], width)), 0.0)
+        grad = rng.standard_normal((len(lengths), 2 * width))
+        want, want_grad = reference_batch(h, offsets, grad)
+        pooled = stats_pool(h, offsets)
+        assert pooled.tobytes() == want.tobytes()
+        assert stats_pool_backward(h, grad, offsets, pooled).tobytes() == want_grad.tobytes()
+
+    def test_single_segment_is_the_unsegmented_call(self):
+        rng = np.random.default_rng(11)
+        h = rng.standard_normal((7, 5))
+        grad = rng.standard_normal(10)
+        assert stats_pool(h).tobytes() == reference_pool(h).tobytes()
+        assert stats_pool(h, [0, 7]).tobytes() == reference_pool(h)[None].tobytes()
+        assert stats_pool_backward(h, grad).tobytes() == reference_pool_backward(h, grad).tobytes()
+
+    @pytest.mark.parametrize("offsets", [[0, 3, 3, 6], [0, 4], [1, 6], [0, 2, 7]])
+    def test_offsets_must_split_the_rows(self, offsets):
+        with pytest.raises(EmptyInputError):
+            stats_pool(np.ones((6, 2)), offsets)
 
 
 class TestHuber:
