@@ -12,7 +12,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +101,19 @@ class Corpus:
         for u in self.utterances:
             out[u.provenance] += 1
         return out
+
+
+def pseudo_pool(corpus: Corpus, labels: list[float | None], name: str) -> Corpus:
+    """The corpus as the pseudo-label pool: each utterance keeps its id,
+    speaker and features and takes its entry of `labels` (None before
+    pseudo-labelling) with provenance 'pseudo'."""
+    return Corpus(
+        [
+            replace(u, label=y, provenance="pseudo")
+            for u, y in zip(corpus, labels, strict=True)
+        ],
+        name=name,
+    )
 
 
 def atomic_write(path: str | Path, data: str | bytes) -> None:

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .config import RunConfig, config_to_dict, run_id_for
-from .data import Corpus, Utterance, atomic_write, label_histogram, split
+from .data import Corpus, atomic_write, label_histogram, pseudo_pool, split
 from .errors import ConfigError
 from .evaluation import EvalReport, write_report_json, write_results_csv
 from .nn import AdaptorNet
@@ -47,18 +47,6 @@ def split_labeled(labeled: Corpus, world: WorldConfig) -> tuple[Corpus, Corpus, 
     for part, name in zip(parts, ("train", "val", "test")):
         part.name = name
     return parts
-
-
-def _assume_dysarthric(unlabeled: Corpus, label: float) -> Corpus:
-    """Stage-1-skipped fallback: the whole pool is treated as dysarthric."""
-    utts = [
-        Utterance(
-            id=u.id, speaker_id=u.speaker_id, features=u.features,
-            label=label, provenance="pseudo",
-        )
-        for u in unlabeled
-    ]
-    return Corpus(utts, name=f"{unlabeled.name}/assumed")
 
 
 @dataclass
@@ -151,8 +139,11 @@ class Stages:
             return None
         if cfg.strategy == "simclr":
             return self.corpora["unlabeled"]
-        return _assume_dysarthric(
-            self.corpora["unlabeled"], cfg.ablation.assumed_dysarthric_label
+        unlabeled = self.corpora["unlabeled"]
+        return pseudo_pool(
+            unlabeled,
+            [cfg.ablation.assumed_dysarthric_label] * len(unlabeled),
+            f"{unlabeled.name}/assumed",
         )
 
     def stage2(self, pool: Corpus | None) -> StageResult | None:

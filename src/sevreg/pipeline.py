@@ -11,6 +11,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -19,12 +20,12 @@ from .contrastive import build_batch, stage2_loss
 from .data import (
     Corpus,
     FrameReader,
-    Utterance,
     atomic_write,
     frame_header,
     label_histogram,
     normalize_frames,
     pack_u32,
+    pseudo_pool,
     sampler_weights,
 )
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .evaluation import EvalReport, evaluate_scores, write_embeddings
 from .nn import AdaptorNet, backward_batch, build_net, forward_batch, huber_loss_batch
-from .optim import init_optimizer, optimizer_step
+from .optim import OptimState, init_optimizer, optimizer_step
 
 logger = logging.getLogger(__name__)
 
@@ -48,6 +49,7 @@ ROLE_STAGE2_AUGMENT = 4
 ROLE_STAGE2_DROPOUT = 5
 
 SCORE_MIN, SCORE_MAX = 1.0, 7.0
+EVAL_CHUNK = 256  # utterances per eval-mode forward
 
 CKPT_MAGIC = b"DSQC"
 CKPT_VERSION = 1
@@ -190,15 +192,57 @@ class StageResult:
     history: list[dict] = field(default_factory=list)
 
 
-def _regression_net(model_cfg: ModelConfig, feat_dim: int, seed: int) -> AdaptorNet:
+def seeded_net(
+    model_cfg: ModelConfig, corpus: Corpus, seed: int, projector: bool = False
+) -> AdaptorNet:
+    """The seed's initial network for a corpus: a one-output regressor, or
+    for stage 2 the L2-normalized projector."""
     return build_net(
-        feat_dim=feat_dim,
+        feat_dim=corpus.utterances[0].features.shape[1],
         seed_or_rng=role_rng(seed, ROLE_MODEL_INIT),
         hidden_dim=model_cfg.hidden_dim,
-        out_dim=1,
+        out_dim=model_cfg.embed_dim if projector else 1,
         dropout_p=model_cfg.dropout,
-        normalize_output=False,
+        normalize_output=projector,
     )
+
+
+def fit(
+    net: AdaptorNet,
+    opt: OptimState,
+    epochs: int,
+    batches: Callable[[], Iterable[tuple[list[np.ndarray], Any]]],
+    loss: Callable[[np.ndarray, Any], tuple[float, np.ndarray]],
+    on_epoch: Callable[[int], dict],
+    drop_rng: np.random.Generator,
+    stage: str,
+) -> list[dict]:
+    """The step loop of every stage: per epoch, one step per (sequences,
+    target) batch drawn lazily from `batches()`, then a history row that
+    `on_epoch(epoch)` extends. `loss(out, target)` returns the loss and its
+    gradient w.r.t. the output; a non-finite loss raises
+    TrainingDivergedError carrying the completed epochs' rows."""
+    history: list[dict] = []
+    for epoch in range(epochs):
+        epoch_losses = []
+        for seqs, target in batches():
+            cache = forward_batch(net, seqs, training=True, rng=drop_rng)
+            value, grad_out = loss(cache.out, target)
+            if not np.isfinite(value):
+                raise TrainingDivergedError(
+                    f"{stage} loss diverged at epoch {epoch}", history=history
+                )
+            grads = backward_batch(net, cache, grad_out)
+            optimizer_step(net.param_arrays(), grads, opt)
+            epoch_losses.append(value)
+        history.append(
+            {
+                "epoch": epoch,
+                "train_loss": float(np.mean(epoch_losses)) if epoch_losses else None,
+                **on_epoch(epoch),
+            }
+        )
+    return history
 
 
 def train_regression(
@@ -212,8 +256,7 @@ def train_regression(
     """Huber regression with label-weighted sampling; returns the checkpoint
     with the best validation SRCC. That is the initial model if epochs == 0,
     or, with a warning, if the validation SRCC was undefined on every epoch."""
-    feat_dim = train.utterances[0].features.shape[1]
-    net = _regression_net(model_cfg, feat_dim, seed)
+    net = seeded_net(model_cfg, train, seed)
     if init_trunk is not None:
         arrays = net.param_arrays()
         mismatched = [
@@ -233,46 +276,37 @@ def train_regression(
     weights = sampler_weights(train)
     probs = weights / weights.sum()
     feats = [normalize_frames(u.features) for u in train]
-
-    sampler = role_rng(seed, ROLE_SAMPLER)
-    drop_rng = role_rng(seed, ROLE_DROPOUT)
-    opt = init_optimizer(
-        net.param_arrays(), lr=stage_cfg.lr, weight_decay=stage_cfg.weight_decay
-    )
-
-    history: list[dict] = []
-    best_params = {k: v.copy() for k, v in net.param_arrays().items()}
-    best_srcc = -np.inf
     n = len(train)
-    for epoch in range(stage_cfg.epochs):
+    sampler = role_rng(seed, ROLE_SAMPLER)
+
+    def batches():
         order = sampler.choice(n, size=n, replace=True, p=probs)
-        epoch_losses = []
         for start in range(0, n, stage_cfg.batch_size):
             idx = order[start : start + stage_cfg.batch_size]
-            cache = forward_batch(
-                net, [feats[i] for i in idx], training=True, rng=drop_rng
-            )
-            loss, dpred = huber_loss_batch(
-                cache.out[:, 0], labels[idx], stage_cfg.huber_delta
-            )
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"regression loss diverged at epoch {epoch}", history=history
-                )
-            grads = backward_batch(net, cache, dpred[:, None])
-            optimizer_step(net.param_arrays(), grads, opt)
-            epoch_losses.append(loss)
+            yield [feats[i] for i in idx], labels[idx]
+
+    def loss(out, target):
+        value, dpred = huber_loss_batch(out[:, 0], target, stage_cfg.huber_delta)
+        return value, dpred[:, None]
+
+    best_params = {k: v.copy() for k, v in net.param_arrays().items()}
+    best_srcc = -np.inf
+
+    def on_epoch(epoch):
+        nonlocal best_params, best_srcc
         val_srcc = validation_srcc(net, val)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": float(np.mean(epoch_losses)),
-                "val_srcc": val_srcc,
-            }
-        )
         if val_srcc is not None and val_srcc > best_srcc:
             best_srcc = val_srcc
             best_params = {k: v.copy() for k, v in net.param_arrays().items()}
+        return {"val_srcc": val_srcc}
+
+    opt = init_optimizer(
+        net.param_arrays(), lr=stage_cfg.lr, weight_decay=stage_cfg.weight_decay
+    )
+    history = fit(
+        net, opt, stage_cfg.epochs, batches, loss, on_epoch,
+        role_rng(seed, ROLE_DROPOUT), "regression",
+    )
     if history and best_srcc == -np.inf:
         logger.warning(
             "validation SRCC was undefined on all %d epochs; "
@@ -291,15 +325,18 @@ def validation_srcc(net: AdaptorNet, val: Corpus) -> float | None:
     return None if report.flagged else report.srcc
 
 
-def predict(net: AdaptorNet, corpus: Corpus, chunk: int = 256) -> np.ndarray:
-    """Eval-mode severity scores, clamped to [1, 7]."""
-    scores = []
+def eval_forward(net: AdaptorNet, corpus: Corpus):
+    """Eval-mode forward caches over the corpus, EVAL_CHUNK utterances each."""
     utts = corpus.utterances
-    for start in range(0, len(utts), chunk):
-        seqs = [normalize_frames(u.features) for u in utts[start : start + chunk]]
-        out = forward_batch(net, seqs, training=False).out[:, 0]
-        scores.append(out)
-    return np.clip(np.concatenate(scores), SCORE_MIN, SCORE_MAX)
+    for start in range(0, len(utts), EVAL_CHUNK):
+        seqs = [normalize_frames(u.features) for u in utts[start : start + EVAL_CHUNK]]
+        yield forward_batch(net, seqs, training=False)
+
+
+def predict(net: AdaptorNet, corpus: Corpus) -> np.ndarray:
+    """Eval-mode severity scores, clamped to [1, 7]."""
+    scores = np.concatenate([cache.out[:, 0] for cache in eval_forward(net, corpus)])
+    return np.clip(scores, SCORE_MIN, SCORE_MAX)
 
 
 def pseudo_label(net: AdaptorNet, unlabeled: Corpus) -> Corpus:
@@ -307,17 +344,7 @@ def pseudo_label(net: AdaptorNet, unlabeled: Corpus) -> Corpus:
     if any(u.label is not None for u in unlabeled):
         raise ParameterError("pseudo_label expects an unlabeled corpus")
     scores = predict(net, unlabeled)
-    utts = [
-        Utterance(
-            id=u.id,
-            speaker_id=u.speaker_id,
-            features=u.features,
-            label=float(s),
-            provenance="pseudo",
-        )
-        for u, s in zip(unlabeled, scores)
-    ]
-    out = Corpus(utts, name=f"{unlabeled.name}/pseudo")
+    out = pseudo_pool(unlabeled, [float(s) for s in scores], f"{unlabeled.name}/pseudo")
     hist = label_histogram(out)
     logger.info("pseudo-label histogram: %s", hist)
     return out
@@ -354,16 +381,6 @@ def build_stage2_corpus(
     return merged
 
 
-def _stage2_batches(corpus: Corpus, batch_size: int, rng: np.random.Generator):
-    """Yield the index arrays of one shuffled epoch; a last batch of one
-    source is dropped."""
-    order = rng.permutation(len(corpus))
-    for start in range(0, len(corpus), batch_size):
-        idx = order[start : start + batch_size]
-        if len(idx) >= 2:
-            yield idx
-
-
 def train_stage2(
     mixed: Corpus,
     model_cfg: ModelConfig,
@@ -372,7 +389,8 @@ def train_stage2(
     strategy: str,
 ) -> StageResult:
     """Train the projector for exactly s2cfg.epochs; final weights returned
-    (longer training degrades, so there is no model selection)."""
+    (longer training degrades, so there is no model selection). Each epoch
+    is one shuffle of the corpus; a last batch of one source is dropped."""
     pairing = s2cfg.pairing.spec(strategy)
     pairing.validate()
     labels = np.array(
@@ -381,58 +399,44 @@ def train_stage2(
     if strategy != "simclr" and np.any(np.isnan(labels)):
         raise ParameterError("weakly supervised pairing needs labels on every sample")
 
-    feat_dim = mixed.utterances[0].features.shape[1]
-    net = build_net(
-        feat_dim=feat_dim,
-        seed_or_rng=role_rng(seed, ROLE_MODEL_INIT),
-        hidden_dim=model_cfg.hidden_dim,
-        out_dim=model_cfg.embed_dim,
-        dropout_p=model_cfg.dropout,
-        normalize_output=True,
-    )
-
+    net = seeded_net(model_cfg, mixed, seed, projector=True)
     feats = [normalize_frames(u.features) for u in mixed]
     order_rng = role_rng(seed, ROLE_STAGE2_ORDER)
     aug_rng = role_rng(seed, ROLE_STAGE2_AUGMENT)
-    drop_rng = role_rng(seed, ROLE_STAGE2_DROPOUT)
+
+    def batches():
+        order = order_rng.permutation(len(mixed))
+        for start in range(0, len(mixed), s2cfg.batch_size):
+            idx = order[start : start + s2cfg.batch_size]
+            if len(idx) >= 2:
+                sources = [(feats[i], labels[i]) for i in idx]
+                batch = build_batch(sources, s2cfg.augment, aug_rng)
+                yield batch.views, batch
+
+    # Every view's sibling is among its positives, so no anchor is ever
+    # skipped; the count stays in the history as a health record.
+    skipped = []
+
+    def loss(z, batch):
+        result = stage2_loss(z, batch, pairing, s2cfg.gamma, s2cfg.var_weight)
+        skipped.append(result.skipped_anchors)
+        return result.value, result.grad
+
+    def on_epoch(epoch):
+        row = {"skipped_anchors": sum(skipped)}
+        skipped.clear()
+        return row
+
     opt = init_optimizer(
         net.param_arrays(),
         lr=s2cfg.lr,
         weight_decay=s2cfg.weight_decay,
         decoupled=False,
     )
-
-    history: list[dict] = []
-    for epoch in range(s2cfg.epochs):
-        epoch_losses = []
-        skipped = 0
-        for idx in _stage2_batches(mixed, s2cfg.batch_size, order_rng):
-            sources = [(feats[i], labels[i]) for i in idx]
-            batch = build_batch(sources, s2cfg.augment, aug_rng)
-            cache = forward_batch(net, batch.views, training=True, rng=drop_rng)
-            result = stage2_loss(
-                cache.out, batch, pairing, s2cfg.gamma, s2cfg.var_weight
-            )
-            if not np.isfinite(result.value):
-                raise TrainingDivergedError(
-                    f"stage-2 loss diverged at epoch {epoch}", history=history
-                )
-            skipped += result.skipped_anchors
-            grads = backward_batch(net, cache, result.grad)
-            optimizer_step(net.param_arrays(), grads, opt)
-            epoch_losses.append(result.value)
-        if skipped:
-            logger.warning(
-                "stage 2 epoch %d: %d anchors had no positives and were skipped",
-                epoch, skipped,
-            )
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": float(np.mean(epoch_losses)) if epoch_losses else None,
-                "skipped_anchors": skipped,
-            }
-        )
+    history = fit(
+        net, opt, s2cfg.epochs, batches, loss, on_epoch,
+        role_rng(seed, ROLE_STAGE2_DROPOUT), "stage-2",
+    )
     return StageResult(net=net, history=history)
 
 
@@ -479,14 +483,9 @@ def evaluate(net: AdaptorNet, corpus: Corpus, level: str = "utterance") -> EvalR
 def dump_embeddings(net: AdaptorNet, corpus: Corpus, path) -> None:
     """Write post-pooling vectors with labels and provenance for external
     projection tools."""
-    vecs = []
-    utts = corpus.utterances
-    for start in range(0, len(utts), 256):
-        seqs = [normalize_frames(u.features) for u in utts[start : start + 256]]
-        vecs.append(forward_batch(net, seqs, training=False).pooled)
     write_embeddings(
         path,
-        np.concatenate(vecs),
-        [u.label for u in utts],
-        [u.provenance for u in utts],
+        np.concatenate([cache.pooled for cache in eval_forward(net, corpus)]),
+        [u.label for u in corpus],
+        [u.provenance for u in corpus],
     )

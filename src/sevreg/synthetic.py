@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Corpus, Utterance
+from .data import Corpus, Utterance, pseudo_pool
 from .errors import ParameterError
 
 DEFAULT_HISTOGRAM = (0.30, 0.25, 0.15, 0.10, 0.08, 0.07, 0.05)
@@ -130,17 +130,7 @@ def gen_synthetic_corpus(spec: SyntheticSpec, seed: int) -> Corpus:
 
 def strip_labels(corpus: Corpus, name: str | None = None) -> Corpus:
     """Drop labels and mark utterances as the pseudo-label pool."""
-    utts = [
-        Utterance(
-            id=u.id,
-            speaker_id=u.speaker_id,
-            features=u.features,
-            label=None,
-            provenance="pseudo",
-        )
-        for u in corpus
-    ]
-    return Corpus(utts, name=name or f"{corpus.name}/unlabeled")
+    return pseudo_pool(corpus, [None] * len(corpus), name or f"{corpus.name}/unlabeled")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from sevreg.contrastive import (
     DEFAULT_TAU,
+    STRATEGIES,
     Batch,
     PairingSpec,
     ntxent_loss,
@@ -92,12 +93,18 @@ class TestPairing:
             assert set(pairs[i]) == group - {i}
 
     def test_sibling_view_always_positive(self):
+        # so no stage-2 anchor is ever skipped for want of a positive
         rng = np.random.default_rng(0)
-        for strategy in ("sup", "dis", "con", "coarse"):
-            batch = batch_from_labels(rng.uniform(1, 7, size=6))
-            pairs = positive_pairs(batch, PairingSpec(strategy=strategy))
-            for i in range(12):
-                assert (i + 6) % 12 in pairs[i]
+        for strategy in STRATEGIES:
+            for _ in range(50):
+                b = int(rng.integers(1, 17))
+                batch = batch_from_labels(rng.uniform(1, 7, size=b))
+                spec = PairingSpec(
+                    strategy=strategy, alpha=rng.uniform(0.01, 2.0), beta=rng.uniform(1, 7)
+                )
+                pairs = positive_pairs(batch, spec)
+                for i in range(2 * b):
+                    assert (i + b) % (2 * b) in pairs[i]
 
     @pytest.mark.parametrize("strategy", ["sup", "dis", "con", "coarse"])
     def test_matches_brute_force_100_batches(self, strategy):

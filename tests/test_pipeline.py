@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from sevreg import pipeline
 from sevreg.config import ModelConfig, RegressionStageConfig, RunConfig, Stage2Config
 from sevreg.data import Corpus, Utterance, label_histogram
 from sevreg.errors import (
@@ -302,6 +303,50 @@ class TestStage2:
         assert reg_stds.mean() >= 1.1 * unreg_stds.mean()
         assert reg_stds.min() >= unreg_stds.min()
         assert reg_stds.min() > 0.01  # no collapsed dimension
+
+
+class NanAfter:
+    """Wraps a pipeline loss function: counts its calls and, once `limit` is
+    set, makes the loss of every later call NaN."""
+
+    def __init__(self, fn, poison):
+        self.fn, self.poison = fn, poison
+        self.calls, self.limit = 0, None
+
+    def __call__(self, *args):
+        out = self.fn(*args)
+        self.calls += 1
+        limited = self.limit is not None and self.calls > self.limit
+        return self.poison(out) if limited else out
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("stage", ["regression", "stage-2"])
+    def test_later_epoch_divergence_keeps_completed_rows(
+        self, stage, world, splits, monkeypatch
+    ):
+        train, val, _ = splits
+        if stage == "regression":
+            name, poison = "huber_loss_batch", lambda out: (np.nan, out[1])
+
+            def run(epochs):
+                return train_regression(train, val, MODEL, replace(STAGE, epochs=epochs), 0)
+        else:
+            name, poison = "stage2_loss", lambda out: replace(out, value=np.nan)
+            mixed = build_stage2_corpus(train, None, world["typical"])
+
+            def run(epochs):
+                return train_stage2(mixed, MODEL, replace(STAGE2, epochs=epochs), 0, "coarse")
+
+        loss = NanAfter(getattr(pipeline, name), poison)
+        monkeypatch.setattr(pipeline, name, loss)
+        completed = run(1).history
+        loss.calls, loss.limit = 0, loss.calls  # NaN from the second epoch on
+        with pytest.raises(TrainingDivergedError) as err:
+            run(3)
+        assert len(completed) == 1
+        assert err.value.history == completed
+        assert str(err.value) == f"{stage} loss diverged at epoch 1"
 
 
 class TestStage3:
