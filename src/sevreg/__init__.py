@@ -3,8 +3,9 @@
 The package trains a small adaptor network in three stages: a teacher
 regressor that pseudo-labels an unlabeled pool, label-aware contrastive
 pretraining over augmented views (with a variance hinge against collapse),
-and weight-transfer fine-tuning. Everything runs on plain numpy in float64
-with hand-written backward passes; corpora are synthetic and desk-scale.
+and weight-transfer fine-tuning. Everything runs on plain numpy with
+hand-written backward passes; the pipeline's nets are float32, the gradient
+checks build float64 ones. Corpora are synthetic and desk-scale.
 """
 
 from .augment import AugmentConfig, add_gaussian_noise, make_views, random_crop, time_mask

@@ -157,7 +157,7 @@ def ntxent_loss(
         return LossResult(0.0, np.zeros_like(z), skipped)
 
     loss = 0.0
-    coeff = np.zeros((n, n))  # d loss / d logits
+    coeff = np.zeros((n, n), dtype=z.dtype)  # d loss / d logits
     inv_active = 1.0 / len(active)
     for i in active:
         p = pairs[i]

@@ -2,8 +2,10 @@
 
 A feature sequence is a (T, D) float64 matrix, stored as a framed DSQF file
 (FrameReader): magic "DSQF", little-endian u32 version, T and D, then T*D
-float32 values row-major, widened to float64 on load. A corpus directory
-holds manifest.json plus one DSQF file per utterance.
+float32 values row-major, widened to float64 on load. Normalization and
+augmentation run in float64; a net casts each stacked batch to its own
+dtype. A corpus directory holds manifest.json plus one DSQF file per
+utterance.
 """
 
 from __future__ import annotations

@@ -132,7 +132,9 @@ def correlate_scores(
 def evaluate_scores(
     corpus: Corpus, scores: np.ndarray, level: str = "utterance"
 ) -> EvalReport:
-    """Correlate per-utterance scores against corpus labels at the given level."""
+    """Correlate per-utterance scores against corpus labels at the given level.
+    Scores of any float dtype are widened to float64 first."""
+    scores = np.asarray(scores, dtype=np.float64)
     refs = corpus.labels()
     if level == "utterance":
         return correlate_scores(scores, refs, corpus.name, level)

@@ -1,8 +1,11 @@
-"""Dense-layer numerics: explicit forward/backward passes in float64.
+"""Dense-layer numerics: explicit forward/backward passes.
 
-Everything operates on plain numpy arrays (row-major, 64-bit). Sequences are
-(T, D) matrices; batches of sequences are processed as one stacked matrix with
-segmented pooling, which keeps the matmuls large and the gradients exact.
+Everything operates on plain row-major numpy arrays, and every op keeps the
+dtype of its inputs: a net built in float32 (as the pipeline trains) runs in
+float32, one built in float64 (as the gradient checks use) in float64.
+Sequences are (T, D) matrices; batches of sequences are processed as one
+stacked matrix with segmented pooling, which keeps the matmuls large and the
+gradients exact.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ STD_EPS = 1e-8
 # Bytes of one zero-padded block of statistics pooling. A run of segments this
 # size stays in cache with its temporaries; a whole stage-2 batch at H=320
 # (2137 x 320 rows) does not. Of 64 KiB to 2 MiB, 512 KiB and 1 MiB pooled
-# fastest at H=320 on a 2-core Xeon with 4 MiB of L2 per core; the smaller
-# one keeps the temporaries smaller.
+# fastest at H=320 on a 2-core Xeon with 4 MiB of L2 per core, in float64
+# and again in float32 (forward + backward at the stage-1 and stage-2 batch
+# shapes: 256 KiB 5-10 % slower, 1 MiB within 2 %); the smaller one keeps
+# the temporaries smaller.
 POOL_GROUP_BYTES = 512 * 1024
 
 
@@ -49,12 +54,15 @@ class LayerParams:
         return LayerParams(self.weight.copy(), self.bias.copy())
 
 
-def init_layer(rng: np.random.Generator, n_in: int, n_out: int) -> LayerParams:
-    """Uniform +-sqrt(1/fan_in) init for weight and bias."""
+def init_layer(
+    rng: np.random.Generator, n_in: int, n_out: int, dtype=np.float64
+) -> LayerParams:
+    """Uniform +-sqrt(1/fan_in) init for weight and bias. The draws are
+    float64 in every dtype, so the stream does not depend on it."""
     bound = math.sqrt(1.0 / n_in)
     weight = rng.uniform(-bound, bound, size=(n_out, n_in))
     bias = rng.uniform(-bound, bound, size=n_out)
-    return LayerParams(weight, bias)
+    return LayerParams(weight.astype(dtype, copy=False), bias.astype(dtype, copy=False))
 
 
 # ---------------------------------------------------------------------------
@@ -71,14 +79,20 @@ def linear_forward(params: LayerParams, x: np.ndarray) -> np.ndarray:
     return x @ params.weight.T + params.bias
 
 
+def linear_param_grads(
+    x: np.ndarray, grad_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (grad_w, grad_b) for y = x @ W.T + b, for a layer whose input
+    needs no gradient."""
+    return grad_out.T @ x, grad_out.sum(axis=0)
+
+
 def linear_backward(
     params: LayerParams, x: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (grad_w, grad_b, grad_x) for y = x @ W.T + b."""
-    grad_w = grad_out.T @ x
-    grad_b = grad_out.sum(axis=0)
-    grad_x = grad_out @ params.weight
-    return grad_w, grad_b, grad_x
+    grad_w, grad_b = linear_param_grads(x, grad_out)
+    return grad_w, grad_b, grad_out @ params.weight
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -92,27 +106,32 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def dropout_mask(
-    shape: tuple[int, ...], p: float, rng: np.random.Generator | None
+    shape: tuple[int, ...],
+    p: float,
+    rng: np.random.Generator | None,
+    dtype=np.float64,
 ) -> np.ndarray:
-    """Inverted-dropout multiplier: 0 with probability p, else 1/(1-p)."""
+    """Inverted-dropout multiplier in `dtype`: 0 with probability p, else
+    1/(1-p). The keep draw is float64 in every dtype."""
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
-        return np.ones(shape)
+        return np.ones(shape, dtype=dtype)
     if rng is None:
         raise ParameterError("training-mode dropout needs a seeded generator")
     keep = rng.random(shape) >= p
-    return keep / (1.0 - p)
+    return np.divide(keep, 1.0 - p, dtype=dtype)
 
 
-def _segment_groups(lengths: np.ndarray, width: int):
-    """Split segments into runs whose zero-padded (b, T_max, width) block fits
-    POOL_GROUP_BYTES; yields (first, stop) segment indices, >= 1 per run.
+def _segment_groups(lengths: np.ndarray, width: int, itemsize: int):
+    """Split segments into runs whose zero-padded (b, T_max, width) block of
+    `itemsize`-byte values fits POOL_GROUP_BYTES; yields (first, stop)
+    segment indices, >= 1 per run.
 
     At width 1 NumPy sums a lone column pairwise, not row by row, so padding
     would reorder the additions; runs then also stop where the length changes.
     """
-    cap = max(1, POOL_GROUP_BYTES // (8 * width))
+    cap = max(1, POOL_GROUP_BYTES // (itemsize * width))
     first, n = 0, len(lengths)
     while first < n:
         run = lengths[first : first + cap]
@@ -132,7 +151,7 @@ def stats_pool(h: np.ndarray, offsets: np.ndarray | None = None) -> np.ndarray:
     with STD_EPS inside the square root. Segments are pooled in zero-padded
     runs of POOL_GROUP_BYTES; the sums over the padded axis add rows in
     order, as h.mean(axis=0) does, so each row of the result equals the
-    pooling of its segment alone bit for bit.
+    pooling of its segment alone bit for bit. The result has h's dtype.
     """
     if h.ndim != 2 or h.shape[0] < 1:
         raise EmptyInputError(f"stats_pool needs a (T>=1, D) matrix, got {h.shape}")
@@ -141,16 +160,16 @@ def stats_pool(h: np.ndarray, offsets: np.ndarray | None = None) -> np.ndarray:
     if bounds[0] != 0 or bounds[-1] != h.shape[0] or np.any(lengths < 1):
         raise EmptyInputError(f"segment offsets {bounds} do not split {h.shape[0]} rows")
     d = h.shape[1]
-    pooled = np.empty((len(lengths), 2 * d))
-    for first, stop in _segment_groups(lengths, d):
+    pooled = np.empty((len(lengths), 2 * d), dtype=h.dtype)
+    for first, stop in _segment_groups(lengths, d, h.itemsize):
         t = lengths[first:stop]
-        t_col = t[:, None]
+        t_col = t[:, None].astype(h.dtype)
         rows = h[bounds[first] : bounds[stop]]
-        block = np.empty((len(t), t.max(), d))
+        block = np.empty((len(t), t.max(), d), dtype=h.dtype)
         if t.min() == t.max():
             pad, padded = None, rows.reshape(block.shape)
         else:
-            pad = np.arange(t.max()) >= t_col
+            pad = np.arange(t.max()) >= t[:, None]
             block[~pad] = rows
             block[pad] = 0.0
             padded = block
@@ -182,9 +201,9 @@ def stats_pool_backward(
     pooled = pooled.reshape(len(lengths), -1)
     d = h.shape[1]
     grad_h = np.empty_like(h)
-    for first, stop in _segment_groups(lengths, d):
+    for first, stop in _segment_groups(lengths, d, h.itemsize):
         t = lengths[first:stop]
-        t_col = t[:, None]
+        t_col = t[:, None].astype(h.dtype)
         lo, hi = bounds[first], bounds[stop]
         mean, std = pooled[first:stop, :d], pooled[first:stop, d:]
         grad_mean, grad_std = grad_out[first:stop, :d], grad_out[first:stop, d:]
@@ -241,6 +260,11 @@ class AdaptorNet:
     dropout_p: float = 0.1
     normalize_output: bool = False
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the parameters, and of every activation and gradient."""
+        return self.layers["head"].weight.dtype
+
     def param_arrays(self) -> dict[str, np.ndarray]:
         """Live views of all parameters, keyed 'layer.weight' / 'layer.bias'."""
         out = {}
@@ -268,17 +292,19 @@ def build_net(
     out_dim: int = 1,
     dropout_p: float = 0.1,
     normalize_output: bool = False,
+    dtype=np.float64,
 ) -> AdaptorNet:
-    """Seeded construction; head is drawn after the trunk on the same stream."""
+    """Seeded construction; head is drawn after the trunk on the same stream.
+    The parameters are drawn in float64 and stored in `dtype`."""
     rng = (
         seed_or_rng
         if isinstance(seed_or_rng, np.random.Generator)
         else np.random.default_rng(seed_or_rng)
     )
     layers = {
-        "adaptor1": init_layer(rng, feat_dim, hidden_dim),
-        "adaptor2": init_layer(rng, hidden_dim, hidden_dim),
-        "head": init_layer(rng, 2 * hidden_dim, out_dim),
+        "adaptor1": init_layer(rng, feat_dim, hidden_dim, dtype),
+        "adaptor2": init_layer(rng, hidden_dim, hidden_dim, dtype),
+        "head": init_layer(rng, 2 * hidden_dim, out_dim, dtype),
     }
     return AdaptorNet(
         layers=layers,
@@ -292,7 +318,8 @@ def build_net(
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one batched forward pass, consumed by backward."""
+    """Intermediates of one batched forward pass, consumed by backward. Every
+    array but `offsets` has the net's dtype."""
 
     x: np.ndarray           # stacked input (sum T, D)
     a1: np.ndarray          # pre-ReLU of adaptor1
@@ -313,7 +340,8 @@ def forward_batch(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardCache:
-    """Run a list of (T_i, D) sequences through the network as one stack."""
+    """Run a list of (T_i, D) sequences through the network as one stack,
+    cast once to the net's dtype."""
     if not seqs:
         raise EmptyInputError("forward_batch needs at least one sequence")
     bad = [s.shape for s in seqs if s.ndim != 2 or s.shape[1] != net.feat_dim]
@@ -322,21 +350,21 @@ def forward_batch(
     lengths = [s.shape[0] for s in seqs]
     if min(lengths) < 1:
         raise EmptyInputError("sequences must have T >= 1")
-    x = np.concatenate(seqs, axis=0)
+    x = np.concatenate(seqs, axis=0, dtype=net.dtype)
     offsets = np.cumsum([0, *lengths])
 
     a1 = linear_forward(net.layers["adaptor1"], x)
     r1 = relu(a1)
     mask1 = mask2 = None
     if training and net.dropout_p > 0.0:
-        mask1 = dropout_mask(r1.shape, net.dropout_p, rng)
+        mask1 = dropout_mask(r1.shape, net.dropout_p, rng, net.dtype)
         h1 = r1 * mask1
     else:
         h1 = r1
     a2 = linear_forward(net.layers["adaptor2"], h1)
     r2 = relu(a2)
     if training and net.dropout_p > 0.0:
-        mask2 = dropout_mask(r2.shape, net.dropout_p, rng)
+        mask2 = dropout_mask(r2.shape, net.dropout_p, rng, net.dtype)
         h2 = r2 * mask2
     else:
         h2 = r2
@@ -357,7 +385,9 @@ def forward_batch(
 def backward_batch(
     net: AdaptorNet, cache: ForwardCache, grad_out: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. all parameters, given dL/d out."""
+    """Gradients of a scalar loss w.r.t. all parameters, given dL/d out,
+    which is cast to the net's dtype first."""
+    grad_out = np.asarray(grad_out, dtype=net.dtype)
     if net.normalize_output:
         # z = y / ||y||; dy = (dz - z (z . dz)) / ||y||
         z = cache.out
@@ -383,7 +413,7 @@ def backward_batch(
     if cache.mask1 is not None:
         grad_h1 = grad_h1 * cache.mask1
     grad_a1 = relu_backward(cache.a1, grad_h1)
-    gw, gb, _ = linear_backward(net.layers["adaptor1"], cache.x, grad_a1)
+    gw, gb = linear_param_grads(cache.x, grad_a1)
     grads["adaptor1.weight"] = gw
     grads["adaptor1.bias"] = gb
     return grads

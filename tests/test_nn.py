@@ -318,3 +318,85 @@ class TestNet:
         net = build_net(feat_dim=4, seed_or_rng=0)
         with pytest.raises(DimensionError):
             forward_batch(net, [np.ones((3, 5))])
+
+
+class TestDtype:
+    """A net keeps its dtype through a training step: activations, masks,
+    pooled statistics, output, gradients and the optimizer moments."""
+
+    @staticmethod
+    def _step(dtype, projector):
+        from dataclasses import fields
+
+        from sevreg.augment import AugmentConfig
+        from sevreg.contrastive import PairingSpec, build_batch, stage2_loss
+        from sevreg.nn import backward_batch
+        from sevreg.optim import init_optimizer, optimizer_step
+
+        rng = np.random.default_rng(5)
+        net = build_net(
+            feat_dim=4, seed_or_rng=1, hidden_dim=8, out_dim=6 if projector else 1,
+            normalize_output=projector, dtype=dtype,
+        )
+        seqs = [rng.standard_normal((t, 4)) for t in (5, 3, 7, 4)]
+        if projector:
+            labels = [1.0, 2.5, 4.0, 6.0]
+            batch = build_batch(list(zip(seqs, labels)), AugmentConfig(), rng)
+            cache = forward_batch(net, batch.views, training=True, rng=rng)
+            result = stage2_loss(cache.out, batch, PairingSpec("coarse"), 0.5, 1.0)
+            grad_out = result.grad
+            assert grad_out.dtype == dtype
+        else:
+            cache = forward_batch(net, seqs, training=True, rng=rng)
+            targets = np.array([1.0, 2.5, 4.0, 6.0])  # float64 labels
+            _, dpred = huber_loss_batch(cache.out[:, 0], targets, 0.5)
+            grad_out = dpred[:, None]
+        opt = init_optimizer(net.param_arrays(), lr=1e-3, weight_decay=0.01)
+        grads = backward_batch(net, cache, grad_out)
+        optimizer_step(net.param_arrays(), grads, opt)
+        arrays = {
+            f"cache.{f.name}": getattr(cache, f.name)
+            for f in fields(cache)
+            if f.name != "offsets" and getattr(cache, f.name) is not None
+        }
+        arrays.update({f"grad.{k}": v for k, v in grads.items()})
+        arrays.update({f"param.{k}": v for k, v in net.param_arrays().items()})
+        arrays.update({f"m.{k}": v for k, v in opt.m.items()})
+        arrays.update({f"v.{k}": v for k, v in opt.v.items()})
+        return net, arrays
+
+    @pytest.mark.parametrize("projector", [False, True], ids=["regression", "stage-2"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_keeps_the_net_dtype(self, dtype, projector):
+        net, arrays = self._step(dtype, projector)
+        assert net.dtype == dtype
+        expected = {"x", "a1", "h1", "a2", "h2", "mask1", "mask2", "pooled", "out"}
+        if projector:
+            expected.add("norms")
+        assert {k[len("cache."):] for k in arrays if k.startswith("cache.")} == expected
+        assert len([k for k in arrays if k.startswith(("m.", "v."))]) == 12
+        assert {k: a.dtype for k, a in arrays.items()} == {k: np.dtype(dtype) for k in arrays}
+
+    def test_init_draws_do_not_depend_on_dtype(self):
+        wide = build_net(feat_dim=4, seed_or_rng=3, hidden_dim=8)
+        narrow = build_net(feat_dim=4, seed_or_rng=3, hidden_dim=8, dtype=np.float32)
+        for k, v in wide.param_arrays().items():
+            assert np.array_equal(narrow.param_arrays()[k], v.astype(np.float32))
+
+    def test_dropout_keeps_pattern_and_stream(self):
+        rng64, rng32 = np.random.default_rng(4), np.random.default_rng(4)
+        wide = dropout_mask((50, 30), 0.3, rng64)
+        narrow = dropout_mask((50, 30), 0.3, rng32, np.float32)
+        assert narrow.dtype == np.float32
+        assert np.array_equal(narrow == 0, wide == 0)
+        assert np.array_equal(narrow, wide.astype(np.float32))
+        assert rng32.random() == rng64.random()
+        assert dropout_mask((2, 3), 0.0, None, np.float32).dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pooling_keeps_dtype(self, dtype):
+        h = np.random.default_rng(2).standard_normal((9, 3)).astype(dtype)
+        offsets = np.array([0, 2, 9])
+        pooled = stats_pool(h, offsets)
+        grad = stats_pool_backward(h, np.ones_like(pooled), offsets, pooled)
+        assert pooled.dtype == dtype and grad.dtype == dtype

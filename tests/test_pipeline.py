@@ -149,6 +149,28 @@ class TestStage1:
         assert any(h["val_srcc"] is not None for h in trained.history)
         assert "undefined" not in caplog.text
 
+    def test_kept_init_recorded_in_history(self, splits):
+        train, val, _ = splits
+        flat_val = Corpus(
+            [
+                Utterance(id=u.id, speaker_id=u.speaker_id, features=u.features, label=4.0)
+                for u in val
+            ],
+            name="flat",
+        )
+        result = train_regression(train, flat_val, MODEL, replace(STAGE, epochs=2), seed=1)
+        assert [h["best_epoch"] for h in result.history] == [None, None]
+
+    def test_best_epoch_recorded_in_history(self, stage1):
+        scores = [h["val_srcc"] for h in stage1.history]
+        best = [
+            max((e for e in range(k + 1) if scores[e] is not None),
+                key=lambda e: (scores[e], -e), default=None)
+            for k in range(STAGE.epochs)
+        ]
+        assert best[-1] is not None
+        assert [h["best_epoch"] for h in stage1.history] == best
+
     def test_history_records_epochs(self, stage1):
         assert [h["epoch"] for h in stage1.history] == list(range(STAGE.epochs))
         assert all("train_loss" in h and "val_srcc" in h for h in stage1.history)
@@ -362,6 +384,14 @@ class TestStage3:
         fresh = train_regression(train, val, MODEL, replace(STAGE, epochs=0), seed=0)
         assert np.array_equal(arrays["head.weight"], fresh.net.param_arrays()["head.weight"])
 
+    def test_trunk_beyond_float32_rejected(self, stage2_ckpt, splits):
+        ckpt, _ = stage2_ckpt
+        train, val, _ = splits
+        params = {k: v.astype(np.float64) for k, v in ckpt.params.items()}
+        params["adaptor2.bias"][0] = 1e39
+        with pytest.raises(FeatureFormatError, match=r"\['adaptor2.bias'\] hold values beyond float32"):
+            train_stage3(train, val, small_cfg(), replace(ckpt, params=params), seed=0)
+
     def test_no_checkpoint_equals_stage1_bit_for_bit(self, splits):
         train, val, _ = splits
         cfg = small_cfg()
@@ -544,6 +574,40 @@ class TestCheckpointIO:
         path = tmp_path / "c.dsqc"
         save_checkpoint(path, ckpt)
         assert load_checkpoint(path).meta["config"] == snapshot
+
+    def test_float32_net_round_trips_bit_exact(self, stage1, tmp_path):
+        path = tmp_path / "m.dsqc"
+        save_checkpoint(path, checkpoint_from_net(stage1.net, "stage1", {}))
+        net = net_from_checkpoint(load_checkpoint(path))
+        assert stage1.net.dtype == net.dtype == np.float32
+        for k, v in stage1.net.param_arrays().items():
+            assert net.param_arrays()[k].tobytes() == v.tobytes()
+
+    def test_float64_checkpoint_rounds_to_nearest(self, stage1, tmp_path):
+        ckpt = checkpoint_from_net(stage1.net, "stage1", {})
+        rng = np.random.default_rng(3)
+        wide = {k: rng.uniform(-1.0, 1.0, size=v.shape) for k, v in ckpt.params.items()}
+        # just above, just below and exactly at the midpoint of 1 and 1 + 2^-23
+        wide["adaptor2.bias"][:3] = [1 + 2**-24 + 2**-40, 1 + 2**-24 - 2**-40, 1 + 2**-24]
+        ckpt.params = wide
+        path = tmp_path / "m.dsqc"
+        save_checkpoint(path, ckpt)
+        net = net_from_checkpoint(load_checkpoint(path))
+        got = net.param_arrays()
+        assert list(got["adaptor2.bias"][:3]) == [1 + 2**-23, 1.0, 1.0]
+        for k, v in wide.items():
+            r = got[k]
+            assert r.dtype == np.float32 and not np.array_equal(r, v)
+            err = np.abs(r.astype(np.float64) - v)
+            for side in (-np.inf, np.inf):
+                assert np.all(err <= np.abs(np.nextafter(r, side).astype(np.float64) - v))
+
+    def test_value_beyond_float32_rejected(self, stage1):
+        ckpt = checkpoint_from_net(stage1.net, "stage1", {})
+        ckpt.params["adaptor1.weight"] = ckpt.params["adaptor1.weight"].astype(np.float64)
+        ckpt.params["adaptor1.weight"][0, 0] = -1e39
+        with pytest.raises(FeatureFormatError, match=r"\['adaptor1.weight'\] hold values beyond float32"):
+            net_from_checkpoint(ckpt)
 
     def test_net_round_trip_predicts_identically(self, stage1, splits, tmp_path):
         _, _, test = splits
