@@ -5,7 +5,9 @@ dtype of its inputs: a net built in float32 (as the pipeline trains) runs in
 float32, one built in float64 (as the gradient checks use) in float64.
 Sequences are (T, D) matrices; batches of sequences are processed as one
 stacked matrix with segmented pooling, which keeps the matmuls large and the
-gradients exact.
+gradients exact. In training with dropout, ReLU and dropout are one
+multiplier per hidden layer: the ReLU gate times the inverted-dropout scale,
+applied forward as h = a * mask and backward as grad_a = grad_h * mask.
 """
 
 from __future__ import annotations
@@ -76,7 +78,9 @@ def linear_forward(params: LayerParams, x: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"linear expects (T, {params.in_dim}), got {x.shape}"
         )
-    return x @ params.weight.T + params.bias
+    y = x @ params.weight.T
+    y += params.bias
+    return y
 
 
 def linear_param_grads(
@@ -110,16 +114,31 @@ def dropout_mask(
     p: float,
     rng: np.random.Generator | None,
     dtype=np.float64,
+    gate: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inverted-dropout multiplier in `dtype`: 0 with probability p, else
-    1/(1-p). The keep draw is float64 in every dtype."""
+    1/(1-p).
+
+    Each element draws one uint32 u from the generator's raw 64-bit words,
+    two per word, and is kept where u >= round(p * 2**32) (capped at
+    2**32 - 1), so the keep probability is 1 - p to within 2**-32 and n
+    elements advance the stream by ceil(n/2) words. A boolean `gate` of the
+    same shape is ANDed into the keep mask; forward_batch passes a > 0, so
+    one multiplier applies ReLU and dropout together.
+    """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
-        return np.ones(shape, dtype=dtype)
-    if rng is None:
+        keep = np.ones(shape, dtype=bool)
+    elif rng is None:
         raise ParameterError("training-mode dropout needs a seeded generator")
-    keep = rng.random(shape) >= p
+    else:
+        n = math.prod(shape)
+        words = rng.bit_generator.random_raw((n + 1) // 2)
+        threshold = np.uint32(min(round(p * 2.0**32), 2**32 - 1))
+        keep = words.view(np.uint32)[:n].reshape(shape) >= threshold
+    if gate is not None:
+        keep &= gate
     return np.divide(keep, 1.0 - p, dtype=dtype)
 
 
@@ -323,15 +342,35 @@ class ForwardCache:
 
     x: np.ndarray           # stacked input (sum T, D)
     a1: np.ndarray          # pre-ReLU of adaptor1
-    h1: np.ndarray          # post dropout
+    h1: np.ndarray          # post ReLU/dropout: a1 * mask1, or relu(a1)
     a2: np.ndarray
     h2: np.ndarray
-    mask1: np.ndarray | None
+    mask1: np.ndarray | None  # ReLU gate x dropout multiplier; None without dropout
     mask2: np.ndarray | None
     offsets: np.ndarray     # segment boundaries into the stacked rows
     pooled: np.ndarray      # (B, 2 * hidden_dim): mean | std, reused by backward
     out: np.ndarray         # final output (B, out_dim)
     norms: np.ndarray | None = None  # row norms used when normalize_output
+
+
+def _relu_dropout(
+    net: AdaptorNet, a: np.ndarray, drop: bool, rng: np.random.Generator | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """ReLU, then dropout when `drop`: returns (h, mask). With dropout the
+    mask is the ReLU gate times the dropout multiplier, and h = a * mask."""
+    if not drop:
+        return relu(a), None
+    mask = dropout_mask(a.shape, net.dropout_p, rng, net.dtype, gate=a > 0.0)
+    return a * mask, mask
+
+
+def _relu_dropout_backward(
+    a: np.ndarray, mask: np.ndarray | None, grad_h: np.ndarray
+) -> np.ndarray:
+    """dL/da from dL/dh; overwrites grad_h when there is a mask."""
+    if mask is None:
+        return relu_backward(a, grad_h)
+    return np.multiply(grad_h, mask, out=grad_h)
 
 
 def forward_batch(
@@ -353,21 +392,11 @@ def forward_batch(
     x = np.concatenate(seqs, axis=0, dtype=net.dtype)
     offsets = np.cumsum([0, *lengths])
 
+    drop = training and net.dropout_p > 0.0
     a1 = linear_forward(net.layers["adaptor1"], x)
-    r1 = relu(a1)
-    mask1 = mask2 = None
-    if training and net.dropout_p > 0.0:
-        mask1 = dropout_mask(r1.shape, net.dropout_p, rng, net.dtype)
-        h1 = r1 * mask1
-    else:
-        h1 = r1
+    h1, mask1 = _relu_dropout(net, a1, drop, rng)
     a2 = linear_forward(net.layers["adaptor2"], h1)
-    r2 = relu(a2)
-    if training and net.dropout_p > 0.0:
-        mask2 = dropout_mask(r2.shape, net.dropout_p, rng, net.dtype)
-        h2 = r2 * mask2
-    else:
-        h2 = r2
+    h2, mask2 = _relu_dropout(net, a2, drop, rng)
 
     pooled = stats_pool(h2, offsets)
     out = linear_forward(net.layers["head"], pooled)
@@ -403,16 +432,12 @@ def backward_batch(
 
     grad_h2 = stats_pool_backward(cache.h2, grad_pooled, cache.offsets, cache.pooled)
 
-    if cache.mask2 is not None:
-        grad_h2 = grad_h2 * cache.mask2
-    grad_a2 = relu_backward(cache.a2, grad_h2)
+    grad_a2 = _relu_dropout_backward(cache.a2, cache.mask2, grad_h2)
     gw, gb, grad_h1 = linear_backward(net.layers["adaptor2"], cache.h1, grad_a2)
     grads["adaptor2.weight"] = gw
     grads["adaptor2.bias"] = gb
 
-    if cache.mask1 is not None:
-        grad_h1 = grad_h1 * cache.mask1
-    grad_a1 = relu_backward(cache.a1, grad_h1)
+    grad_a1 = _relu_dropout_backward(cache.a1, cache.mask1, grad_h1)
     gw, gb = linear_param_grads(cache.x, grad_a1)
     grads["adaptor1.weight"] = gw
     grads["adaptor1.bias"] = gb

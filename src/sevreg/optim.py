@@ -16,6 +16,9 @@ class OptimState:
     decoupled=True applies weight decay directly to the parameters (AdamW);
     decoupled=False folds lr*decay*w into the gradient before the moment
     updates (classic L2-coupled Adam).
+
+    `scratch` holds two work arrays per parameter, shaped and typed like it,
+    through which optimizer_step evaluates the update without allocating.
     """
 
     lr: float
@@ -27,6 +30,7 @@ class OptimState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 def init_optimizer(
@@ -38,6 +42,7 @@ def init_optimizer(
     state = OptimState(lr=lr, weight_decay=weight_decay, decoupled=decoupled)
     state.m = {k: np.zeros_like(p) for k, p in params.items()}
     state.v = {k: np.zeros_like(p) for k, p in params.items()}
+    state.scratch = {k: (np.empty_like(p), np.empty_like(p)) for k, p in params.items()}
     return state
 
 
@@ -55,15 +60,23 @@ def optimizer_step(
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
     for name, p in params.items():
+        # These terms, each rounded in the same order, so the result is bit
+        # for bit that of the plain expressions:
+        #   g = g + wd * p                          (coupled decay)
+        #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g**2
+        #   p -= lr * wd * p                        (decoupled decay)
+        #   p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         g = grads[name]
+        m, v = state.m[name], state.v[name]
+        s, u = state.scratch[name]
         if not state.decoupled and state.weight_decay != 0.0:
-            g = g + state.weight_decay * p
-        m = state.m[name]
-        v = state.v[name]
+            g = np.add(g, np.multiply(state.weight_decay, p, out=s), out=s)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(1.0 - state.beta1, g, out=u)
         v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
+        v += np.multiply(1.0 - state.beta2, np.square(g, out=u), out=u)
         if state.decoupled and state.weight_decay != 0.0:
-            p -= state.lr * state.weight_decay * p
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+            p -= np.multiply(state.lr * state.weight_decay, p, out=u)
+        np.multiply(state.lr, np.divide(m, bc1, out=s), out=s)
+        np.add(np.sqrt(np.divide(v, bc2, out=u), out=u), state.eps, out=u)
+        p -= np.divide(s, u, out=s)

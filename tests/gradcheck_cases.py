@@ -127,14 +127,22 @@ def huber_case(rng):
     return loss_fn, np.array([pred0])
 
 
-def _relu_margin(net, seqs) -> float:
+def _forward(net, seqs, drop_seed=None):
+    """Eval-mode forward, or with `drop_seed` a training-mode one whose
+    dropout generator is re-seeded on every call, so the mask stays fixed."""
+    if drop_seed is None:
+        return forward_batch(net, seqs, training=False)
+    return forward_batch(net, seqs, training=True, rng=np.random.default_rng(drop_seed))
+
+
+def _relu_margin(net, seqs, drop_seed=None) -> float:
     """Smallest |pre-activation|; tiny margins straddle the ReLU kink under
     central differences, so instances are resampled until clear of it."""
-    cache = forward_batch(net, seqs, training=False)
+    cache = _forward(net, seqs, drop_seed)
     return min(float(np.min(np.abs(cache.a1))), float(np.min(np.abs(cache.a2))))
 
 
-def _net_case(rng, projector: bool):
+def _net_case(rng, projector: bool, dropout_p: float = 0.0):
     feat_dim, hidden = 3, 4
     while True:
         seqs = [
@@ -145,16 +153,17 @@ def _net_case(rng, projector: bool):
             seed_or_rng=int(rng.integers(1 << 30)),
             hidden_dim=hidden,
             out_dim=4 if projector else 1,
-            dropout_p=0.0,
+            dropout_p=dropout_p,
             normalize_output=projector,
         )
-        if _relu_margin(net, seqs) > 5e-4:
+        drop_seed = int(rng.integers(1 << 30)) if dropout_p > 0.0 else None
+        if _relu_margin(net, seqs, drop_seed) > 5e-4:
             break
     template = {k: np.zeros_like(v) for k, v in net.param_arrays().items()}
     if projector:
         w_out = rng.standard_normal((3, 4))
     else:
-        cache = forward_batch(net, seqs, training=False)
+        cache = _forward(net, seqs, drop_seed)
         # keep each |error| away from the Huber delta kink as well
         targets = cache.out[:, 0] + rng.choice([-1.5, -0.25, 0.25, 1.5], size=3)
 
@@ -163,7 +172,7 @@ def _net_case(rng, projector: bool):
         arrays = net.param_arrays()
         for k, v in values.items():
             arrays[k][...] = v
-        cache = forward_batch(net, seqs, training=False)
+        cache = _forward(net, seqs, drop_seed)
         if projector:
             value = float(np.sum(cache.out * w_out))
             grads = backward_batch(net, cache, w_out)
@@ -178,6 +187,12 @@ def _net_case(rng, projector: bool):
 def regression_net_case(rng):
     """Full regression network (linear/ReLU/pool/head) into Huber."""
     return _net_case(rng, projector=False)
+
+
+def regression_net_dropout_case(rng):
+    """Training-mode regression network: the fused ReLU-dropout multiplier,
+    forward and backward, with the dropout mask held fixed."""
+    return _net_case(rng, projector=False, dropout_p=0.3)
 
 
 def projector_case(rng):
@@ -276,6 +291,7 @@ GRADIENT_SUITE = [
     ("stats_pool[segments]", stats_pool_segments_case, 1e-4),
     ("huber", huber_case, 1e-4),
     ("regression-net", regression_net_case, 1e-4),
+    ("regression-net[dropout]", regression_net_dropout_case, 1e-4),
     ("projector", projector_case, 1e-4),
     ("simclr_loss", simclr_case, 1e-3),
     ("ntxent[sup]", lambda rng: ntxent_case(rng, "sup"), 1e-3),

@@ -1,5 +1,7 @@
 """Layer forward/backward behavior and the frozen numeric examples."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,16 @@ from sevreg import nn
 from sevreg.errors import DimensionError, EmptyInputError, ParameterError
 from sevreg.nn import (
     LayerParams,
+    backward_batch,
     build_net,
     dropout_mask,
     forward_batch,
     huber_loss,
     huber_loss_batch,
     init_layer,
+    linear_backward,
     linear_forward,
+    linear_param_grads,
     relu,
     relu_backward,
     stats_pool,
@@ -118,6 +123,90 @@ class TestDropout:
         seqs = [np.ones((3, 4))]
         with pytest.raises(ParameterError):
             forward_batch(self._net(), seqs, training=True, rng=None)
+
+
+class TestFusedDropout:
+    """The keep draw from raw 32-bit words, the ReLU gate, and the one
+    multiplier that training applies forward and backward."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    def test_keep_rate(self, p):
+        n = 200_000
+        mask = dropout_mask((n,), p, np.random.default_rng(21))
+        kept = np.count_nonzero(mask) / n
+        assert abs(kept - (1.0 - p)) < 5.0 * np.sqrt(p * (1.0 - p) / n)
+        assert set(np.unique(mask)) == {0.0, 1.0 / (1.0 - p)}
+
+    def test_gate_zeroes_exactly_its_false_positions(self):
+        gate = np.random.default_rng(3).random((40, 25)) < 0.5
+        plain = dropout_mask(gate.shape, 0.3, np.random.default_rng(8))
+        gated = dropout_mask(gate.shape, 0.3, np.random.default_rng(8), gate=gate)
+        assert np.array_equal(gated, np.where(gate, plain, 0.0))
+
+    def test_p_near_one_neither_overflows_nor_raises(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for dtype in (np.float32, np.float64):
+                mask = dropout_mask((64, 64), 1.0 - 1e-12, np.random.default_rng(0), dtype)
+                assert mask.dtype == dtype and np.all(np.isfinite(mask))
+
+    def test_odd_count_advances_the_stream_by_half_words(self):
+        drawn, ref = np.random.default_rng(6), np.random.default_rng(6)
+        dropout_mask((3, 5), 0.2, drawn)
+        ref.bit_generator.random_raw(8)  # ceil(15 / 2)
+        assert np.array_equal(
+            drawn.bit_generator.random_raw(4), ref.bit_generator.random_raw(4)
+        )
+
+    def test_fused_step_equals_unfused_reference(self, monkeypatch):
+        p = 0.3
+        net = build_net(feat_dim=4, seed_or_rng=2, hidden_dim=12, dropout_p=p)
+        rng = np.random.default_rng(13)
+        seqs = [rng.standard_normal((t, 4)) for t in (6, 2, 9)]
+        grad_out = rng.standard_normal((3, 1))
+        # training mode applies the one multiplier and never the plain ReLU ops
+        monkeypatch.setattr(nn, "relu", None)
+        monkeypatch.setattr(nn, "relu_backward", None)
+        cache = forward_batch(net, seqs, training=True, rng=np.random.default_rng(5))
+        grads = backward_batch(net, cache, grad_out)
+        monkeypatch.undo()
+
+        layers, ref_rng = net.layers, np.random.default_rng(5)
+        x = np.concatenate(seqs)
+        a1 = linear_forward(layers["adaptor1"], x)
+        keep1 = dropout_mask(a1.shape, p, ref_rng)
+        h1 = relu(a1) * keep1
+        a2 = linear_forward(layers["adaptor2"], h1)
+        keep2 = dropout_mask(a2.shape, p, ref_rng)
+        h2 = relu(a2) * keep2
+        pooled = stats_pool(h2, cache.offsets)
+        out = linear_forward(layers["head"], pooled)
+        for name, ref in {"h1": h1, "h2": h2, "pooled": pooled, "out": out}.items():
+            assert np.array_equal(getattr(cache, name), ref), name
+
+        gw3, gb3, grad_pooled = linear_backward(layers["head"], pooled, grad_out)
+        grad_h2 = stats_pool_backward(h2, grad_pooled, cache.offsets, pooled)
+        grad_a2 = relu_backward(a2, grad_h2 * keep2)
+        gw2, gb2, grad_h1 = linear_backward(layers["adaptor2"], h1, grad_a2)
+        gw1, gb1 = linear_param_grads(x, relu_backward(a1, grad_h1 * keep1))
+        ref_grads = {
+            "head.weight": gw3, "head.bias": gb3,
+            "adaptor2.weight": gw2, "adaptor2.bias": gb2,
+            "adaptor1.weight": gw1, "adaptor1.bias": gb1,
+        }
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            assert np.array_equal(grads[name], ref), name
+
+    def test_nan_pre_activation_reaches_the_output(self):
+        net = build_net(feat_dim=4, seed_or_rng=0, hidden_dim=8, dropout_p=0.5)
+        rng = np.random.default_rng(1)
+        seqs = [rng.standard_normal((5, 4)), rng.standard_normal((3, 4))]
+        seqs[0][2, 1] = np.nan
+        cache = forward_batch(net, seqs, training=True, rng=rng)
+        assert np.isnan(cache.h1[2]).all()  # dropped and gated units too
+        assert np.isnan(cache.out[0]).all()
+        assert np.all(np.isfinite(cache.out[1]))
 
 
 class TestStatsPool:

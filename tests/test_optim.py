@@ -65,3 +65,47 @@ def test_step_counter_increases():
     for i in range(5):
         optimizer_step(params, {"w": np.ones(3)}, opt)
         assert opt.step == i + 1
+
+
+def expression_form_step(params, grads, m, v, t, lr, wd, decoupled,
+                         beta1=0.9, beta2=0.999, eps=1e-8):
+    """The bias-corrected update written as plain expressions, one temporary
+    per term: the reference optimizer_step must match bit for bit."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g = grads[name]
+        if not decoupled and wd != 0.0:
+            g = g + wd * p
+        mn, vn = m[name], v[name]
+        mn *= beta1
+        mn += (1.0 - beta1) * g
+        vn *= beta2
+        vn += (1.0 - beta2) * np.square(g)
+        if decoupled and wd != 0.0:
+            p -= lr * wd * p
+        p -= lr * (mn / bc1) / (np.sqrt(vn / bc2) + eps)
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+@pytest.mark.parametrize("decoupled", [True, False], ids=["decoupled", "coupled"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matches_expression_form_bit_for_bit(dtype, decoupled, wd):
+    rng = np.random.default_rng(17)
+    shapes = {"layer.weight": (12, 5), "layer.bias": (12,)}
+    params = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+    live = dict(params)
+    opt = init_optimizer(params, lr=1e-2, weight_decay=wd, decoupled=decoupled)
+    for t in range(1, 21):
+        grads = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+        optimizer_step(params, grads, opt)
+        expression_form_step(ref, grads, ref_m, ref_v, t, 1e-2, wd, decoupled)
+    for k in shapes:
+        assert params[k] is live[k]  # updated in place
+        assert params[k].dtype == dtype and opt.m[k].dtype == dtype
+        assert np.array_equal(params[k], ref[k])
+        assert np.array_equal(opt.m[k], ref_m[k])
+        assert np.array_equal(opt.v[k], ref_v[k])
