@@ -14,7 +14,6 @@ from sevreg.data import label_histogram
 from sevreg.experiments import split_labeled
 from sevreg.pipeline import (
     build_stage2_corpus,
-    checkpoint_from_net,
     evaluate,
     pseudo_label,
     train_regression,
@@ -66,8 +65,7 @@ for h in stage2.history:
 # Stage 3: transfer the trunk and fine-tune; compare against the baseline
 # ---------------------------------------------------------------------------
 print("\n== stage 3: fine-tune ==")
-ckpt = checkpoint_from_net(stage2.net, "stage2", {})
-stage3 = train_stage3(train, val, cfg, ckpt, seed=0)
+stage3 = train_stage3(train, val, cfg, stage2.net, seed=0)
 
 print("\n== comparison ==")
 for name, model in (("baseline (stage 1 only)", stage1.net), ("three-stage", stage3.net)):

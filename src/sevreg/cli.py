@@ -12,18 +12,13 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, apply_overrides, config_from_dict, config_to_dict
-from .data import atomic_write, label_histogram, load_corpus, save_corpus
+from .data import load_corpus, save_corpus
 from .errors import ConfigError, SevregError, TrainingDivergedError
 from .evaluation import write_report_json, write_results_csv
-from .experiments import ABLATION_VARIANTS, TAU_GRID, Stages, ablate, run_all, sweep_tau
-from .pipeline import (
-    checkpoint_from_net,
-    dump_embeddings,
-    load_checkpoint,
-    net_from_checkpoint,
-    pseudo_label,
-    save_checkpoint,
+from .experiments import (
+    ABLATION_VARIANTS, CHECKPOINTS, TAU_GRID, Stages, ablate, run_all, sweep_tau,
 )
+from .pipeline import dump_embeddings, load_checkpoint, net_from_checkpoint, pseudo_label
 from .synthetic import build_world
 
 logger = logging.getLogger(__name__)
@@ -92,14 +87,11 @@ def cmd_stage1(cfg: RunConfig, args) -> int:
     stages = stage_runner(cfg)
     require_pseudo_labels(stages)
     run_dir = Path(args.run_dir)
+    history = stages.read_history(run_dir)
     result = stages.teacher().fit
     persist_config(cfg, run_dir)
-    save_checkpoint(
-        run_dir / "stage1.dsqc",
-        checkpoint_from_net(result.net, "stage1", stages.resolved),
-    )
-    atomic_write(run_dir / "history.json", json.dumps(result.history, indent=2) + "\n")
-    print(f"stage1 checkpoint written to {run_dir / 'stage1.dsqc'}")
+    stages.save(run_dir, {"stage1": result}, history)
+    print(f"stage1 checkpoint written to {run_dir / CHECKPOINTS['stage1']}")
     return 0
 
 
@@ -107,13 +99,9 @@ def cmd_pseudo_label(cfg: RunConfig, args) -> int:
     stages = stage_runner(cfg)
     require_pseudo_labels(stages)
     run_dir = Path(args.run_dir)
-    ckpt = load_checkpoint(run_dir / "stage1.dsqc")
-    pseudo = pseudo_label(net_from_checkpoint(ckpt), stages.corpora["unlabeled"])
+    pseudo = pseudo_label(stages.load(run_dir, "stage1"), stages.corpora["unlabeled"])
     save_corpus(pseudo, run_dir / "pseudo")
-    write_report_json(
-        run_dir / "pseudo_histogram.json",
-        {str(k): v for k, v in label_histogram(pseudo).items()},
-    )
+    stages.save_pool_histogram(run_dir, pseudo)
     print(f"pseudo-labeled corpus written to {run_dir / 'pseudo'}")
     return 0
 
@@ -125,35 +113,33 @@ def cmd_stage2(cfg: RunConfig, args) -> int:
             "this config trains no stage 2 (strategy 'baseline' or ablation.skip_stage2)"
         )
     run_dir = Path(args.run_dir)
-    result = stages.stage2(stages.pool(lambda: load_corpus(run_dir / "pseudo")))
+    history = stages.read_history(run_dir)
+    pool = stages.pool(lambda: load_corpus(run_dir / "pseudo"))
+    result = stages.stage2(pool)
     persist_config(cfg, run_dir)
-    save_checkpoint(
-        run_dir / "stage2.dsqc",
-        checkpoint_from_net(result.net, "stage2", stages.resolved),
-    )
-    print(f"stage2 checkpoint written to {run_dir / 'stage2.dsqc'}")
+    stages.save(run_dir, {"stage2": result}, history)
+    stages.save_pool_histogram(run_dir, pool)
+    print(f"stage2 checkpoint written to {run_dir / CHECKPOINTS['stage2']}")
     return 0
 
 
 def cmd_stage3(cfg: RunConfig, args) -> int:
     stages = stage_runner(cfg)
     run_dir = Path(args.run_dir)
-    result = stages.final(lambda: load_checkpoint(run_dir / "stage2.dsqc"))
+    history = stages.read_history(run_dir)
+    result = stages.final(lambda: stages.load(run_dir, "stage2"))
     persist_config(cfg, run_dir)
-    save_checkpoint(
-        run_dir / "model.dsqc",
-        checkpoint_from_net(result.net, "final", stages.resolved),
-    )
-    print(f"final model written to {run_dir / 'model.dsqc'}")
+    stages.save(run_dir, {"final": result}, history)
+    print(f"final model written to {run_dir / CHECKPOINTS['final']}")
     return 0
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     stages = stage_runner(cfg)
     run_dir = Path(args.run_dir)
-    ckpt_path = Path(args.checkpoint) if args.checkpoint else run_dir / "model.dsqc"
+    ckpt_path = Path(args.checkpoint) if args.checkpoint else run_dir / CHECKPOINTS["final"]
     reports = stages.evaluate(net_from_checkpoint(load_checkpoint(ckpt_path)))
-    write_report_json(run_dir / "report.json", stages.report(reports))
+    stages.save_report(run_dir, reports)
     write_results_csv(run_dir / "results.csv", stages.rows(reports))
     for r in reports:
         tag = " [FLAGGED: " + r.flag_reason + "]" if r.flagged else ""

@@ -1,6 +1,7 @@
 """Experiment flows: single runs, multi-seed runs, the temperature sweep,
-and the ablation harness. These produce the run-directory artifacts
-(resolved config, checkpoints, report.json, results.csv)."""
+and the ablation harness. These produce the run-directory artifacts; the
+files of a seed directory are written and read by `Stages` alone, for
+run-all and the CLI stage commands alike."""
 
 from __future__ import annotations
 
@@ -14,15 +15,16 @@ import numpy as np
 
 from .config import RunConfig, config_to_dict, run_id_for
 from .data import Corpus, atomic_write, label_histogram, pseudo_pool, split
-from .errors import ConfigError
+from .errors import ConfigError, FeatureFormatError
 from .evaluation import EvalReport, write_report_json, write_results_csv
 from .nn import AdaptorNet
 from .pipeline import (
-    Checkpoint,
     StageResult,
     build_stage2_corpus,
     checkpoint_from_net,
     evaluate,
+    load_checkpoint,
+    net_from_checkpoint,
     pseudo_label,
     save_checkpoint,
     train_regression,
@@ -38,6 +40,10 @@ TAU_GRID = (0.1, 1.0, 10.0, 50.0, 100.0)
 ABLATION_VARIANTS = (
     "full", "wo_libri", "wo_unlabeled", "wo_var", "skip_stage1", "skip_stage2",
 )
+
+# The checkpoint each stage leaves in a seed directory. The keys, in this
+# order, are also the sections of its history.json.
+CHECKPOINTS = {"stage1": "stage1.dsqc", "stage2": "stage2.dsqc", "final": "model.dsqc"}
 
 
 def split_labeled(labeled: Corpus, world: WorldConfig) -> tuple[Corpus, Corpus, Corpus]:
@@ -160,10 +166,10 @@ class Stages:
         )
         return train_stage2(mixed, cfg.model, cfg.stage2, self.seed, cfg.strategy)
 
-    def final(self, stage2: Callable[[], Checkpoint]) -> StageResult:
-        """The evaluated model: a fine-tune from the trunk of the checkpoint
-        `stage2` returns, or without a stage 2 the teacher fit of `stage1`
-        (baseline) or `stage3` (stage 2 skipped)."""
+    def final(self, stage2: Callable[[], AdaptorNet]) -> StageResult:
+        """The evaluated model: a fine-tune from the trunk of the net `stage2`
+        returns, or without a stage 2 the teacher fit of `stage1` (baseline)
+        or `stage3` (stage 2 skipped)."""
         if not self.has_stage2:
             section = "stage1" if self.cfg.strategy == "baseline" else "stage3"
             return self.teacher(section).result()
@@ -191,13 +197,56 @@ class Stages:
             for r in reports
         ]
 
-    def report(self, reports: list[EvalReport]) -> dict:
-        return {
-            "run_id": self.run_id,
-            "strategy": self.cfg.strategy,
-            "seed": self.seed,
-            "reports": [r.to_dict() for r in reports],
-        }
+    # -- the seed directory -------------------------------------------------
+
+    @staticmethod
+    def load(run_dir: Path, stage: str) -> AdaptorNet:
+        """The net of a stage's checkpoint, through the strict reader."""
+        return net_from_checkpoint(load_checkpoint(run_dir / CHECKPOINTS[stage]))
+
+    @staticmethod
+    def read_history(run_dir: Path) -> dict[str, list]:
+        """The history.json an earlier step left, or empty sections; a file
+        that is not one list per section raises FeatureFormatError."""
+        path = run_dir / "history.json"
+        if not path.exists():
+            return {stage: [] for stage in CHECKPOINTS}
+        try:
+            history = json.loads(path.read_bytes())
+            if not isinstance(history, dict) or history.keys() != CHECKPOINTS.keys() or any(
+                not isinstance(rows, list) for rows in history.values()
+            ):
+                raise ValueError(f"expected an object with one list per section {list(CHECKPOINTS)}")
+        except (ValueError, RecursionError) as exc:
+            raise FeatureFormatError(f"bad {path}: {exc}") from exc
+        return history
+
+    def save(
+        self, run_dir: Path, results: dict[str, StageResult | None], history: dict | None = None
+    ) -> None:
+        """Write the checkpoint of each stage in `results` that ran, then
+        history.json: `history` with the sections of `results` replaced."""
+        run_dir.mkdir(parents=True, exist_ok=True)
+        history = dict(history or {})
+        for stage, result in results.items():
+            history[stage] = result.history if result else []
+            if result:
+                ckpt = checkpoint_from_net(result.net, stage, self.resolved)
+                save_checkpoint(run_dir / CHECKPOINTS[stage], ckpt)
+        rows = {stage: history[stage] for stage in CHECKPOINTS}
+        atomic_write(run_dir / "history.json", json.dumps(rows, indent=2) + "\n")
+
+    @staticmethod
+    def save_pool_histogram(run_dir: Path, pool: Corpus | None) -> None:
+        """The label histogram of the stage-2 pool, when it is labelled."""
+        if pool is not None and any(u.label is not None for u in pool):
+            hist = {str(k): v for k, v in label_histogram(pool).items()}
+            write_report_json(run_dir / "pseudo_histogram.json", hist)
+
+    def save_report(self, run_dir: Path, reports: list[EvalReport]) -> None:
+        report = {"run_id": self.run_id, "strategy": self.cfg.strategy, "seed": self.seed}
+        report["reports"] = [r.to_dict() for r in reports]
+        write_report_json(run_dir / "report.json", report)
 
 
 def run_single(
@@ -212,51 +261,16 @@ def run_single(
     (speaker level), and optionally persist artifacts. Without a `memo`, a
     teacher is still shared between the stages of this run."""
     stages = Stages(cfg, corpora, seed, memo)
-    stage1: StageResult | None = None  # the teacher fit, once the pool reads it
-
-    def pseudo() -> Corpus:
-        nonlocal stage1
-        teacher = stages.teacher("stage1")
-        stage1 = teacher.fit
-        return teacher.pseudo(corpora["unlabeled"])
-
-    pool = stages.pool(pseudo)
+    stage1 = stages.teacher().fit if stages.pseudo_labels else None
+    pool = stages.pool(lambda: stages.teacher().pseudo(corpora["unlabeled"]))
     stage2 = stages.stage2(pool)
-    final = stages.final(
-        lambda: checkpoint_from_net(stage2.net, "stage2", stages.resolved)
-    )
+    final = stages.final(lambda: stage2.net)
     reports = stages.evaluate(final.net)
 
     if run_dir is not None:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        write_report_json(run_dir / "report.json", stages.report(reports))
-        atomic_write(
-            run_dir / "history.json",
-            json.dumps(
-                {
-                    "stage1": stage1.history if stage1 else [],
-                    "stage2": stage2.history if stage2 else [],
-                    "final": final.history,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        if pool is not None and any(u.label is not None for u in pool):
-            write_report_json(
-                run_dir / "pseudo_histogram.json",
-                {str(k): v for k, v in label_histogram(pool).items()},
-            )
-        for name, result in (("stage1", stage1), ("stage2", stage2)):
-            if result is not None:
-                save_checkpoint(
-                    run_dir / f"{name}.dsqc",
-                    checkpoint_from_net(result.net, name, stages.resolved),
-                )
-        save_checkpoint(
-            run_dir / "model.dsqc",
-            checkpoint_from_net(final.net, "final", stages.resolved),
-        )
+        stages.save(run_dir, {"stage1": stage1, "stage2": stage2, "final": final})
+        stages.save_pool_histogram(run_dir, pool)
+        stages.save_report(run_dir, reports)
 
     return {
         "run_id": stages.run_id,

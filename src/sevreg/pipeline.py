@@ -479,18 +479,18 @@ def train_stage3(
     train: Corpus,
     val: Corpus,
     cfg: RunConfig,
-    encoder_ckpt: Checkpoint | None,
+    encoder: AdaptorNet | None,
     seed: int,
 ) -> StageResult:
-    """Fine-tune with the first two layers seeded from a stage-2 checkpoint.
+    """Fine-tune with the first two layers seeded from a stage-2 net.
 
     The projection head is discarded; the fresh regression head comes from the
-    same seeded stream as stage 1, so a run without a checkpoint reproduces
+    same seeded stream as stage 1, so a run without an encoder reproduces
     stage 1 exactly.
     """
     init_trunk = None
-    if encoder_ckpt is not None:
-        init_trunk = {k: encoder_ckpt.params[k] for k in TRANSFER_KEYS}
+    if encoder is not None:
+        init_trunk = {k: encoder.param_arrays()[k] for k in TRANSFER_KEYS}
     return train_regression(
         train, val, cfg.model, cfg.stage3, seed, init_trunk=init_trunk
     )

@@ -1,6 +1,7 @@
 """End-to-end CLI wiring: subcommands, overrides, exit codes, artifacts."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,12 @@ def teacher_checkpoint(workspace, tmp_path_factory):
 CHAIN = ("stage1", "pseudo-label", "stage2", "stage3", "evaluate")
 NO_STAGE2 = ("stage1", "pseudo-label", "stage3", "evaluate")
 
+# The files a run-all seed directory may hold.
+SEED_FILES = (
+    "stage1.dsqc", "stage2.dsqc", "model.dsqc",
+    "history.json", "pseudo_histogram.json", "report.json",
+)
+
 
 class TestChainEqualsRunAll:
     """The stage commands run run-all's steps for one seed, `cfg.seed`, so the
@@ -334,15 +341,14 @@ class TestChainEqualsRunAll:
         run_dir = tmp_path / "chain"
         for step in steps:
             assert main([step, *common, "--run-dir", str(run_dir)]) == 0, step
-        for chain_file, run_all_file in (
-            ("model.dsqc", "seed_2/model.dsqc"),
-            ("results.csv", "results.csv"),
-        ):
-            assert (run_dir / chain_file).read_bytes() == (
-                run_all_dir / run_all_file
-            ).read_bytes(), chain_file
-        report = json.loads((run_dir / "report.json").read_text())
-        assert report == json.loads((run_all_dir / "seed_2/report.json").read_text())
+        seed_dir = run_all_dir / "seed_2"
+        written = [name for name in SEED_FILES if (seed_dir / name).exists()]
+        assert [name for name in SEED_FILES if (run_dir / name).exists()] == written
+        for name in written:
+            assert (run_dir / name).read_bytes() == (seed_dir / name).read_bytes(), name
+        assert (run_dir / "results.csv").read_bytes() == (
+            run_all_dir / "results.csv"
+        ).read_bytes()
 
     def test_stage3_without_stage2_checkpoint_exits_1(self, workspace, tmp_path):
         _, config_path, _ = workspace
@@ -383,6 +389,100 @@ class TestChainEqualsRunAll:
         assert "reads no stage-1 teacher" in capsys.readouterr().err
         assert list(run_dir.iterdir()) == [run_dir / "stage1.dsqc"]
         assert (run_dir / "stage1.dsqc").read_bytes() == teacher_checkpoint
+
+
+@pytest.fixture(scope="module")
+def stage2_inputs(workspace, tmp_path_factory):
+    """A run dir after stage1, pseudo-label and stage2 of the template config."""
+    _, config_path, _ = workspace
+    run_dir = tmp_path_factory.mktemp("inputs")
+    for step in ("stage1", "pseudo-label", "stage2"):
+        assert main([step, "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
+    return run_dir
+
+
+def drop_bias(params):
+    del params["adaptor1.bias"]
+
+
+def narrow_trunk(params):
+    params["adaptor2.weight"] = params["adaptor2.weight"][:, :-1]
+
+
+BAD_HISTORY = {
+    "not_json": b"{not json",
+    "list": b'[\n  {\n    "epoch": 0\n  }\n]\n',
+    "no_final": b'{"stage1": [], "stage2": []}\n',
+}
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if a stage step starts training."""
+    from sevreg import experiments
+
+    def trained(*args, **kwargs):
+        pytest.fail("a stage trained despite a corrupt input")
+
+    for name in ("train_regression", "train_stage2", "train_stage3"):
+        monkeypatch.setattr(experiments, name, trained)
+
+
+@pytest.mark.usefixtures("no_training")
+class TestStageInputs:
+    """A corrupt stage input exits 1 before any training, and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [(drop_bias, "adaptor1.bias"), (narrow_trunk, "adaptor2.weight"), (None, "byte offset")],
+        ids=["no_adaptor1_bias", "misshapen_trunk", "ten_bytes"],
+    )
+    def test_stage3_corrupt_stage2_checkpoint_exits_1(
+        self, workspace, stage2_inputs, tmp_path, capsys, mutate, named
+    ):
+        from sevreg.pipeline import load_checkpoint, save_checkpoint
+
+        _, config_path, _ = workspace
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        if mutate is None:
+            (run_dir / "stage2.dsqc").write_bytes(b"DSQC\x01\x00\x00\x00\x05\x00")
+        else:
+            ckpt = load_checkpoint(stage2_inputs / "stage2.dsqc")
+            mutate(ckpt.params)
+            save_checkpoint(run_dir / "stage2.dsqc", ckpt)
+        code = main(["stage3", "--config", str(config_path), "--run-dir", str(run_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err
+        assert named in err
+        assert not (run_dir / "model.dsqc").exists()
+
+    @pytest.mark.parametrize(
+        "step, inputs",
+        [("stage1", ()), ("stage2", ("pseudo",)), ("stage3", ("stage2.dsqc",))],
+        ids=["stage1", "stage2", "stage3"],
+    )
+    @pytest.mark.parametrize("history", BAD_HISTORY.values(), ids=list(BAD_HISTORY))
+    def test_bad_history_exits_1(
+        self, workspace, stage2_inputs, tmp_path, capsys, step, inputs, history
+    ):
+        _, config_path, _ = workspace
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in inputs:
+            source = stage2_inputs / name
+            copy = shutil.copytree if source.is_dir() else shutil.copyfile
+            copy(source, run_dir / name)
+        (run_dir / "history.json").write_bytes(history)
+        before = sorted(run_dir.rglob("*"))
+        code = main([step, "--config", str(config_path), "--run-dir", str(run_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err
+        assert str(run_dir / "history.json") in err
+        assert (run_dir / "history.json").read_bytes() == history
+        assert sorted(run_dir.rglob("*")) == before
 
 
 class TestRunAll:

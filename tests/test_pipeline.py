@@ -376,7 +376,7 @@ class TestStage3:
         ckpt, _ = stage2_ckpt
         train, val, _ = splits
         cfg = small_cfg(stage3=replace(STAGE, epochs=0))
-        result = train_stage3(train, val, cfg, ckpt, seed=0)
+        result = train_stage3(train, val, cfg, net_from_checkpoint(ckpt), seed=0)
         arrays = result.net.param_arrays()
         for key in ("adaptor1.weight", "adaptor1.bias", "adaptor2.weight", "adaptor2.bias"):
             assert np.array_equal(arrays[key], ckpt.params[key])
@@ -390,7 +390,8 @@ class TestStage3:
         params = {k: v.astype(np.float64) for k, v in ckpt.params.items()}
         params["adaptor2.bias"][0] = 1e39
         with pytest.raises(FeatureFormatError, match=r"\['adaptor2.bias'\] hold values beyond float32"):
-            train_stage3(train, val, small_cfg(), replace(ckpt, params=params), seed=0)
+            encoder = net_from_checkpoint(replace(ckpt, params=params))
+            train_stage3(train, val, small_cfg(), encoder, seed=0)
 
     def test_no_checkpoint_equals_stage1_bit_for_bit(self, splits):
         train, val, _ = splits
@@ -412,7 +413,7 @@ class TestStage3:
             normalize_output=True,
         )
         ckpt = checkpoint_from_net(untrained, "stage2", {})
-        result = train_stage3(train, val, small_cfg(), ckpt, seed=0)
+        result = train_stage3(train, val, small_cfg(), net_from_checkpoint(ckpt), seed=0)
         assert len(result.history) == STAGE.epochs
         report = evaluate(result.net, val, level="utterance")
         assert not report.flagged
@@ -430,7 +431,7 @@ class TestStage3:
         cfg = small_cfg()
         cfg.data.world = wrong
         with pytest.raises(TransferError) as err:
-            train_stage3(train, val, cfg, ckpt, seed=0)
+            train_stage3(train, val, cfg, net_from_checkpoint(ckpt), seed=0)
         assert "adaptor1.weight" in err.value.layers
 
 
