@@ -252,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-    except (SevregError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (SevregError, OSError, ValueError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -84,15 +84,15 @@ def build_batch(
 # ---------------------------------------------------------------------------
 
 
-def positive_pairs(batch: Batch, spec: PairingSpec) -> list[np.ndarray]:
-    """Per-anchor positive index sets P(i) over the 2B views, self excluded."""
+def positive_pairs(batch: Batch, spec: PairingSpec) -> np.ndarray:
+    """Positive sets over the 2B views as one (2B, 2B) boolean mask: row i
+    marks P(i), self excluded."""
     spec.validate()
     if spec.strategy == "simclr":
         return view_pairs(batch.b)
     y = batch.labels
     if np.any(np.isnan(y)):
         raise ParameterError("pairing requires labels on every view")
-    n = y.shape[0]
     if spec.strategy == "sup":
         same = y[:, None] == y[None, :]
     elif spec.strategy == "dis":
@@ -104,12 +104,12 @@ def positive_pairs(batch: Batch, spec: PairingSpec) -> list[np.ndarray]:
         side = y > spec.beta
         same = side[:, None] == side[None, :]
     np.fill_diagonal(same, False)
-    return [np.flatnonzero(same[i]) for i in range(n)]
+    return same
 
 
-def view_pairs(b: int) -> list[np.ndarray]:
+def view_pairs(b: int) -> np.ndarray:
     """P(i) = {k(i)}: each view's only positive is its sibling view."""
-    return [np.array([(i + b) % (2 * b)]) for i in range(2 * b)]
+    return np.roll(np.eye(2 * b, dtype=bool), b, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,25 +124,26 @@ class LossResult:
     skipped_anchors: int = 0
 
 
-def ntxent_loss(
-    z: np.ndarray, pairs: list[np.ndarray], tau: float
-) -> LossResult:
+def ntxent_loss(z: np.ndarray, pairs: np.ndarray, tau: float) -> LossResult:
     """Normalized temperature-scaled cross entropy over given positive sets.
 
     loss = -(1/n_active) sum_i (1/|P(i)|) sum_{p in P(i)}
            log( exp(z_i.z_p / tau) / sum_{j != i} exp(z_i.z_j / tau) )
 
-    Anchors with empty P(i) are skipped and excluded from the average. The
-    denominator uses a max-shifted log-sum-exp, so the small-tau end of the
-    temperature grid cannot overflow.
+    `pairs` is the (n, n) boolean mask of `positive_pairs`. Anchors with
+    empty P(i) are skipped and excluded from the average. The denominator
+    uses a max-shifted log-sum-exp, so the small-tau end of the temperature
+    grid cannot overflow.
     """
     if tau <= 0:
         raise ParameterError(f"temperature must be > 0, got {tau}")
     n = z.shape[0]
     if n < 2:
         raise ParameterError("ntxent_loss needs at least two views")
-    if len(pairs) != n:
-        raise DimensionError(f"{len(pairs)} positive sets for {n} embeddings")
+    if pairs.shape != (n, n):
+        raise DimensionError(f"positive mask of shape {pairs.shape} for {n} embeddings")
+    if pairs.dtype != bool:
+        raise ParameterError(f"positive mask must be boolean, got {pairs.dtype}")
     logits = (z @ z.T) / tau
     np.fill_diagonal(logits, -np.inf)  # exclude self from the denominator
     shift = logits.max(axis=1, keepdims=True)
@@ -151,21 +152,21 @@ def ntxent_loss(
     log_denom = shift + np.log(denom)
     q = expd / denom  # softmax over A(i), rows sum to 1
 
-    active = [i for i in range(n) if len(pairs[i]) > 0]
-    skipped = n - len(active)
-    if not active:
+    counts = pairs.sum(axis=1)
+    active = counts > 0
+    skipped = n - int(active.sum())
+    if skipped == n:
         return LossResult(0.0, np.zeros_like(z), skipped)
 
-    loss = 0.0
-    coeff = np.zeros((n, n), dtype=z.dtype)  # d loss / d logits
-    inv_active = 1.0 / len(active)
-    for i in active:
-        p = pairs[i]
-        inv_p = 1.0 / len(p)
-        loss -= inv_p * float(np.sum(logits[i, p] - log_denom[i]))
-        coeff[i] = q[i]
-        coeff[i, p] -= inv_p
-    loss *= inv_active
+    inv_p = 1.0 / np.maximum(counts, 1)
+    # d loss / d logits: softmax minus the uniform positive weights, zero on
+    # skipped rows. 1/|P| is rounded to z's dtype first, so the subtraction
+    # runs in that dtype and coeff never widens.
+    coeff = np.where(active[:, None], q, 0.0)
+    coeff -= pairs * inv_p.astype(z.dtype)[:, None]
+    log_prob = np.where(pairs, logits - log_denom, 0.0).sum(axis=1)
+    inv_active = 1.0 / (n - skipped)
+    loss = -float(np.sum(inv_p * log_prob)) * inv_active
     coeff *= inv_active / tau
     grad = coeff @ z + coeff.T @ z  # logits[i, j] touches both z_i and z_j
     return LossResult(loss, grad, skipped)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -172,11 +171,6 @@ def write_results_csv(path: str | Path, rows: list[dict]) -> None:
             )
         )
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-def read_results_csv(path: str | Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return [dict(r) for r in csv.DictReader(fh)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 supervised contrastive pretraining, and weight-transfer fine-tuning.
 
 All randomness flows from one run seed through fixed role keys, so a
-(config, seed, corpus) triple maps to bit-identical checkpoints.
+(config, seed, corpus) triple maps to bit-identical checkpoints at a fixed
+OPENBLAS_NUM_THREADS: the stage-2 weight-gradient products reduce in an
+order that depends on the BLAS thread count.
 """
 
 from __future__ import annotations

@@ -31,7 +31,12 @@ from sevreg.evaluation import pcc, rank, srcc
 from sevreg.experiments import ABLATION_VARIANTS, ablate, run_all, run_single, sweep_tau
 from sevreg.pipeline import evaluate, train_regression
 from sevreg.synthetic import SyntheticSpec, WorldConfig, build_world, gen_synthetic_corpus
-from test_contrastive import batch_from_labels, brute_force_pairs, double_loop_ntxent
+from test_contrastive import (
+    batch_from_labels,
+    brute_force_pairs,
+    double_loop_ntxent,
+    index_lists,
+)
 
 
 def report(number: int, description: str, ok: bool, detail: str = ""):
@@ -99,10 +104,10 @@ def test_criterion_02_oracle_equivalence():
         for strategy in ("sup", "dis", "con", "coarse"):
             pairs = positive_pairs(batch, PairingSpec(strategy=strategy))
             got = ntxent_loss(z, pairs, tau=0.5).value
-            want = double_loop_ntxent(z, [list(p) for p in pairs], 0.5)
+            want = double_loop_ntxent(z, [list(p) for p in index_lists(pairs)], 0.5)
             worst = max(worst, abs(got - want))
         sim = simclr_loss(z, tau=0.5).value
-        sim_want = double_loop_ntxent(z, [list(p) for p in view_pairs(b)], 0.5)
+        sim_want = double_loop_ntxent(z, [list(p) for p in index_lists(view_pairs(b))], 0.5)
         worst = max(worst, abs(sim - sim_want))
 
     pairing_ok = True
@@ -114,7 +119,7 @@ def test_criterion_02_oracle_equivalence():
         batch = batch_from_labels(labels)
         for strategy in ("sup", "dis", "con", "coarse"):
             spec = PairingSpec(strategy=strategy)
-            got = [list(p) for p in positive_pairs(batch, spec)]
+            got = [list(p) for p in index_lists(positive_pairs(batch, spec))]
             if got != brute_force_pairs(batch.labels, spec):
                 pairing_ok = False
     report(
@@ -130,7 +135,7 @@ def test_criterion_03_analytic_identities():
     z_row = rng.standard_normal(8)
     z_row /= np.linalg.norm(z_row)
     z_pair = np.vstack([z_row, z_row])
-    zero_loss = ntxent_loss(z_pair, [[1], [0]], tau=0.5).value
+    zero_loss = ntxent_loss(z_pair, np.array([[False, True], [True, False]]), tau=0.5).value
 
     b = 6
     z = rng.standard_normal((2 * b, 8))
@@ -160,14 +165,14 @@ def test_criterion_03_analytic_identities():
 
 def test_criterion_04_paper_pairing_semantics():
     batch = batch_from_labels([2.4, 2.6, 1.7])
-    dis = positive_pairs(batch, PairingSpec(strategy="dis"))
-    con = positive_pairs(batch, PairingSpec(strategy="con", alpha=0.5))
+    dis = index_lists(positive_pairs(batch, PairingSpec(strategy="dis")))
+    con = index_lists(positive_pairs(batch, PairingSpec(strategy="con", alpha=0.5)))
     boundary_ok = (
         1 not in dis[0] and 2 in dis[0] and 1 in con[0] and 2 not in con[0]
     )
 
     coarse_batch = batch_from_labels([1.0, 1.3, 1.5, 2.0, 6.0])
-    coarse = positive_pairs(coarse_batch, PairingSpec(strategy="coarse", beta=1.5))
+    coarse = index_lists(positive_pairs(coarse_batch, PairingSpec(strategy="coarse", beta=1.5)))
     low = {0, 1, 2, 5, 6, 7}   # labels <= 1.5 (typical side), both views
     high = {3, 4, 8, 9}        # labels > 1.5
     coarse_ok = all(

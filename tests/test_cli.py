@@ -1,5 +1,6 @@
 """End-to-end CLI wiring: subcommands, overrides, exit codes, artifacts."""
 
+import csv
 import json
 import shutil
 from pathlib import Path
@@ -7,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from sevreg.cli import main
-from sevreg.evaluation import read_results_csv
 
 WORLD = {
     "feat_dim": 8,
@@ -56,6 +56,11 @@ REMOVED_KEYS = (
     "stage1.decoupled_weight_decay",
     "stage3.decoupled_weight_decay",
 )
+
+
+def read_csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def write_config(root: Path, doc: dict, name: str, **updates) -> Path:
@@ -141,6 +146,19 @@ class TestConfigHandling:
         assert main(["run-all", "--config", str(config_path), override]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory", "nested_too_deep"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "not_utf8":
+            path.write_bytes(b'{"strategy": "\xff"}')
+        elif kind == "directory":
+            path.mkdir()
+        else:
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["gen-data", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "manifest,offset",
         [
@@ -224,7 +242,7 @@ class TestStageChain:
         assert main(["stage3", *base]) == 0
         assert (run_dir / "model.dsqc").exists()
         assert main(["evaluate", *base]) == 0
-        rows = read_results_csv(run_dir / "results.csv")
+        rows = read_csv_rows(run_dir / "results.csv")
         assert {r["dataset"] for r in rows} == {"test", "shifted_test"}
 
     @pytest.mark.parametrize(
@@ -497,7 +515,7 @@ class TestRunAll:
         assert main(["run-all", "--config", str(cfg)]) == 0
         run_dirs = list((tmp_path / "runs").iterdir())
         assert len(run_dirs) == 1
-        rows = read_results_csv(run_dirs[0] / "results.csv")
+        rows = read_csv_rows(run_dirs[0] / "results.csv")
         for dataset in ("test", "shifted_test"):
             assert sum(r["dataset"] == dataset for r in rows) == 5
         resolved = json.loads((run_dirs[0] / "config.json").read_text())

@@ -36,6 +36,12 @@ def batch_from_labels(source_labels):
     )
 
 
+def index_lists(mask):
+    """Positive-set mask -> one index array per anchor, the form the oracles
+    and the membership checks below read."""
+    return [np.flatnonzero(row) for row in mask]
+
+
 def brute_force_pairs(labels, spec):
     """Set construction straight from the definitions, one pair at a time."""
     n = len(labels)
@@ -60,6 +66,23 @@ def brute_force_pairs(labels, spec):
     return out
 
 
+def per_anchor_ntxent_grad(z, pairs, tau):
+    """d loss / d Z built one anchor at a time from index lists; the masked
+    loss does the same elementwise operations, so it must match bit for bit."""
+    n = z.shape[0]
+    logits = (z @ z.T) / tau
+    np.fill_diagonal(logits, -np.inf)
+    expd = np.exp(logits - logits.max(axis=1, keepdims=True))
+    q = expd / expd.sum(axis=1, keepdims=True)
+    active = [i for i in range(n) if len(pairs[i]) > 0]
+    coeff = np.zeros((n, n), dtype=z.dtype)
+    for i in active:
+        coeff[i] = q[i]
+        coeff[i, pairs[i]] -= 1.0 / len(pairs[i])
+    coeff *= (1.0 / len(active)) / tau
+    return coeff @ z + coeff.T @ z
+
+
 def double_loop_ntxent(z, pairs, tau):
     """Literal double-loop evaluation of the objective (no max shift)."""
     n = z.shape[0]
@@ -77,15 +100,15 @@ def double_loop_ntxent(z, pairs, tau):
 class TestPairing:
     def test_paper_boundary_example_dis_vs_con(self):
         batch = batch_from_labels([2.4, 2.6, 1.7, 5.0])
-        dis = positive_pairs(batch, PairingSpec(strategy="dis"))
-        con = positive_pairs(batch, PairingSpec(strategy="con", alpha=0.5))
+        dis = index_lists(positive_pairs(batch, PairingSpec(strategy="dis")))
+        con = index_lists(positive_pairs(batch, PairingSpec(strategy="con", alpha=0.5)))
         # anchor 0 has label 2.4; candidate 1 is 2.6, candidate 2 is 1.7
         assert 1 not in dis[0] and 2 in dis[0]
         assert 1 in con[0] and 2 not in con[0]
 
     def test_coarse_grouping(self):
         batch = batch_from_labels([1.0, 1.2, 3.0, 5.0])
-        pairs = positive_pairs(batch, PairingSpec(strategy="coarse", beta=1.5))
+        pairs = index_lists(positive_pairs(batch, PairingSpec(strategy="coarse", beta=1.5)))
         low = {0, 1, 4, 5}
         high = {2, 3, 6, 7}
         for i in range(8):
@@ -102,7 +125,7 @@ class TestPairing:
                 spec = PairingSpec(
                     strategy=strategy, alpha=rng.uniform(0.01, 2.0), beta=rng.uniform(1, 7)
                 )
-                pairs = positive_pairs(batch, spec)
+                pairs = index_lists(positive_pairs(batch, spec))
                 for i in range(2 * b):
                     assert (i + b) % (2 * b) in pairs[i]
 
@@ -116,7 +139,7 @@ class TestPairing:
                 labels = rng.choice([1.0, 2.5, 4.0], size=b)  # force collisions
             batch = batch_from_labels(labels)
             spec = PairingSpec(strategy=strategy)
-            got = positive_pairs(batch, spec)
+            got = index_lists(positive_pairs(batch, spec))
             want = brute_force_pairs(batch.labels, spec)
             assert [list(g) for g in got] == want
 
@@ -125,7 +148,7 @@ class TestPairing:
         rng = np.random.default_rng(2)
         for _ in range(20):
             batch = batch_from_labels(rng.uniform(1, 7, size=int(rng.integers(2, 17))))
-            pairs = positive_pairs(batch, PairingSpec(strategy=strategy))
+            pairs = index_lists(positive_pairs(batch, PairingSpec(strategy=strategy)))
             sets = [set(p) for p in pairs]
             for i, members in enumerate(sets):
                 assert i not in members
@@ -137,7 +160,7 @@ class TestPairing:
         rng = np.random.default_rng(3)
         for _ in range(20):
             batch = batch_from_labels(rng.uniform(1, 7, size=8))
-            pairs = positive_pairs(batch, PairingSpec(strategy=strategy))
+            pairs = index_lists(positive_pairs(batch, PairingSpec(strategy=strategy)))
             closure = [set(p) | {i} for i, p in enumerate(pairs)]
             for i, group in enumerate(closure):
                 for j in group:
@@ -145,7 +168,7 @@ class TestPairing:
 
     def test_con_need_not_be_transitive(self):
         batch = batch_from_labels([2.0, 2.4, 2.8])
-        pairs = positive_pairs(batch, PairingSpec(strategy="con", alpha=0.5))
+        pairs = index_lists(positive_pairs(batch, PairingSpec(strategy="con", alpha=0.5)))
         assert 1 in pairs[0] and 2 in pairs[1] and 2 not in pairs[0]
 
     def test_nan_labels_rejected(self):
@@ -155,15 +178,15 @@ class TestPairing:
 
     def test_simclr_pairs_siblings_and_needs_no_labels(self):
         batch = batch_from_labels([np.nan, 2.0, np.nan])
-        got = positive_pairs(batch, PairingSpec(strategy="simclr"))
-        assert [list(p) for p in got] == [list(p) for p in view_pairs(3)]
+        got = index_lists(positive_pairs(batch, PairingSpec(strategy="simclr")))
+        assert [list(p) for p in got] == [list(p) for p in index_lists(view_pairs(3))]
 
 
 class TestNtxent:
     def test_identical_views_single_source_zero_loss(self):
         z = unit_rows(np.random.default_rng(4), 1, 8)
         z = np.vstack([z, z])
-        result = ntxent_loss(z, [[1], [0]], tau=0.5)
+        result = ntxent_loss(z, np.array([[False, True], [True, False]]), tau=0.5)
         assert result.value == 0.0
         assert np.allclose(result.grad, 0.0)
 
@@ -176,8 +199,25 @@ class TestNtxent:
             for strategy in ("sup", "dis", "con", "coarse"):
                 pairs = positive_pairs(batch, PairingSpec(strategy=strategy))
                 got = ntxent_loss(z, pairs, tau=0.5)
-                want = double_loop_ntxent(z, [list(p) for p in pairs], 0.5)
+                want = double_loop_ntxent(z, [list(p) for p in index_lists(pairs)], 0.5)
                 assert abs(got.value - want) < 1e-10
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_matches_per_anchor_loop_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(23)
+        for tau in (0.1, 1.0, 10.0, 100.0):
+            for strategy in STRATEGIES:
+                b = int(rng.integers(1, 33))
+                z = unit_rows(rng, 2 * b, 16).astype(dtype)
+                batch = batch_from_labels(rng.choice([1.0, 2.5, 4.0, 6.9], size=b))
+                pairs = positive_pairs(batch, PairingSpec(strategy=strategy))
+                pairs[rng.random(2 * b) < 0.25] = False  # some skipped anchors
+                if not pairs.any():
+                    continue
+                got = ntxent_loss(z, pairs, tau=tau).grad
+                want = per_anchor_ntxent_grad(z, index_lists(pairs), tau)
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
 
     def test_sup_equals_simclr_when_labels_distinct(self):
         rng = np.random.default_rng(6)
@@ -193,13 +233,15 @@ class TestNtxent:
 
     def test_empty_anchors_skipped_and_counted(self):
         z = unit_rows(np.random.default_rng(7), 4, 8)
-        result = ntxent_loss(z, [[1], [0], [], []], tau=1.0)
+        pairs = np.zeros((4, 4), dtype=bool)
+        pairs[0, 1] = pairs[1, 0] = True  # anchors 2 and 3 have no positive
+        result = ntxent_loss(z, pairs, tau=1.0)
         assert result.skipped_anchors == 2
         assert np.isfinite(result.value)
 
     def test_all_empty_pairs(self):
         z = unit_rows(np.random.default_rng(8), 4, 8)
-        result = ntxent_loss(z, [[], [], [], []], tau=1.0)
+        result = ntxent_loss(z, np.zeros((4, 4), dtype=bool), tau=1.0)
         assert result.value == 0.0 and result.skipped_anchors == 4
 
     def test_bad_tau(self):
@@ -209,7 +251,19 @@ class TestNtxent:
 
     def test_single_view_rejected(self):
         with pytest.raises(ParameterError):
-            ntxent_loss(np.ones((1, 4)), [[]], tau=1.0)
+            ntxent_loss(np.ones((1, 4)), np.zeros((1, 1), dtype=bool), tau=1.0)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4,)])
+    def test_mask_of_wrong_shape_rejected(self, shape):
+        z = unit_rows(np.random.default_rng(21), 4, 8)
+        with pytest.raises(DimensionError):
+            ntxent_loss(z, np.zeros(shape, dtype=bool), tau=1.0)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_mask_of_non_bool_dtype_rejected(self, dtype):
+        z = unit_rows(np.random.default_rng(22), 4, 8)
+        with pytest.raises(ParameterError):
+            ntxent_loss(z, view_pairs(2).astype(dtype), tau=1.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(20)
@@ -256,7 +310,7 @@ class TestSimclr:
         rng = np.random.default_rng(13)
         z = unit_rows(rng, 8, 8)
         got = simclr_loss(z, tau=0.3)
-        want = double_loop_ntxent(z, [list(p) for p in view_pairs(4)], 0.3)
+        want = double_loop_ntxent(z, [list(p) for p in index_lists(view_pairs(4))], 0.3)
         assert abs(got.value - want) < 1e-10
 
     def test_odd_rows_rejected(self):

@@ -1,5 +1,6 @@
 """Ranks, correlations, aggregation, reports, and the embedding dump format."""
 
+import csv
 import struct
 import warnings
 
@@ -23,7 +24,6 @@ from sevreg.evaluation import (
     pcc,
     rank,
     read_embeddings,
-    read_results_csv,
     speaker_aggregate,
     srcc,
     write_embeddings,
@@ -223,7 +223,8 @@ class TestReportsAndFiles:
         ]
         path = tmp_path / "results.csv"
         write_results_csv(path, rows)
-        back = read_results_csv(path)
+        with open(path, newline="") as fh:
+            back = list(csv.DictReader(fh))
         assert back[0]["run_id"] == "abc"
         assert float(back[0]["srcc"]) == rows[0]["srcc"]  # repr keeps all bits
 
