@@ -137,8 +137,11 @@ def cmd_stage3(cfg: RunConfig, args) -> int:
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     stages = stage_runner(cfg)
     run_dir = Path(args.run_dir)
-    ckpt_path = Path(args.checkpoint) if args.checkpoint else run_dir / CHECKPOINTS["final"]
-    reports = stages.evaluate(net_from_checkpoint(load_checkpoint(ckpt_path)))
+    if args.checkpoint:
+        net = net_from_checkpoint(load_checkpoint(Path(args.checkpoint)))
+    else:
+        net = stages.load(run_dir, "final")
+    reports = stages.evaluate(net)
     stages.save_report(run_dir, reports)
     write_results_csv(run_dir / "results.csv", stages.rows(reports))
     for r in reports:

@@ -231,6 +231,8 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
     Paths must address keys that exist in the default schema; the resulting
     document still goes through config_from_dict for full validation.
     """
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
     result = json.loads(json.dumps(doc))
     defaults = config_to_dict(RunConfig())
     for text in overrides:

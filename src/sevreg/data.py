@@ -2,10 +2,10 @@
 
 A feature sequence is a (T, D) float64 matrix, stored as a framed DSQF file
 (FrameReader): magic "DSQF", little-endian u32 version, T and D, then T*D
-float32 values row-major, widened to float64 on load. Normalization and
+float32 values row-major, widened to float64 on load; nets read them through
+`Utterance.frames`, L2-normalized once per utterance. Normalization and
 augmentation run in float64; a net casts each stacked batch to its own
-dtype. A corpus directory holds manifest.json plus one DSQF file per
-utterance.
+dtype. A corpus directory holds manifest.json plus one DSQF file per utterance.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,11 @@ class Utterance:
                 )
             if self.provenance == "typical" and self.label != LABEL_MIN:
                 raise ParameterError("typical utterances must carry label 1")
+
+    @cached_property
+    def frames(self) -> np.ndarray:
+        """The features at unit L2 norm per frame, made on first use, kept."""
+        return normalize_frames(self.features)
 
 
 @dataclass

@@ -45,6 +45,17 @@ ABLATION_VARIANTS = (
 # order, are also the sections of its history.json.
 CHECKPOINTS = {"stage1": "stage1.dsqc", "stage2": "stage2.dsqc", "final": "model.dsqc"}
 
+# The config keys every stage reads; a checkpoint recording other values
+# belongs to another chain.
+LINEAGE_KEYS = ("seed", "model", "data.world")
+
+
+def config_value(doc, key: str):
+    """The value at a dotted key of a config document; None if absent."""
+    for part in key.split("."):
+        doc = doc.get(part) if isinstance(doc, dict) else None
+    return doc
+
 
 def split_labeled(labeled: Corpus, world: WorldConfig) -> tuple[Corpus, Corpus, Corpus]:
     """Speaker-disjoint train/val/test split, keyed to the world seed so every
@@ -199,10 +210,18 @@ class Stages:
 
     # -- the seed directory -------------------------------------------------
 
-    @staticmethod
-    def load(run_dir: Path, stage: str) -> AdaptorNet:
-        """The net of a stage's checkpoint, through the strict reader."""
-        return net_from_checkpoint(load_checkpoint(run_dir / CHECKPOINTS[stage]))
+    def load(self, run_dir: Path, stage: str) -> AdaptorNet:
+        """The net of a stage's checkpoint, through the strict reader; one
+        made for another seed, model or world raises FeatureFormatError."""
+        path = run_dir / CHECKPOINTS[stage]
+        ckpt = load_checkpoint(path)
+        recorded = ckpt.meta.get("config")
+        if not isinstance(recorded, dict):
+            raise FeatureFormatError(f"{path} records no config object")
+        for key in LINEAGE_KEYS:
+            if config_value(recorded, key) != config_value(self.resolved, key):
+                raise FeatureFormatError(f"{path} was made with another {key} than this config")
+        return net_from_checkpoint(ckpt)
 
     @staticmethod
     def read_history(run_dir: Path) -> dict[str, list]:

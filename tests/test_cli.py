@@ -146,16 +146,20 @@ class TestConfigHandling:
         assert main(["run-all", "--config", str(config_path), override]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["not_utf8", "directory", "nested_too_deep"])
+    @pytest.mark.parametrize(
+        "kind", ["not_utf8", "directory", "nested_too_deep", "list", "null"]
+    )
     def test_unreadable_config_exits_1(self, tmp_path, capsys, kind):
         path = tmp_path / "config.json"
         if kind == "not_utf8":
             path.write_bytes(b'{"strategy": "\xff"}')
         elif kind == "directory":
             path.mkdir()
-        else:
+        elif kind == "nested_too_deep":
             path.write_text("[" * 100_000 + "]" * 100_000)
-        assert main(["gen-data", "--config", str(path)]) == 1
+        else:  # valid JSON, but not an object for the override to go into
+            path.write_text("[1]" if kind == "list" else "null")
+        assert main(["gen-data", "--config", str(path), "stage1.epochs=1"]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
@@ -448,7 +452,8 @@ def no_training(monkeypatch):
 
 @pytest.mark.usefixtures("no_training")
 class TestStageInputs:
-    """A corrupt stage input exits 1 before any training, and writes nothing."""
+    """A corrupt or foreign stage input exits 1 before any training, and
+    writes nothing."""
 
     @pytest.mark.parametrize(
         "mutate, named",
@@ -475,6 +480,53 @@ class TestStageInputs:
         assert "validation error" in err
         assert named in err
         assert not (run_dir / "model.dsqc").exists()
+
+    @pytest.mark.parametrize(
+        "step, checkpoint, overrides, named",
+        [
+            ("stage3", "stage2.dsqc", ["seed=5", "seeds=[5]"], "another seed"),
+            ("pseudo-label", "stage1.dsqc", ["model.hidden_dim=16"], "another model"),
+            ("stage3", "stage2.dsqc", None, "records no config object"),
+        ],
+        ids=["stage3_seed", "pseudo_label_hidden_dim", "stage3_no_config"],
+    )
+    def test_checkpoint_of_another_chain_exits_1(
+        self, workspace, stage2_inputs, tmp_path, capsys, step, checkpoint, overrides, named
+    ):
+        from sevreg.pipeline import load_checkpoint, save_checkpoint
+
+        _, config_path, _ = workspace
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        shutil.copyfile(stage2_inputs / "history.json", run_dir / "history.json")
+        if overrides is None:
+            ckpt = load_checkpoint(stage2_inputs / checkpoint)
+            del ckpt.meta["config"]
+            save_checkpoint(run_dir / checkpoint, ckpt)
+        else:
+            shutil.copyfile(stage2_inputs / checkpoint, run_dir / checkpoint)
+        before = {path: path.read_bytes() for path in run_dir.rglob("*")}
+        args = [step, "--config", str(config_path), *(overrides or []), "--run-dir", str(run_dir)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and named in err
+        assert {path: path.read_bytes() for path in run_dir.rglob("*")} == before
+
+    def test_evaluate_projector_checkpoint_exits_1(
+        self, workspace, stage2_inputs, tmp_path, capsys
+    ):
+        _, config_path, _ = workspace
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        code = main(
+            [
+                "evaluate", "--config", str(config_path), "--run-dir", str(run_dir),
+                "--checkpoint", str(stage2_inputs / "stage2.dsqc"),
+            ]
+        )
+        assert code == 1
+        assert "one-output regressor" in capsys.readouterr().err
+        assert list(run_dir.iterdir()) == []
 
     @pytest.mark.parametrize(
         "step, inputs",

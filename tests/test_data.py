@@ -1,5 +1,7 @@
 """Feature files, corpora, normalization, sampling, and splits."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,36 @@ class TestNormalize:
         once = normalize_frames(h)
         twice = normalize_frames(once)
         assert np.max(np.abs(once - twice)) < 1e-12
+
+
+class TestFrames:
+    """`Utterance.frames`: the normalized features, made once per utterance."""
+
+    def utterance(self):
+        rng = np.random.default_rng(3)
+        return Utterance(id="x", speaker_id="s", features=rng.standard_normal((5, 4)) * 7.0)
+
+    def test_normalized_once_bit_for_bit(self):
+        u = self.utterance()
+        raw = u.features.copy()
+        frames = u.frames
+        assert frames.tobytes() == normalize_frames(raw).tobytes()
+        assert u.frames is frames
+        assert np.array_equal(u.features, raw)
+
+    def test_replaced_utterance_makes_equal_frames(self):
+        u = self.utterance()
+        frames = u.frames
+        copy = replace(u, label=3.0, provenance="pseudo")
+        assert copy.frames is not frames
+        assert copy.frames.tobytes() == frames.tobytes()
+        assert copy.frames is copy.frames
+
+    def test_not_a_field(self):
+        u = self.utterance()
+        u.frames
+        assert "frames" not in {f.name for f in fields(Utterance)}
+        assert "frames" not in repr(u)
 
 
 class TestSampler:

@@ -2,6 +2,7 @@
 once per sweep_tau / ablate call, and the artifacts match separate runs."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -151,6 +152,32 @@ class TestByteIdentity:
         out_root, _, _ = ablated
         assert len(run_dirs(out_root)) == len(ABLATION_VARIANTS)
         assert assert_matches_separate_runs(out_root, corpora, tmp_path) > 0
+
+
+class TestFramesOnce:
+    def test_each_utterance_normalizes_once(self):
+        from sevreg import data
+
+        corpora = build_world(WORLD)  # fresh: no utterance has made its frames
+        holders = Counter(id(u.features) for c in corpora.values() for u in c)
+        # the pseudo-labelled pool: new utterances over the unlabeled features
+        holders.update(id(u.features) for u in corpora["unlabeled"])
+        calls = Counter()
+        real = data.normalize_frames
+
+        def counting(h):
+            calls[id(h)] += 1
+            return real(h)
+
+        memo: dict[str, Teacher] = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "normalize_frames", counting)
+            experiments.run_single(fast_cfg(strategy="coarse"), corpora, 0, memo=memo)
+            assert calls and all(n <= holders[key] for key, n in calls.items())
+            calls.clear()
+            # the same utterances and the memoised pool: nothing is left to make
+            experiments.run_single(fast_cfg(strategy="dis"), corpora, 0, memo=memo)
+            assert not calls
 
 
 class TestTeacherMemo:

@@ -8,6 +8,7 @@ from sevreg import pipeline
 from sevreg.config import ModelConfig, RegressionStageConfig, RunConfig, Stage2Config
 from sevreg.data import Corpus, Utterance, label_histogram
 from sevreg.errors import (
+    DimensionError,
     FeatureFormatError,
     ParameterError,
     TrainingDivergedError,
@@ -196,6 +197,12 @@ class TestPredict:
         scores = predict(stage1.net, world["shifted_test"])
         assert scores.min() >= 1.0 and scores.max() <= 7.0
 
+    def test_projector_rejected(self, splits):
+        _, _, test = splits
+        projector = pipeline.seeded_net(MODEL, test, seed=0, projector=True)
+        with pytest.raises(DimensionError, match="one-output regressor"):
+            predict(projector, test)
+
     def test_srcc_consistent_with_evaluate(self, stage1, splits):
         _, _, test = splits
         from sevreg.evaluation import srcc
@@ -314,12 +321,7 @@ class TestStage2:
         unreg = train_stage2(
             mixed, MODEL, replace(STAGE2, var_weight=0.0), seed=0, strategy="coarse"
         )
-        from sevreg.data import normalize_frames
-
-        held_out = [
-            normalize_frames(u.features)
-            for u in world["shifted_test"].utterances[:64]
-        ]
+        held_out = [u.frames for u in world["shifted_test"].utterances[:64]]
         reg_stds = forward_batch(reg_net, held_out).out.std(axis=0)
         unreg_stds = forward_batch(unreg.net, held_out).out.std(axis=0)
         assert reg_stds.mean() >= 1.1 * unreg_stds.mean()
