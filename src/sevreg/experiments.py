@@ -1,13 +1,18 @@
 """Experiment flows: single runs, multi-seed runs, the temperature sweep,
-and the ablation harness. These produce the run-directory artifacts; the
-files of a seed directory are written and read by `Stages` alone, for
-run-all and the CLI stage commands alike."""
+and the ablation harness, with one worker process per seed. These produce
+the run-directory artifacts; the files of a seed directory are written and
+read by `Stages` alone, for run-all and the CLI stage commands alike."""
 
 from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from logging.handlers import QueueHandler, QueueListener
 from pathlib import Path
 from typing import Callable
 
@@ -319,29 +324,94 @@ def median_summary(rows: list[dict]) -> dict:
     return summary
 
 
-def run_all(
-    cfg: RunConfig,
-    corpora: dict[str, Corpus],
-    out_root: Path,
-    memo: dict[str, Teacher] | None = None,
-) -> dict:
-    """Repeat run_single over cfg.seeds; write results.csv and summary.json.
-    `memo` is handed to every run_single."""
-    resolved = config_to_dict(cfg)
-    rid = run_id_for(resolved)
-    run_dir = out_root / rid
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_report_json(run_dir / "config.json", resolved)
-    rows: list[dict] = []
-    for seed in cfg.seeds:
-        result = run_single(
-            cfg, corpora, seed, run_dir=run_dir / f"seed_{seed}", memo=memo
+def workers(n_seeds: int) -> int:
+    """Worker processes for a run over `n_seeds` seeds: at most one per seed
+    and one per CPU this process may run on."""
+    return min(len(os.sched_getaffinity(0)), n_seeds)
+
+
+def run_seed(
+    runs: list[tuple[RunConfig, Path]], corpora: dict[str, Corpus], seed: int
+) -> list[list[dict]]:
+    """run_single of every (config, run directory) pair for one seed, into
+    the run's seed_<seed> directory, sharing one teacher memo; returns each
+    run's rows."""
+    memo: dict[str, Teacher] = {}
+    return [
+        run_single(cfg, corpora, seed, run_dir / f"seed_{seed}", memo)["rows"]
+        for cfg, run_dir in runs
+    ]
+
+
+def _log_to_parent(records, level: int) -> None:
+    """Send a worker's log records at or above the parent's root level to the
+    parent's root handlers."""
+    root = logging.getLogger()
+    root.setLevel(level)
+    root.addHandler(QueueHandler(records))
+
+
+def map_seeds(task: Callable[[int], list], seeds: tuple[int, ...]) -> list:
+    """[task(seed) for seed in seeds]. With more than one worker, each call
+    runs in a spawned worker process that starts with OPENBLAS_NUM_THREADS=1:
+    two single-thread seeds side by side outrun two seeds one after the other
+    at two threads. The weight gradients do not depend on the thread count
+    (nn.GRAD_BLOCK_ROWS), so neither do the bytes of a run."""
+    n = workers(len(seeds))
+    if n == 1:
+        return [task(seed) for seed in seeds]
+    context = multiprocessing.get_context("spawn")
+    records = context.Queue()
+    root = logging.getLogger()
+    handlers = root.handlers or [logging.lastResort]
+    listener = QueueListener(records, *handlers, respect_handler_level=True)
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    listener.start()
+    try:
+        with ProcessPoolExecutor(
+            n, mp_context=context, initializer=_log_to_parent, initargs=(records, root.level)
+        ) as pool:
+            return list(pool.map(task, seeds))
+    finally:
+        listener.stop()
+        if threads is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = threads
+
+
+def run_configs(
+    configs: list[RunConfig], corpora: dict[str, Corpus], out_root: Path
+) -> list[dict]:
+    """run_all of each config over their common seeds. Each seed is one task
+    that runs every config (run_seed), so a teacher is fitted once per seed;
+    map_seeds hands the tasks to worker processes. Only the parent writes
+    each run's config.json, results.csv and summary.json, in seed order, so
+    a run directory is the same bytes for any number of workers."""
+    runs = []
+    for cfg in configs:
+        resolved = config_to_dict(cfg)
+        run_dir = out_root / run_id_for(resolved)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        write_report_json(run_dir / "config.json", resolved)
+        runs.append((cfg, run_dir))
+    per_seed = map_seeds(partial(run_seed, runs, corpora), configs[0].seeds)
+    results = []
+    for i, (_, run_dir) in enumerate(runs):
+        rows = [row for seed_rows in per_seed for row in seed_rows[i]]
+        write_results_csv(run_dir / "results.csv", rows)
+        summary = median_summary(rows)
+        write_report_json(run_dir / "summary.json", summary)
+        results.append(
+            {"run_id": run_dir.name, "run_dir": run_dir, "rows": rows, "summary": summary}
         )
-        rows.extend(result["rows"])
-    write_results_csv(run_dir / "results.csv", rows)
-    summary = median_summary(rows)
-    write_report_json(run_dir / "summary.json", summary)
-    return {"run_id": rid, "run_dir": run_dir, "rows": rows, "summary": summary}
+    return results
+
+
+def run_all(cfg: RunConfig, corpora: dict[str, Corpus], out_root: Path) -> dict:
+    """Repeat run_single over cfg.seeds; write results.csv and summary.json."""
+    return run_configs([cfg], corpora, out_root)[0]
 
 
 def sweep_tau(
@@ -355,18 +425,16 @@ def sweep_tau(
     fitted once: the baseline model is the stage-1 model of every run."""
     if cfg.strategy == "baseline":
         raise ConfigError("sweep-tau needs a contrastive strategy, not 'baseline'")
-    memo: dict[str, Teacher] = {}
-    base_cfg = replace(cfg, strategy="baseline")
-    baseline = run_all(base_cfg, corpora, out_root, memo=memo)
+    configs = [replace(cfg, strategy="baseline")] + [
+        replace(cfg, stage2=replace(cfg.stage2, pairing=replace(cfg.stage2.pairing, tau=tau)))
+        for tau in grid
+    ]
+    baseline, *swept = run_configs(configs, corpora, out_root)
     base_summary = baseline["summary"]
 
     sweep_rows = []
     runs = {}
-    for tau in grid:
-        tau_cfg = replace(
-            cfg, stage2=replace(cfg.stage2, pairing=replace(cfg.stage2.pairing, tau=tau))
-        )
-        result = run_all(tau_cfg, corpora, out_root, memo=memo)
+    for tau, result in zip(grid, swept):
         runs[tau] = result["run_id"]
         for key, stats in result["summary"].items():
             base = base_summary[key]
@@ -426,13 +494,8 @@ def ablate(
     """Run every ablation variant plus its parent config; emit a summary that
     maps variant names to run ids and median metrics. Each seed's teacher is
     fitted once and shared by every variant that has one."""
-    memo: dict[str, Teacher] = {}
-    results = {}
-    for variant in variants:
-        if variant not in ABLATION_VARIANTS:
-            raise ConfigError(f"unknown ablation variant '{variant}'")
-        result = run_all(ablation_config(cfg, variant), corpora, out_root, memo=memo)
-        results[variant] = result
+    configs = [ablation_config(cfg, variant) for variant in variants]
+    results = dict(zip(variants, run_configs(configs, corpora, out_root)))
     summary = {
         variant: {"run_id": r["run_id"], "summary": r["summary"]}
         for variant, r in results.items()

@@ -31,6 +31,17 @@ STD_EPS = 1e-8
 # the temporaries smaller.
 POOL_GROUP_BYTES = 512 * 1024
 
+# Rows per block of the weight-gradient reduction grad_out.T @ x. OpenBLAS
+# (0.3.31 on a 2-core Xeon) splits a long reduction between its threads, so
+# the one product over K rows adds in an order that depends on
+# OPENBLAS_NUM_THREADS: at 1 and 2 threads most K above about 461 (float32)
+# or 396 (float64) rows gave different bits, multiples of 64 excepted. Sums
+# of 256-, 320- or 384-row block products agreed for every K from 2 to 4400
+# (step 7), in both dtypes, at widths 320x320, 320x16 and 128x320; blocks of
+# 448 rows did not in float64. Above one block the sum differs from the one
+# product in its last bits, at any thread count.
+GRAD_BLOCK_ROWS = 384
+
 
 # ---------------------------------------------------------------------------
 # Layer parameters
@@ -87,8 +98,16 @@ def linear_param_grads(
     x: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Returns (grad_w, grad_b) for y = x @ W.T + b, for a layer whose input
-    needs no gradient."""
-    return grad_out.T @ x, grad_out.sum(axis=0)
+    needs no gradient.
+
+    grad_w sums the products of GRAD_BLOCK_ROWS-row blocks in block order,
+    so its bits do not depend on the BLAS thread count; up to
+    GRAD_BLOCK_ROWS rows it is the one product grad_out.T @ x."""
+    grad_w = grad_out[:GRAD_BLOCK_ROWS].T @ x[:GRAD_BLOCK_ROWS]
+    for start in range(GRAD_BLOCK_ROWS, x.shape[0], GRAD_BLOCK_ROWS):
+        stop = start + GRAD_BLOCK_ROWS
+        grad_w += grad_out[start:stop].T @ x[start:stop]
+    return grad_w, grad_out.sum(axis=0)
 
 
 def linear_backward(

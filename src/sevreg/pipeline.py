@@ -2,9 +2,9 @@
 supervised contrastive pretraining, and weight-transfer fine-tuning.
 
 All randomness flows from one run seed through fixed role keys, so a
-(config, seed, corpus) triple maps to bit-identical checkpoints at a fixed
-OPENBLAS_NUM_THREADS: the stage-2 weight-gradient products reduce in an
-order that depends on the BLAS thread count.
+(config, seed, corpus) triple maps to bit-identical checkpoints. The bytes do
+not depend on OPENBLAS_NUM_THREADS: the weight gradients reduce in fixed row
+blocks (nn.GRAD_BLOCK_ROWS).
 """
 
 from __future__ import annotations

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sevreg
 from sevreg.cli import main
 
 WORLD = {
@@ -636,3 +640,81 @@ class TestHarnesses:
         summary = json.loads((ablate_dir / "ablate_summary.json").read_text())
         assert set(summary) == {"wo_var", "skip_stage2"}
         assert summary["wo_var"]["run_id"] != summary["skip_stage2"]["run_id"]
+
+
+# Imported as sitecustomize by every process of a run, its workers too: each
+# seed gets a worker process of its own, also on a one-CPU machine.
+ONE_WORKER_PER_SEED = """
+from sevreg import experiments
+
+experiments.workers = lambda n_seeds: n_seeds
+"""
+
+FAIL_SEED_1 = """
+from sevreg import errors
+
+real_run_single = experiments.run_single
+
+
+def run_single(cfg, corpora, seed, *args, **kwargs):
+    if seed == 1:
+        raise errors.{error}("seed 1 failed on purpose")
+    return real_run_single(cfg, corpora, seed, *args, **kwargs)
+
+
+experiments.run_single = run_single
+"""
+
+
+def sevreg_process(args: list[str], tmp_path: Path, site: str) -> subprocess.CompletedProcess:
+    """`python -m sevreg <args>` in a new process with `site` as its
+    sitecustomize."""
+    site_dir = tmp_path / "site"
+    site_dir.mkdir()
+    (site_dir / "sitecustomize.py").write_text(site)
+    src = str(Path(sevreg.__file__).resolve().parents[1])
+    path = [str(site_dir), src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("SEVREG_RUN_ROOT", None)
+    return subprocess.run(
+        [sys.executable, "-m", "sevreg", *args],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+
+
+class TestWorkerProcesses:
+    def test_worker_logs_reach_stderr(self, workspace, tmp_path):
+        _, _, doc = workspace
+        # a teacher that never leaves its init predicts one clamped score, so
+        # its validation SRCC is undefined
+        cfg = write_config(
+            tmp_path, doc, "logs.json", seeds=[0, 1], run_root=str(tmp_path / "runs"),
+            stage1={"lr": 1e-9, "epochs": 1},
+        )
+        proc = sevreg_process(["run-all", "--config", str(cfg)], tmp_path, ONE_WORKER_PER_SEED)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        for start in (
+            "INFO stage-2 corpus: N=",
+            "INFO pseudo-label histogram: {",
+            "WARNING validation SRCC was undefined on all 1 epochs",
+        ):
+            assert sum(line.startswith(start) for line in lines) == 2, proc.stderr
+
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            ("TrainingDivergedError", 2, "runtime failure"),
+            ("ConfigError", 1, "validation error"),
+            ("FeatureFormatError", 1, "validation error"),
+        ],
+    )
+    def test_worker_failure_keeps_exit_code(self, workspace, tmp_path, error, code, prefix):
+        _, _, doc = workspace
+        run_root = tmp_path / "runs"
+        cfg = write_config(tmp_path, doc, "fail.json", seeds=[0, 1], run_root=str(run_root))
+        site = ONE_WORKER_PER_SEED + FAIL_SEED_1.format(error=error)
+        proc = sevreg_process(["run-all", "--config", str(cfg)], tmp_path, site)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.splitlines()[-1] == f"{prefix}: seed 1 failed on purpose"
+        assert not list(run_root.rglob("results.csv"))

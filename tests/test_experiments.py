@@ -1,5 +1,6 @@
 """Teacher reuse in the experiment harnesses: each seed's stage-1 fit is made
-once per sweep_tau / ablate call, and the artifacts match separate runs."""
+once per sweep_tau / ablate call, and the artifacts match separate runs and
+do not depend on the number of worker processes."""
 
 import json
 from collections import Counter
@@ -66,8 +67,9 @@ def corpora():
 
 
 def counted(harness, *args, **kwargs):
-    """Run a harness; return its result, the train_regression calls made from
-    the seeded init (no transferred trunk, i.e. teacher fits) and all calls."""
+    """Run a harness in this process, so the patched train_regression sees
+    every call; return its result, the calls made from the seeded init (no
+    transferred trunk, i.e. teacher fits) and all calls."""
     calls = []
     real = pipeline.train_regression
 
@@ -78,6 +80,7 @@ def counted(harness, *args, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "train_regression", counting)
         mp.setattr(pipeline, "train_regression", counting)
+        mp.setattr(experiments, "workers", lambda n_seeds: 1)
         result = harness(*args, **kwargs)
     return result, sum(calls), len(calls)
 
@@ -152,6 +155,34 @@ class TestByteIdentity:
         out_root, _, _ = ablated
         assert len(run_dirs(out_root)) == len(ABLATION_VARIANTS)
         assert assert_matches_separate_runs(out_root, corpora, tmp_path) > 0
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("harness", ["sweep", "ablate"])
+    def test_workers_write_the_in_process_files(self, harness, swept, ablated, corpora,
+                                               tmp_path, monkeypatch):
+        in_process = {"sweep": swept, "ablate": ablated}[harness][0]
+        monkeypatch.setattr(experiments, "workers", lambda n_seeds: n_seeds)
+        out_root = tmp_path / "runs"
+        if harness == "sweep":
+            sweep_tau(fast_cfg(), corpora, out_root, grid=GRID)
+        else:
+            ablate(fast_cfg(), corpora, out_root)
+        expected = tree(in_process)
+        assert sum(name.endswith("model.dsqc") for name in expected) > len(SEEDS)
+        assert tree(out_root) == expected
+
+    def test_one_seed_runs_in_process(self, corpora, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-seed run started a worker pool")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        result = run_all(fast_cfg(seeds=(1,)), corpora, tmp_path / "runs")
+        assert [row["seed"] for row in result["rows"]] == [1, 1]
 
 
 class TestFramesOnce:

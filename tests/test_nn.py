@@ -75,6 +75,44 @@ class TestLinear:
             linear_forward(params, np.ones((2, 4)))
 
 
+class TestParamGrads:
+    """linear_param_grads sums fixed row blocks, so its bits do not depend on
+    the BLAS thread count."""
+
+    B = nn.GRAD_BLOCK_ROWS
+
+    @staticmethod
+    def draw(rows, dtype, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, 24)).astype(dtype)
+        grad_out = rng.standard_normal((rows, 40)).astype(dtype)
+        return x, grad_out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 2, 57, 383, nn.GRAD_BLOCK_ROWS])
+    def test_one_block_is_the_plain_product(self, rows, dtype):
+        x, grad_out = self.draw(rows, dtype)
+        grad_w, grad_b = linear_param_grads(x, grad_out)
+        assert grad_w.dtype == dtype
+        assert np.array_equal(grad_w, grad_out.T @ x)
+        assert np.array_equal(grad_b, grad_out.sum(axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [nn.GRAD_BLOCK_ROWS + 1, 2 * nn.GRAD_BLOCK_ROWS, 2137])
+    def test_long_reduction_sums_blocks_in_order(self, rows, dtype):
+        x, grad_out = self.draw(rows, dtype, seed=rows)
+        grad_w, _ = linear_param_grads(x, grad_out)
+        blocks = [grad_out[s : s + self.B].T @ x[s : s + self.B] for s in range(0, rows, self.B)]
+        reference = blocks[0]
+        for block in blocks[1:]:
+            reference = reference + block
+        assert np.array_equal(grad_w, reference)
+        # Two summation orders of `rows` products: each is within
+        # rows * eps * sum|products| of the exact value.
+        bound = 2 * rows * np.finfo(dtype).eps * (np.abs(grad_out).T @ np.abs(x))
+        assert np.all(np.abs(grad_w - grad_out.T @ x) <= bound)
+
+
 class TestRelu:
     def test_elementwise(self):
         assert np.array_equal(relu(np.array([[-1.0, 0.0, 2.0]])), [[0.0, 0.0, 2.0]])

@@ -1,5 +1,10 @@
 """Stage training, pseudo-labeling, transfer, checkpoints, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -650,3 +655,44 @@ class TestDumpEmbeddings:
         assert vecs.shape == (len(test), 2 * MODEL.hidden_dim)
         assert len(provs) == len(test)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# One epoch of the default world's stage 2, written as run-all writes it. Its
+# batches stack about 2100 rows, where one weight-gradient product over all of
+# them would add in an order that depends on the BLAS thread count.
+STAGE2_SCRIPT = """
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from sevreg.config import RunConfig
+from sevreg.experiments import Stages
+from sevreg.synthetic import build_world
+
+cfg = RunConfig()
+cfg = replace(cfg, stage2=replace(cfg.stage2, epochs=1))
+stages = Stages(cfg, build_world(cfg.data.world), seed=0)
+run_dir = Path(sys.argv[1])
+stages.save(run_dir, {"stage2": stages.stage2(None)}, stages.read_history(run_dir))
+"""
+
+
+class TestThreadCount:
+    def test_default_stage2_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        written = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", STAGE2_SCRIPT, str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            written[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(written["1"]) == ["history.json", "stage2.dsqc"]
+        assert written["1"] == written["2"]
