@@ -8,7 +8,7 @@ hand-written backward passes; the pipeline's nets are float32, the gradient
 checks build float64 ones. Corpora are synthetic and desk-scale.
 """
 
-from .augment import AugmentConfig, add_gaussian_noise, make_views, random_crop, time_mask
+from .augment import AugmentConfig, draw_views, make_views
 from .config import ModelConfig, RegressionStageConfig, RunConfig, Stage2Config
 from .contrastive import (
     Batch,

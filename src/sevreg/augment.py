@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, ParameterError
+from .nn import Stack
 
 
 @dataclass
@@ -32,73 +33,55 @@ class AugmentConfig:
             raise ParameterError("mask_spans must be >= 1")
 
 
-def add_gaussian_noise(
-    h: np.ndarray, sigma: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Add i.i.d. zero-mean Gaussian noise of std sigma elementwise."""
-    if sigma < 0:
-        raise ParameterError("sigma must be >= 0")
-    return h + rng.normal(0.0, sigma, size=h.shape) if sigma > 0 else h.copy()
+def draw_views(
+    seqs: list[np.ndarray], cfg: AugmentConfig, rng: np.random.Generator
+) -> Stack:
+    """Two augmented views of each of B (T_i, D) sequences as one Stack;
+    views i and B + i come from sequence i.
 
-
-def time_mask(
-    h: np.ndarray, max_frac: float, rng: np.random.Generator, spans: int = 1
-) -> np.ndarray:
-    """Zero contiguous frame spans; each span length is uniform in
-    [0, floor(max_frac * T)]."""
-    if not 0.0 <= max_frac <= 1.0:
-        raise ParameterError("max_frac must be in [0, 1]")
-    t = h.shape[0]
-    out = h.copy()
-    top = int(np.floor(max_frac * t))
-    for _ in range(spans):
-        length = int(rng.integers(0, top + 1))
-        if length == 0:
-            continue
-        start = int(rng.integers(0, t - length + 1))
-        out[start : start + length] = 0.0
-    return out
-
-
-def random_crop(
-    h: np.ndarray, min_frac: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Keep a contiguous window; its length is uniform in [ceil(min_frac*T), T]."""
-    if not 0.0 < min_frac <= 1.0:
-        raise ParameterError("min_frac must be in (0, 1]")
-    t = h.shape[0]
-    if t < 1:
-        raise EmptyInputError("random_crop needs T >= 1")
-    t_min = int(np.ceil(min_frac * t))
-    length = int(rng.integers(t_min, t + 1))
-    start = int(rng.integers(0, t - length + 1))
-    return h[start : start + length].copy()
-
-
-def augment_once(
-    h: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """One draw of the composed pipeline noise -> mask -> crop.
-
-    Each transform fires independently with per_transform_prob.
+    Each view runs noise -> mask -> crop, each on its own coin of
+    per_transform_prob: N(0, noise_sigma^2) noise, then mask_spans zeroed
+    spans of length uniform in [0, floor(mask_max_frac * T)], then a window
+    of length uniform in [ceil(crop_min_frac * T), T]. Spans and windows lie
+    in the source's frames. A batch takes two generator calls whatever B
+    is: the uniforms of every coin, span and crop, then the noise.
     """
-    out = h
-    if rng.random() < cfg.per_transform_prob:
-        out = add_gaussian_noise(out, cfg.noise_sigma, rng)
-    if rng.random() < cfg.per_transform_prob:
-        out = time_mask(out, cfg.mask_max_frac, rng, spans=cfg.mask_spans)
-    if rng.random() < cfg.per_transform_prob:
-        out = random_crop(out, cfg.crop_min_frac, rng)
-    return out if out is not h else h.copy()
+    cfg.validate()
+    lengths = np.array([h.shape[0] for h in seqs])
+    if len(seqs) == 0 or lengths.min() < 1:
+        raise EmptyInputError("views need at least one sequence, each with T >= 1")
+    src = np.concatenate(seqs, axis=0)
+    first_row = np.cumsum(lengths) - lengths
+    t, first_row = np.concatenate((lengths, lengths)), np.concatenate((first_row, first_row))
+    u = rng.random((5 + 2 * cfg.mask_spans, len(t)))
+    noisy, masked, cropped = u[:3] < cfg.per_transform_prob
+    # An integer uniform in [0, n) is floor(u * n): u < 1 keeps it below n,
+    # and each value's probability is 1/n to within 2**-52.
+    t_min = np.ceil(cfg.crop_min_frac * t)
+    crop_len = t_min.astype(int) + (u[3] * (t - t_min + 1)).astype(int)
+    crop_start = (u[4] * (t - crop_len + 1)).astype(int)
+    span_len = (u[5::2] * (np.floor(cfg.mask_max_frac * t) + 1)).astype(int)
+    span_start = (u[6::2] * (t - span_len + 1)).astype(int)
+
+    kept = np.where(cropped, crop_len, t)
+    offsets = np.concatenate(([0], np.cumsum(kept)))
+    # Each view row's frame in its source, and that frame's row in src.
+    frame = np.arange(offsets[-1]) - np.repeat(offsets[:-1] - crop_start * cropped, kept)
+    rows = src.take(np.repeat(first_row, kept) + frame, axis=0)
+    noise_rows = np.flatnonzero(np.repeat(noisy, kept))
+    rows[noise_rows] += rng.normal(0.0, cfg.noise_sigma, size=(len(noise_rows), src.shape[1]))
+    lo, hi = (np.repeat(a, kept, axis=1) for a in (span_start, span_start + span_len))
+    rows[np.flatnonzero(np.repeat(masked, kept) & ((lo <= frame) & (frame < hi)).any(0))] = 0.0
+    return Stack(rows, offsets)
 
 
 def make_views(
     h: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent augmented views of one sequence.
+    """Two independent augmented views of one sequence: draw_views of a
+    batch of one.
 
     The source label travels with both views unchanged; batch assembly is
     responsible for tiling it.
     """
-    cfg.validate()
-    return augment_once(h, cfg, rng), augment_once(h, cfg, rng)
+    return tuple(draw_views([h], cfg, rng))

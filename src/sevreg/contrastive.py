@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import AugmentConfig, make_views
+from .augment import AugmentConfig, draw_views
 from .errors import DimensionError, ParameterError
+from .nn import Stack
 
 VAR_EPS = 1e-4  # inside the variance-regularizer square root
 
@@ -52,10 +53,10 @@ class PairingSpec:
 
 @dataclass
 class Batch:
-    """2B augmented views with tiled labels; views[i] and views[B+i] share
-    source i, so labels[i] == labels[B+i]."""
+    """2B augmented views, a Stack or a list, with tiled labels; views[i]
+    and views[B+i] share source i, so labels[i] == labels[B+i]."""
 
-    views: list[np.ndarray]
+    views: Stack | list[np.ndarray]
     labels: np.ndarray
     b: int
 
@@ -70,13 +71,9 @@ def build_batch(
     rng: np.random.Generator,
 ) -> Batch:
     """Augment each (features, label) source twice and tile the labels."""
-    firsts, seconds = [], []
-    for h, _ in sources:
-        v1, v2 = make_views(h, cfg, rng)
-        firsts.append(v1)
-        seconds.append(v2)
+    views = draw_views([h for h, _ in sources], cfg, rng)
     labels = np.array([y for _, y in sources], dtype=float)
-    return Batch(views=firsts + seconds, labels=np.tile(labels, 2), b=len(sources))
+    return Batch(views=views, labels=np.tile(labels, 2), b=len(sources))
 
 
 # ---------------------------------------------------------------------------

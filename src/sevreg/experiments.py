@@ -126,6 +126,7 @@ class Stages:
         )
         self.resolved = config_to_dict(cfg)
         self.run_id = run_id_for(self.resolved, seed=seed)
+        self.snapshot = {**self.resolved, "seed": seed}  # as checkpoints record it
 
     @property
     def has_stage2(self) -> bool:
@@ -224,7 +225,7 @@ class Stages:
         if not isinstance(recorded, dict):
             raise FeatureFormatError(f"{path} records no config object")
         for key in LINEAGE_KEYS:
-            if config_value(recorded, key) != config_value(self.resolved, key):
+            if config_value(recorded, key) != config_value(self.snapshot, key):
                 raise FeatureFormatError(f"{path} was made with another {key} than this config")
         return net_from_checkpoint(ckpt)
 
@@ -255,7 +256,7 @@ class Stages:
         for stage, result in results.items():
             history[stage] = result.history if result else []
             if result:
-                ckpt = checkpoint_from_net(result.net, stage, self.resolved)
+                ckpt = checkpoint_from_net(result.net, stage, self.snapshot)
                 save_checkpoint(run_dir / CHECKPOINTS[stage], ckpt)
         rows = {stage: history[stage] for stage in CHECKPOINTS}
         atomic_write(run_dir / "history.json", json.dumps(rows, indent=2) + "\n")

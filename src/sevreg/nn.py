@@ -355,6 +355,21 @@ def build_net(
 
 
 @dataclass
+class Stack:
+    """Sequences stacked as one matrix: `rows` (sum T_i, D) split at the
+    B + 1 boundaries `offsets`. len() and iteration give the B sequences."""
+
+    rows: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __iter__(self):
+        return (self.rows[lo:hi] for lo, hi in zip(self.offsets[:-1], self.offsets[1:]))
+
+
+@dataclass
 class ForwardCache:
     """Intermediates of one batched forward pass, consumed by backward. Every
     array but `offsets` has the net's dtype."""
@@ -394,22 +409,25 @@ def _relu_dropout_backward(
 
 def forward_batch(
     net: AdaptorNet,
-    seqs: list[np.ndarray],
+    seqs: list[np.ndarray] | Stack,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardCache:
-    """Run a list of (T_i, D) sequences through the network as one stack,
-    cast once to the net's dtype."""
-    if not seqs:
+    """Run (T_i, D) sequences, a list or a Stack, through the network as one
+    stack, cast once to the net's dtype."""
+    if not len(seqs):
         raise EmptyInputError("forward_batch needs at least one sequence")
-    bad = [s.shape for s in seqs if s.ndim != 2 or s.shape[1] != net.feat_dim]
+    parts = [seqs.rows] if isinstance(seqs, Stack) else seqs
+    bad = [s.shape for s in parts if s.ndim != 2 or s.shape[1] != net.feat_dim]
     if bad:
         raise DimensionError(f"expected (T, {net.feat_dim}) sequences, got {bad[0]}")
-    lengths = [s.shape[0] for s in seqs]
-    if min(lengths) < 1:
+    if isinstance(seqs, Stack):
+        x, offsets = seqs.rows.astype(net.dtype, copy=False), seqs.offsets
+    else:
+        x = np.concatenate(seqs, axis=0, dtype=net.dtype)
+        offsets = np.cumsum([0, *(s.shape[0] for s in seqs)])
+    if np.diff(offsets).min() < 1:
         raise EmptyInputError("sequences must have T >= 1")
-    x = np.concatenate(seqs, axis=0, dtype=net.dtype)
-    offsets = np.cumsum([0, *lengths])
 
     drop = training and net.dropout_p > 0.0
     a1 = linear_forward(net.layers["adaptor1"], x)

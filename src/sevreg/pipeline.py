@@ -37,7 +37,7 @@ from .errors import (
     TransferError,
 )
 from .evaluation import EvalReport, evaluate_scores, write_embeddings
-from .nn import AdaptorNet, backward_batch, build_net, forward_batch, huber_loss_batch
+from .nn import AdaptorNet, Stack, backward_batch, build_net, forward_batch, huber_loss_batch
 from .optim import OptimState, init_optimizer, optimizer_step
 
 logger = logging.getLogger(__name__)
@@ -237,7 +237,7 @@ def fit(
     net: AdaptorNet,
     opt: OptimState,
     epochs: int,
-    batches: Callable[[], Iterable[tuple[list[np.ndarray], Any]]],
+    batches: Callable[[], Iterable[tuple[list[np.ndarray] | Stack, Any]]],
     loss: Callable[[np.ndarray, Any], tuple[float, np.ndarray]],
     on_epoch: Callable[[int], dict],
     drop_rng: np.random.Generator,

@@ -376,6 +376,23 @@ class TestChainEqualsRunAll:
             run_all_dir / "results.csv"
         ).read_bytes()
 
+    def test_stage3_resumes_a_run_all_seed_directory(self, workspace, tmp_path):
+        """Each seed directory's checkpoints record that directory's seed, so
+        the stage chain with that seed resumes from it."""
+        _, config_path, _ = workspace
+        run_root = tmp_path / "runs"
+        common = ["--config", str(config_path), "seeds=[0,1]", f"run_root={run_root}"]
+        assert main(["run-all", *common]) == 0
+        (run_all_dir,) = run_root.iterdir()
+        run_dir = tmp_path / "seed_1"
+        shutil.copytree(run_all_dir / "seed_1", run_dir)
+        (run_dir / "model.dsqc").unlink()
+        assert main(["stage3", *common, "seed=1", "--run-dir", str(run_dir)]) == 0
+        for name in ("model.dsqc", "history.json"):
+            assert (run_dir / name).read_bytes() == (
+                run_all_dir / "seed_1" / name
+            ).read_bytes(), name
+
     def test_stage3_without_stage2_checkpoint_exits_1(self, workspace, tmp_path):
         _, config_path, _ = workspace
         run_dir = tmp_path / "nostage2"

@@ -527,3 +527,66 @@ class TestDtype:
         pooled = stats_pool(h, offsets)
         grad = stats_pool_backward(h, np.ones_like(pooled), offsets, pooled)
         assert pooled.dtype == dtype and grad.dtype == dtype
+
+
+class TestStackedViews:
+    """build_batch hands forward_batch its views as one Stack; the net sees
+    the same rows as from the list of the same views."""
+
+    @staticmethod
+    def _batch(b=6):
+        from sevreg.augment import AugmentConfig
+        from sevreg.contrastive import build_batch
+
+        rng = np.random.default_rng(21)
+        sources = [(rng.standard_normal((rng.integers(2, 15), 4)), 1.0) for _ in range(b)]
+        return build_batch(sources, AugmentConfig(), rng)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_backward_match_list(self, dtype):
+        from dataclasses import fields
+
+        batch = self._batch()
+        assert isinstance(batch.views, nn.Stack)
+        net = build_net(
+            feat_dim=4, seed_or_rng=2, hidden_dim=8, out_dim=5, dropout_p=0.3,
+            normalize_output=True, dtype=dtype,
+        )
+        grad_out = np.random.default_rng(22).standard_normal((len(batch.views), 5))
+        caches, grads = [], []
+        for views in (batch.views, list(batch.views)):
+            cache = forward_batch(net, views, training=True, rng=np.random.default_rng(23))
+            caches.append(cache)
+            grads.append(backward_batch(net, cache, grad_out))
+        for f in fields(caches[0]):
+            a, b = getattr(caches[0], f.name), getattr(caches[1], f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        assert grads[0].keys() == grads[1].keys()
+        for k in grads[0]:
+            assert np.array_equal(grads[0][k], grads[1][k]), k
+
+    def test_len_and_iteration_give_views(self):
+        views = self._batch(b=5).views
+        seqs = list(views)
+        assert len(views) == len(seqs) == 10
+        assert all(s.ndim == 2 and s.shape[1] == 4 for s in seqs)
+        assert sum(s.shape[0] for s in seqs) == views.rows.shape[0] == views.offsets[-1]
+        assert np.array_equal(np.concatenate(seqs), views.rows)
+
+    def test_stack_is_validated(self):
+        net = build_net(feat_dim=4, seed_or_rng=0, hidden_dim=6)
+        with pytest.raises(DimensionError):
+            forward_batch(net, nn.Stack(np.ones((5, 3)), np.array([0, 2, 5])))
+        with pytest.raises(EmptyInputError):
+            forward_batch(net, nn.Stack(np.ones((5, 4)), np.array([0, 5, 5])))
+        with pytest.raises(EmptyInputError):
+            forward_batch(net, nn.Stack(np.ones((0, 4)), np.array([0])))
+
+    def test_batch_of_view_list(self):
+        from sevreg.contrastive import Batch
+
+        views = [np.zeros((3, 4))] * 4
+        batch = Batch(views=views, labels=np.array([1.0, 2.0, 1.0, 2.0]), b=2)
+        assert batch.views is views
+        with pytest.raises(DimensionError):
+            Batch(views=views[:3], labels=np.array([1.0, 2.0, 1.0, 2.0]), b=2)
