@@ -7,7 +7,7 @@ Run from the repository root:
 
 import numpy as np
 
-from sevreg.gradcheck import finite_diff_check, flatten_params, unflatten_params
+from sevreg.gradcheck import finite_diff_check
 from sevreg.nn import (
     LayerParams,
     backward_batch,
@@ -53,12 +53,14 @@ print("three sequences of different lengths -> predictions", cache.out.ravel())
 # ---------------------------------------------------------------------------
 print("\n== optimizing ==")
 targets = np.array([2.0, 5.0, 3.5])
-opt = init_optimizer(net.param_arrays(), lr=0.01, weight_decay=0.01, decoupled=True)
+# All parameters of a net live in one flat array, and backward_batch returns
+# the gradient in the same layout, so the optimizer steps a single array.
+params = {"net": net.flat}
+opt = init_optimizer(params, lr=0.01, weight_decay=0.01, decoupled=True)
 for step in range(200):
     cache = forward_batch(net, seqs)
     loss, dpred = huber_loss_batch(cache.out[:, 0], targets, 0.5)
-    grads = backward_batch(net, cache, dpred[:, None])
-    optimizer_step(net.param_arrays(), grads, opt)
+    optimizer_step(params, {"net": backward_batch(net, cache, dpred[:, None])}, opt)
     if step % 50 == 0 or step == 199:
         print(f"step {step:3d}: huber loss {loss:.6f}")
 
@@ -66,19 +68,15 @@ for step in range(200):
 # Check the analytic gradients with central finite differences
 # ---------------------------------------------------------------------------
 print("\n== gradient check ==")
-template = {k: np.zeros_like(v) for k, v in net.param_arrays().items()}
 
 
 def loss_fn(flat):
-    values = unflatten_params(flat, template)
-    arrays = net.param_arrays()
-    for k, v in values.items():
-        arrays[k][...] = v
+    net.flat[...] = flat
     cache = forward_batch(net, seqs)
     value, dpred = huber_loss_batch(cache.out[:, 0], targets, 0.5)
-    return value, flatten_params(backward_batch(net, cache, dpred[:, None]))
+    return value, backward_batch(net, cache, dpred[:, None])
 
 
-report = finite_diff_check(loss_fn, flatten_params(net.param_arrays()), eps=1e-5)
+report = finite_diff_check(loss_fn, net.flat.copy(), eps=1e-5)
 print(f"max relative error over {report.n_params} parameters: {report.max_rel_err:.2e}")
 print("passed at rtol 1e-4:", report.passed)

@@ -50,9 +50,10 @@ ABLATION_VARIANTS = (
 # order, are also the sections of its history.json.
 CHECKPOINTS = {"stage1": "stage1.dsqc", "stage2": "stage2.dsqc", "final": "model.dsqc"}
 
-# The config keys every stage reads; a checkpoint recording other values
-# belongs to another chain.
+# The config keys every stage reads, and those besides that made each stage's
+# checkpoint; a checkpoint recording other values belongs to another chain.
 LINEAGE_KEYS = ("seed", "model", "data.world")
+STAGE_KEYS = {"stage1": ("stage1",), "stage2": ("strategy", "stage2"), "final": ()}
 
 
 def config_value(doc, key: str):
@@ -218,13 +219,14 @@ class Stages:
 
     def load(self, run_dir: Path, stage: str) -> AdaptorNet:
         """The net of a stage's checkpoint, through the strict reader; one
-        made for another seed, model or world raises FeatureFormatError."""
+        made for another seed, model or world, or with other settings of its
+        own stage (STAGE_KEYS), raises FeatureFormatError."""
         path = run_dir / CHECKPOINTS[stage]
         ckpt = load_checkpoint(path)
         recorded = ckpt.meta.get("config")
         if not isinstance(recorded, dict):
             raise FeatureFormatError(f"{path} records no config object")
-        for key in LINEAGE_KEYS:
+        for key in LINEAGE_KEYS + STAGE_KEYS[stage]:
             if config_value(recorded, key) != config_value(self.snapshot, key):
                 raise FeatureFormatError(f"{path} was made with another {key} than this config")
         return net_from_checkpoint(ckpt)

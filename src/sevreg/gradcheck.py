@@ -20,24 +20,6 @@ class GradCheckReport:
         return self.max_rel_err < self.rtol
 
 
-def flatten_params(params: dict[str, np.ndarray]) -> np.ndarray:
-    """Concatenate a named parameter dict into one flat vector."""
-    return np.concatenate([params[k].ravel() for k in sorted(params)])
-
-
-def unflatten_params(
-    vec: np.ndarray, template: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Inverse of flatten_params, shaped after `template`."""
-    out = {}
-    pos = 0
-    for k in sorted(template):
-        size = template[k].size
-        out[k] = vec[pos : pos + size].reshape(template[k].shape).copy()
-        pos += size
-    return out
-
-
 def finite_diff_check(
     loss_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
     params: np.ndarray,

@@ -13,11 +13,11 @@ applied forward as h = a * mask and backward as grad_a = grad_h * mask.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError, ParameterError
+from .errors import DimensionError, EmptyInputError, ParameterError, TransferError
 
 # Inside the std square root; keeps the pooling gradient finite at zero variance.
 STD_EPS = 1e-8
@@ -63,19 +63,13 @@ class LayerParams:
     def in_dim(self) -> int:
         return self.weight.shape[1]
 
-    def copy(self) -> "LayerParams":
-        return LayerParams(self.weight.copy(), self.bias.copy())
 
-
-def init_layer(
-    rng: np.random.Generator, n_in: int, n_out: int, dtype=np.float64
-) -> LayerParams:
-    """Uniform +-sqrt(1/fan_in) init for weight and bias. The draws are
-    float64 in every dtype, so the stream does not depend on it."""
+def init_layer(rng: np.random.Generator, n_in: int, n_out: int) -> LayerParams:
+    """Uniform +-sqrt(1/fan_in) float64 init for weight and bias."""
     bound = math.sqrt(1.0 / n_in)
     weight = rng.uniform(-bound, bound, size=(n_out, n_in))
     bias = rng.uniform(-bound, bound, size=n_out)
-    return LayerParams(weight.astype(dtype, copy=False), bias.astype(dtype, copy=False))
+    return LayerParams(weight, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +276,27 @@ def huber_loss_batch(
 # ---------------------------------------------------------------------------
 
 
+# The layers of a net, in the order of its flat parameter array; each stores
+# its weight, then its bias, so the trunk (all but the head) is a prefix.
+TRUNK = ("adaptor1", "adaptor2")
+LAYERS = (*TRUNK, "head")
+
+
+def param_shapes(feat_dim: int, hidden_dim: int, out_dim: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each parameter, keyed 'layer.weight' / 'layer.bias', in
+    the order of the flat array."""
+    dims = {
+        "adaptor1": (hidden_dim, feat_dim),
+        "adaptor2": (hidden_dim, hidden_dim),
+        "head": (out_dim, 2 * hidden_dim),
+    }
+    shapes = {}
+    for name in LAYERS:
+        shapes[f"{name}.weight"] = dims[name]
+        shapes[f"{name}.bias"] = dims[name][:1]
+    return shapes
+
+
 @dataclass
 class AdaptorNet:
     """Two linear layers -> ReLU/dropout -> statistics pooling -> linear head.
@@ -289,38 +304,62 @@ class AdaptorNet:
     out_dim=1 gives the severity regressor; out_dim=embed size with
     normalize_output=True gives the contrastive projector. The trunk is shared
     so projector weights can seed the regressor.
+
+    Every parameter lives in the one contiguous array `flat`; `layers` and
+    param_arrays() are views into it, and backward_batch returns gradients
+    in the same layout.
     """
 
-    layers: dict[str, LayerParams]
+    flat: np.ndarray
     feat_dim: int
     hidden_dim: int = 320
     out_dim: int = 1
     dropout_p: float = 0.1
     normalize_output: bool = False
+    layers: dict[str, LayerParams] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        views = self.named(self.flat)
+        self.layers = {
+            name: LayerParams(views[f"{name}.weight"], views[f"{name}.bias"])
+            for name in LAYERS
+        }
 
     @property
     def dtype(self) -> np.dtype:
         """The dtype of the parameters, and of every activation and gradient."""
-        return self.layers["head"].weight.dtype
+        return self.flat.dtype
+
+    def named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of an array in this net's layout, keyed 'layer.weight' /
+        'layer.bias', in layout order."""
+        views, start = {}, 0
+        for key, shape in param_shapes(self.feat_dim, self.hidden_dim, self.out_dim).items():
+            stop = start + math.prod(shape)
+            views[key] = flat[start:stop].reshape(shape)
+            start = stop
+        return views
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         """Live views of all parameters, keyed 'layer.weight' / 'layer.bias'."""
-        out = {}
-        for name, lp in self.layers.items():
-            out[f"{name}.weight"] = lp.weight
-            out[f"{name}.bias"] = lp.bias
-        return out
+        return self.named(self.flat)
 
     def copy(self) -> "AdaptorNet":
-        clone = AdaptorNet(
-            layers={k: v.copy() for k, v in self.layers.items()},
-            feat_dim=self.feat_dim,
-            hidden_dim=self.hidden_dim,
-            out_dim=self.out_dim,
-            dropout_p=self.dropout_p,
-            normalize_output=self.normalize_output,
-        )
-        return clone
+        return replace(self, flat=self.flat.copy())
+
+    def load_trunk(self, source: "AdaptorNet") -> None:
+        """Copy the trunk of `source`, the prefix of its flat array, into this
+        net; a trunk of another shape raises TransferError naming the
+        parameters that do not fit."""
+        ours, theirs = self.named(self.flat), source.named(source.flat)
+        trunk = [key for key in ours if key.split(".")[0] in TRUNK]
+        mismatched = [key for key in trunk if ours[key].shape != theirs[key].shape]
+        if mismatched:
+            raise TransferError(
+                f"checkpoint layers do not fit the model: {mismatched}", layers=mismatched
+            )
+        size = sum(ours[key].size for key in trunk)
+        self.flat[:size] = source.flat[:size]
 
 
 def build_net(
@@ -339,19 +378,20 @@ def build_net(
         if isinstance(seed_or_rng, np.random.Generator)
         else np.random.default_rng(seed_or_rng)
     )
-    layers = {
-        "adaptor1": init_layer(rng, feat_dim, hidden_dim, dtype),
-        "adaptor2": init_layer(rng, hidden_dim, hidden_dim, dtype),
-        "head": init_layer(rng, 2 * hidden_dim, out_dim, dtype),
-    }
-    return AdaptorNet(
-        layers=layers,
+    size = sum(math.prod(s) for s in param_shapes(feat_dim, hidden_dim, out_dim).values())
+    net = AdaptorNet(
+        flat=np.empty(size, dtype=dtype),
         feat_dim=feat_dim,
         hidden_dim=hidden_dim,
         out_dim=out_dim,
         dropout_p=dropout_p,
         normalize_output=normalize_output,
     )
+    for layer in net.layers.values():
+        drawn = init_layer(rng, layer.in_dim, layer.out_dim)
+        layer.weight[...] = drawn.weight
+        layer.bias[...] = drawn.bias
+    return net
 
 
 @dataclass
@@ -450,9 +490,9 @@ def forward_batch(
 
 def backward_batch(
     net: AdaptorNet, cache: ForwardCache, grad_out: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. all parameters, given dL/d out,
-    which is cast to the net's dtype first."""
+) -> np.ndarray:
+    """Gradient of a scalar loss w.r.t. all parameters, in the layout of
+    `net.flat`, given dL/d out, which is cast to the net's dtype first."""
     grad_out = np.asarray(grad_out, dtype=net.dtype)
     if net.normalize_output:
         # z = y / ||y||; dy = (dz - z (z . dz)) / ||y||
@@ -462,20 +502,19 @@ def backward_batch(
     else:
         grad_raw = grad_out
 
-    grads: dict[str, np.ndarray] = {}
-    gw, gb, grad_pooled = linear_backward(net.layers["head"], cache.pooled, grad_raw)
-    grads["head.weight"] = gw
-    grads["head.bias"] = gb
+    grad = np.empty_like(net.flat)
+    g = net.named(grad)
+    g["head.weight"][...], g["head.bias"][...], grad_pooled = linear_backward(
+        net.layers["head"], cache.pooled, grad_raw
+    )
 
     grad_h2 = stats_pool_backward(cache.h2, grad_pooled, cache.offsets, cache.pooled)
 
     grad_a2 = _relu_dropout_backward(cache.a2, cache.mask2, grad_h2)
-    gw, gb, grad_h1 = linear_backward(net.layers["adaptor2"], cache.h1, grad_a2)
-    grads["adaptor2.weight"] = gw
-    grads["adaptor2.bias"] = gb
+    g["adaptor2.weight"][...], g["adaptor2.bias"][...], grad_h1 = linear_backward(
+        net.layers["adaptor2"], cache.h1, grad_a2
+    )
 
     grad_a1 = _relu_dropout_backward(cache.a1, cache.mask1, grad_h1)
-    gw, gb = linear_param_grads(cache.x, grad_a1)
-    grads["adaptor1.weight"] = gw
-    grads["adaptor1.bias"] = gb
-    return grads
+    g["adaptor1.weight"][...], g["adaptor1.bias"][...] = linear_param_grads(cache.x, grad_a1)
+    return grad

@@ -34,11 +34,10 @@ from .errors import (
     FeatureFormatError,
     ParameterError,
     TrainingDivergedError,
-    TransferError,
 )
 from .evaluation import EvalReport, evaluate_scores, write_embeddings
 from .nn import AdaptorNet, Stack, backward_batch, build_net, forward_batch, huber_loss_batch
-from .optim import OptimState, init_optimizer, optimizer_step
+from .optim import init_optimizer, optimizer_step
 
 logger = logging.getLogger(__name__)
 
@@ -98,9 +97,7 @@ def checkpoint_from_net(
         "config": config_snapshot,
         "metrics": metrics or {},
     }
-    return Checkpoint(
-        params={k: v.copy() for k, v in net.param_arrays().items()}, meta=meta
-    )
+    return Checkpoint(params=net.named(net.flat.copy()), meta=meta)
 
 
 # Model metadata that older checkpoints record, each with the only value the
@@ -144,21 +141,15 @@ def net_from_checkpoint(ckpt: Checkpoint) -> AdaptorNet:
             "checkpoint tensors do not fit the model: "
             f"missing {missing}, unknown {unknown}, wrong shape {misshapen}"
         )
-    _copy_tensors(arrays, ckpt.params)
-    return net
-
-
-def _copy_tensors(arrays: dict[str, np.ndarray], values: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint tensors into a net's parameter arrays, each value
-    rounded to the nearest one of the net's dtype; a value beyond its range
-    raises FeatureFormatError."""
     with np.errstate(over="ignore"):
-        for name, value in values.items():
+        for name, value in ckpt.params.items():
             arrays[name][...] = value
-    overflowed = sorted(name for name in values if not np.all(np.isfinite(arrays[name])))
+    overflowed = sorted(name for name in arrays if not np.all(np.isfinite(arrays[name])))
     if overflowed:
-        dtype = arrays[overflowed[0]].dtype
-        raise FeatureFormatError(f"checkpoint tensors {overflowed} hold values beyond {dtype}")
+        raise FeatureFormatError(
+            f"checkpoint tensors {overflowed} hold values beyond {net.dtype}"
+        )
+    return net
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
@@ -235,21 +226,27 @@ def seeded_net(
 
 def fit(
     net: AdaptorNet,
-    opt: OptimState,
-    epochs: int,
+    cfg: RegressionStageConfig | Stage2Config,
     batches: Callable[[], Iterable[tuple[list[np.ndarray] | Stack, Any]]],
     loss: Callable[[np.ndarray, Any], tuple[float, np.ndarray]],
     on_epoch: Callable[[int], dict],
     drop_rng: np.random.Generator,
     stage: str,
+    decoupled: bool,
 ) -> list[dict]:
-    """The step loop of every stage: per epoch, one step per (sequences,
-    target) batch drawn lazily from `batches()`, then a history row that
-    `on_epoch(epoch)` extends. `loss(out, target)` returns the loss and its
-    gradient w.r.t. the output; a non-finite loss raises
-    TrainingDivergedError carrying the completed epochs' rows."""
+    """The step loop of every stage: per epoch of `cfg`, one step per
+    (sequences, target) batch drawn lazily from `batches()`, then a history
+    row that `on_epoch(epoch)` extends. `loss(out, target)` returns the loss
+    and its gradient w.r.t. the output; a non-finite loss raises
+    TrainingDivergedError carrying the completed epochs' rows. The optimizer
+    (lr and weight decay of `cfg`, `decoupled` or not) steps the net's one
+    flat parameter array, named `stage`."""
+    params = {stage: net.flat}
+    opt = init_optimizer(
+        params, lr=cfg.lr, weight_decay=cfg.weight_decay, decoupled=decoupled
+    )
     history: list[dict] = []
-    for epoch in range(epochs):
+    for epoch in range(cfg.epochs):
         epoch_losses = []
         for seqs, target in batches():
             cache = forward_batch(net, seqs, training=True, rng=drop_rng)
@@ -258,8 +255,7 @@ def fit(
                 raise TrainingDivergedError(
                     f"{stage} loss diverged at epoch {epoch}", history=history
                 )
-            grads = backward_batch(net, cache, grad_out)
-            optimizer_step(net.param_arrays(), grads, opt)
+            optimizer_step(params, {stage: backward_batch(net, cache, grad_out)}, opt)
             epoch_losses.append(value)
         history.append(
             {
@@ -277,27 +273,17 @@ def train_regression(
     model_cfg: ModelConfig,
     stage_cfg: RegressionStageConfig,
     seed: int,
-    init_trunk: dict[str, np.ndarray] | None = None,
+    init_trunk: AdaptorNet | None = None,
 ) -> StageResult:
-    """Huber regression with label-weighted sampling; returns the checkpoint
+    """Huber regression with label-weighted sampling, from the seeded init
+    with the trunk of the net `init_trunk`, if given; returns the checkpoint
     with the best validation SRCC. That is the initial model if epochs == 0,
     or, with a warning, if the validation SRCC was undefined on every epoch.
     Each history row records as `best_epoch` the epoch whose weights the
     stage keeps so far; None there means the initial model."""
     net = seeded_net(model_cfg, train, seed)
     if init_trunk is not None:
-        arrays = net.param_arrays()
-        mismatched = [
-            name
-            for name, value in init_trunk.items()
-            if name not in arrays or arrays[name].shape != value.shape
-        ]
-        if mismatched:
-            raise TransferError(
-                f"checkpoint layers do not fit the model: {mismatched}",
-                layers=mismatched,
-            )
-        _copy_tensors(arrays, init_trunk)
+        net.load_trunk(init_trunk)
 
     labels = train.labels()
     weights = sampler_weights(train)
@@ -318,24 +304,21 @@ def train_regression(
         value, dpred = huber_loss_batch(out[:, 0], target, stage_cfg.huber_delta)
         return value, dpred[:, None]
 
-    best_params = {k: v.copy() for k, v in net.param_arrays().items()}
+    best = net.flat.copy()
     best_srcc = -np.inf
     best_epoch = None
 
     def on_epoch(epoch):
-        nonlocal best_params, best_srcc, best_epoch
+        nonlocal best_srcc, best_epoch
         val_srcc = validation_srcc(net, val)
         if val_srcc is not None and val_srcc > best_srcc:
             best_srcc, best_epoch = val_srcc, epoch
-            best_params = {k: v.copy() for k, v in net.param_arrays().items()}
+            best[...] = net.flat
         return {"val_srcc": val_srcc, "best_epoch": best_epoch}
 
-    opt = init_optimizer(
-        net.param_arrays(), lr=stage_cfg.lr, weight_decay=stage_cfg.weight_decay
-    )
     history = fit(
-        net, opt, stage_cfg.epochs, batches, loss, on_epoch,
-        role_rng(seed, ROLE_DROPOUT), "regression",
+        net, stage_cfg, batches, loss, on_epoch,
+        role_rng(seed, ROLE_DROPOUT), "regression", decoupled=True,
     )
     if history and best_epoch is None:
         logger.warning(
@@ -343,9 +326,7 @@ def train_regression(
             "keeping the model as it was before training", len(history),
         )
 
-    arrays = net.param_arrays()
-    for name, value in best_params.items():
-        arrays[name][...] = value
+    net.flat[...] = best
     return StageResult(net=net, history=history)
 
 
@@ -458,15 +439,9 @@ def train_stage2(
         skipped.clear()
         return row
 
-    opt = init_optimizer(
-        net.param_arrays(),
-        lr=s2cfg.lr,
-        weight_decay=s2cfg.weight_decay,
-        decoupled=False,
-    )
     history = fit(
-        net, opt, s2cfg.epochs, batches, loss, on_epoch,
-        role_rng(seed, ROLE_STAGE2_DROPOUT), "stage-2",
+        net, s2cfg, batches, loss, on_epoch,
+        role_rng(seed, ROLE_STAGE2_DROPOUT), "stage-2", decoupled=False,
     )
     return StageResult(net=net, history=history)
 
@@ -474,11 +449,6 @@ def train_stage2(
 # ---------------------------------------------------------------------------
 # Stage 3: transfer + fine-tune
 # ---------------------------------------------------------------------------
-
-TRANSFER_KEYS = (
-    "adaptor1.weight", "adaptor1.bias", "adaptor2.weight", "adaptor2.bias",
-)
-
 
 def train_stage3(
     train: Corpus,
@@ -493,12 +463,7 @@ def train_stage3(
     same seeded stream as stage 1, so a run without an encoder reproduces
     stage 1 exactly.
     """
-    init_trunk = None
-    if encoder is not None:
-        init_trunk = {k: encoder.param_arrays()[k] for k in TRANSFER_KEYS}
-    return train_regression(
-        train, val, cfg.model, cfg.stage3, seed, init_trunk=init_trunk
-    )
+    return train_regression(train, val, cfg.model, cfg.stage3, seed, init_trunk=encoder)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from sevreg.contrastive import (
     stage2_loss,
     variance_reg,
 )
-from sevreg.gradcheck import finite_diff_check, flatten_params, unflatten_params
+from sevreg.gradcheck import finite_diff_check
 from sevreg.nn import (
     LayerParams,
     backward_batch,
@@ -39,18 +39,16 @@ def linear_huber_case(rng):
     t, n_in = 3, 4
     x = rng.standard_normal((t, n_in))
     targets = rng.standard_normal(t)
-    template = {"weight": np.zeros((1, n_in)), "bias": np.zeros(1)}
 
     def loss_fn(flat):
-        p = unflatten_params(flat, template)
-        layer = LayerParams(p["weight"], p["bias"])
+        layer = LayerParams(flat[:n_in].reshape(1, n_in), flat[n_in:])
         out = linear_forward(layer, x)
         value, dpred = huber_loss_batch(out[:, 0], targets, 0.5)
         gw, gb, _ = linear_backward(layer, x, dpred[:, None])
-        return value, flatten_params({"weight": gw, "bias": gb})
+        return value, np.concatenate([gw.ravel(), gb])
 
-    init = {"weight": rng.standard_normal((1, n_in)), "bias": rng.standard_normal(1)}
-    return loss_fn, flatten_params(init)
+    weight, bias = rng.standard_normal((1, n_in)), rng.standard_normal(1)
+    return loss_fn, np.concatenate([weight.ravel(), bias])
 
 
 def relu_case(rng):
@@ -58,15 +56,13 @@ def relu_case(rng):
     x0 = rng.standard_normal((3, 4))
     x0[np.abs(x0) < 0.05] += 0.1
     w = rng.standard_normal((3, 4))
-    template = {"x": np.zeros_like(x0)}
 
     def loss_fn(flat):
-        x = unflatten_params(flat, template)["x"]
+        x = flat.reshape(x0.shape)
         value = float(np.sum(relu(x) * w))
-        grad = relu_backward(x, w)
-        return value, flatten_params({"x": grad})
+        return value, relu_backward(x, w).ravel()
 
-    return loss_fn, flatten_params({"x": x0})
+    return loss_fn, x0.ravel()
 
 
 def dropout_fixed_mask_case(rng):
@@ -74,28 +70,26 @@ def dropout_fixed_mask_case(rng):
     x0 = rng.standard_normal((4, 3))
     mask = dropout_mask(x0.shape, 0.3, rng)
     w = rng.standard_normal(x0.shape)
-    template = {"x": np.zeros_like(x0)}
 
     def loss_fn(flat):
-        x = unflatten_params(flat, template)["x"]
+        x = flat.reshape(x0.shape)
         value = float(np.sum(x * mask * w))
-        return value, flatten_params({"x": mask * w})
+        return value, (mask * w).ravel()
 
-    return loss_fn, flatten_params({"x": x0})
+    return loss_fn, x0.ravel()
 
 
 def stats_pool_case(rng):
     """Weighted sum of the pooled mean/std vector, gradient w.r.t. frames."""
     h0 = rng.standard_normal((5, 3))
     w = rng.standard_normal(6)
-    template = {"h": np.zeros_like(h0)}
 
     def loss_fn(flat):
-        h = unflatten_params(flat, template)["h"]
+        h = flat.reshape(h0.shape)
         value = float(stats_pool(h) @ w)
-        return value, flatten_params({"h": stats_pool_backward(h, w)})
+        return value, stats_pool_backward(h, w).ravel()
 
-    return loss_fn, flatten_params({"h": h0})
+    return loss_fn, h0.ravel()
 
 
 def stats_pool_segments_case(rng):
@@ -104,15 +98,14 @@ def stats_pool_segments_case(rng):
     offsets = np.cumsum([0, 1, 4, 2, 5])
     h0 = rng.standard_normal((offsets[-1], 3))
     w = rng.standard_normal((len(offsets) - 1, 6))
-    template = {"h": np.zeros_like(h0)}
 
     def loss_fn(flat):
-        h = unflatten_params(flat, template)["h"]
+        h = flat.reshape(h0.shape)
         pooled = stats_pool(h, offsets)
         value = float(np.sum(pooled * w))
-        return value, flatten_params({"h": stats_pool_backward(h, w, offsets, pooled)})
+        return value, stats_pool_backward(h, w, offsets, pooled).ravel()
 
-    return loss_fn, flatten_params({"h": h0})
+    return loss_fn, h0.ravel()
 
 
 def huber_case(rng):
@@ -159,7 +152,6 @@ def _net_case(rng, projector: bool, dropout_p: float = 0.0):
         drop_seed = int(rng.integers(1 << 30)) if dropout_p > 0.0 else None
         if _relu_margin(net, seqs, drop_seed) > 5e-4:
             break
-    template = {k: np.zeros_like(v) for k, v in net.param_arrays().items()}
     if projector:
         w_out = rng.standard_normal((3, 4))
     else:
@@ -168,20 +160,15 @@ def _net_case(rng, projector: bool, dropout_p: float = 0.0):
         targets = cache.out[:, 0] + rng.choice([-1.5, -0.25, 0.25, 1.5], size=3)
 
     def loss_fn(flat):
-        values = unflatten_params(flat, template)
-        arrays = net.param_arrays()
-        for k, v in values.items():
-            arrays[k][...] = v
+        net.flat[...] = flat
         cache = _forward(net, seqs, drop_seed)
         if projector:
             value = float(np.sum(cache.out * w_out))
-            grads = backward_batch(net, cache, w_out)
-        else:
-            value, dpred = huber_loss_batch(cache.out[:, 0], targets, 0.5)
-            grads = backward_batch(net, cache, dpred[:, None])
-        return value, flatten_params(grads)
+            return value, backward_batch(net, cache, w_out)
+        value, dpred = huber_loss_batch(cache.out[:, 0], targets, 0.5)
+        return value, backward_batch(net, cache, dpred[:, None])
 
-    return loss_fn, flatten_params(net.param_arrays())
+    return loss_fn, net.flat.copy()
 
 
 def regression_net_case(rng):
@@ -207,14 +194,12 @@ def _unit_rows(rng, n, d):
 
 def _z_case(rng, loss_of_z, n=8, d=4):
     z0 = _unit_rows(rng, n, d)
-    template = {"z": np.zeros_like(z0)}
 
     def loss_fn(flat):
-        z = unflatten_params(flat, template)["z"]
-        result = loss_of_z(z)
-        return result.value, flatten_params({"z": result.grad})
+        result = loss_of_z(flat.reshape(z0.shape))
+        return result.value, result.grad.ravel()
 
-    return loss_fn, flatten_params({"z": z0})
+    return loss_fn, z0.ravel()
 
 
 def pairing_batch(rng, b=4):
@@ -268,19 +253,14 @@ def stage2_full_case(rng):
     labels = np.tile(rng.uniform(1.0, 7.0, size=b), 2)
     batch = Batch(views=seqs, labels=labels, b=b)
     spec = PairingSpec(strategy="coarse", tau=1.0)
-    template = {k: np.zeros_like(v) for k, v in net.param_arrays().items()}
 
     def loss_fn(flat):
-        values = unflatten_params(flat, template)
-        arrays = net.param_arrays()
-        for k, v in values.items():
-            arrays[k][...] = v
+        net.flat[...] = flat
         cache = forward_batch(net, batch.views, training=False)
         result = stage2_loss(cache.out, batch, spec, gamma=2.0, var_weight=0.1)
-        grads = backward_batch(net, cache, result.grad)
-        return result.value, flatten_params(grads)
+        return result.value, backward_batch(net, cache, result.grad)
 
-    return loss_fn, flatten_params(net.param_arrays())
+    return loss_fn, net.flat.copy()
 
 
 GRADIENT_SUITE = [

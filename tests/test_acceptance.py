@@ -28,7 +28,7 @@ from sevreg.contrastive import (
 )
 from sevreg.data import split
 from sevreg.evaluation import pcc, rank, srcc
-from sevreg.experiments import ABLATION_VARIANTS, ablate, run_all, run_single, sweep_tau
+from sevreg.experiments import ABLATION_VARIANTS, ablate, run_all, run_configs, sweep_tau
 from sevreg.pipeline import evaluate, train_regression
 from sevreg.synthetic import SyntheticSpec, WorldConfig, build_world, gen_synthetic_corpus
 from test_contrastive import (
@@ -244,30 +244,24 @@ def test_criterion_06_stage1_on_synthetic():
     )
 
 
-def test_criterion_07_three_stage_cross_domain():
+def test_criterion_07_three_stage_cross_domain(tmp_path):
     world = WorldConfig()
     corpora = build_world(world)
-    cfg = RunConfig()
+    cfg = RunConfig(seeds=(0, 1, 2, 3, 4))
     cfg.data.world = world
-    seeds = (0, 1, 2, 3, 4)
     # baseline's final model is the stage-1 teacher fit that coarse
-    # pseudo-labels with; one memo fits it once per seed for both
-    memo = {}
+    # pseudo-labels with; the seed runner fits it once per seed for both
     start = time.monotonic()
+    strategies = ("baseline", "coarse")
+    results = run_configs(
+        [replace(cfg, strategy=strategy) for strategy in strategies], corpora, tmp_path
+    )
     metrics = {}
-    for strategy in ("baseline", "coarse"):
-        scfg = replace(cfg, strategy=strategy)
-        in_domain, shifted = [], []
-        for seed in seeds:
-            rows = {
-                (r["dataset"], r["level"]): r["srcc"]
-                for r in run_single(scfg, corpora, seed, memo=memo)["rows"]
-            }
-            in_domain.append(rows[("test", "utterance")])
-            shifted.append(rows[("shifted_test", "speaker")])
-        metrics[strategy] = (
-            float(np.median(in_domain)),
-            float(np.median(shifted)),
+    for strategy, result in zip(strategies, results):
+        rows = result["rows"]
+        metrics[strategy] = tuple(
+            float(np.median([r["srcc"] for r in rows if (r["dataset"], r["level"]) == key]))
+            for key in (("test", "utterance"), ("shifted_test", "speaker"))
         )
     elapsed = time.monotonic() - start
     base_in, base_shift = metrics["baseline"]

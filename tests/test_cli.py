@@ -507,9 +507,15 @@ class TestStageInputs:
         [
             ("stage3", "stage2.dsqc", ["seed=5", "seeds=[5]"], "another seed"),
             ("pseudo-label", "stage1.dsqc", ["model.hidden_dim=16"], "another model"),
+            ("pseudo-label", "stage1.dsqc", ["stage1.lr=0.001"], "another stage1"),
+            ("stage3", "stage2.dsqc", ["stage2.pairing.tau=5.0"], "another stage2"),
+            ("stage3", "stage2.dsqc", ["strategy=dis"], "another strategy"),
             ("stage3", "stage2.dsqc", None, "records no config object"),
         ],
-        ids=["stage3_seed", "pseudo_label_hidden_dim", "stage3_no_config"],
+        ids=[
+            "stage3_seed", "pseudo_label_hidden_dim", "pseudo_label_stage1_lr",
+            "stage3_stage2_tau", "stage3_strategy", "stage3_no_config",
+        ],
     )
     def test_checkpoint_of_another_chain_exits_1(
         self, workspace, stage2_inputs, tmp_path, capsys, step, checkpoint, overrides, named

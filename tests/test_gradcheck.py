@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gradcheck_cases as cases
-from sevreg.gradcheck import finite_diff_check, flatten_params, unflatten_params
+from sevreg.gradcheck import finite_diff_check
 
 
 @pytest.mark.parametrize("name,builder,rtol", cases.GRADIENT_SUITE, ids=[c[0] for c in cases.GRADIENT_SUITE])
@@ -44,11 +44,3 @@ def test_detects_wrong_gradient():
     report = finite_diff_check(loss_fn, np.array([1.0]), eps=1e-5, rtol=1e-4)
     assert not report.passed
 
-
-def test_flatten_round_trip():
-    rng = np.random.default_rng(3)
-    params = {"b": rng.standard_normal((2, 3)), "a": rng.standard_normal(4)}
-    flat = flatten_params(params)
-    back = unflatten_params(flat, params)
-    for k in params:
-        assert np.array_equal(params[k], back[k])

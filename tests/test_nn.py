@@ -206,7 +206,7 @@ class TestFusedDropout:
         monkeypatch.setattr(nn, "relu", None)
         monkeypatch.setattr(nn, "relu_backward", None)
         cache = forward_batch(net, seqs, training=True, rng=np.random.default_rng(5))
-        grads = backward_batch(net, cache, grad_out)
+        grads = net.named(backward_batch(net, cache, grad_out))
         monkeypatch.undo()
 
         layers, ref_rng = net.layers, np.random.default_rng(5)
@@ -447,6 +447,83 @@ class TestNet:
             forward_batch(net, [np.ones((3, 5))])
 
 
+class TestFlatLayout:
+    """A net's parameters are views into its one flat array: adaptor1,
+    adaptor2, head, each weight then bias, so the trunk is a prefix."""
+
+    @staticmethod
+    def _offset(view, flat):
+        return (view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]) // flat.itemsize
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_param_arrays_tile_flat_in_layer_order(self, dtype):
+        net = build_net(feat_dim=3, seed_or_rng=0, hidden_dim=5, out_dim=2, dtype=dtype)
+        arrays = net.param_arrays()
+        assert list(arrays) == [f"{l}.{p}" for l in nn.LAYERS for p in ("weight", "bias")]
+        start = 0
+        for name, view in arrays.items():
+            assert np.shares_memory(view, net.flat), name
+            assert view.dtype == net.flat.dtype == dtype
+            assert self._offset(view, net.flat) == start, name
+            start += view.size
+        assert start == net.flat.size
+        for name, layer in net.layers.items():
+            assert np.shares_memory(layer.weight, arrays[f"{name}.weight"])
+            assert np.shares_memory(layer.bias, arrays[f"{name}.bias"])
+
+    def test_trunk_is_the_prefix(self):
+        net = build_net(feat_dim=3, seed_or_rng=0, hidden_dim=5, out_dim=1)
+        source = build_net(feat_dim=3, seed_or_rng=1, hidden_dim=5, out_dim=4)
+        head = {k: v.copy() for k, v in net.param_arrays().items() if k.startswith("head.")}
+        trunk_size = self._offset(net.layers["head"].weight, net.flat)
+        assert trunk_size == sum(
+            v.size for k, v in net.param_arrays().items() if k.split(".")[0] in nn.TRUNK
+        )
+        net.load_trunk(source)
+        assert np.array_equal(net.flat[:trunk_size], source.flat[:trunk_size])
+        for name, value in head.items():
+            assert np.array_equal(net.param_arrays()[name], value)
+
+    @pytest.mark.parametrize(
+        "dims, named",
+        [
+            ({"feat_dim": 4, "hidden_dim": 5}, ["adaptor1.weight"]),
+            ({"feat_dim": 3, "hidden_dim": 6}, ["adaptor1.weight", "adaptor1.bias",
+                                                "adaptor2.weight", "adaptor2.bias"]),
+        ],
+        ids=["feat_dim", "hidden_dim"],
+    )
+    def test_misfit_trunk_named(self, dims, named):
+        from sevreg.errors import TransferError
+
+        net = build_net(feat_dim=3, seed_or_rng=0, hidden_dim=5)
+        before = net.flat.copy()
+        with pytest.raises(TransferError) as err:
+            net.load_trunk(build_net(seed_or_rng=1, **dims))
+        assert err.value.layers == named
+        assert np.array_equal(net.flat, before)
+
+    def test_copy_shares_nothing(self):
+        net = build_net(feat_dim=3, seed_or_rng=0, hidden_dim=5)
+        clone = net.copy()
+        assert not np.shares_memory(clone.flat, net.flat)
+        for name, view in clone.param_arrays().items():
+            assert np.shares_memory(view, clone.flat) and not np.shares_memory(view, net.flat)
+            assert np.array_equal(view, net.param_arrays()[name])
+        for layer in clone.layers.values():
+            assert not np.shares_memory(layer.weight, net.flat)
+        clone.flat += 1.0
+        assert not np.array_equal(clone.flat, net.flat)
+
+    def test_gradient_has_the_layout(self):
+        net = build_net(feat_dim=3, seed_or_rng=0, hidden_dim=5, dtype=np.float32)
+        seqs = [np.random.default_rng(1).standard_normal((4, 3))]
+        grad = backward_batch(net, forward_batch(net, seqs), np.ones((1, 1)))
+        assert grad.shape == net.flat.shape and grad.dtype == net.dtype
+        assert not np.shares_memory(grad, net.flat)
+        assert list(net.named(grad)) == list(net.param_arrays())
+
+
 class TestDtype:
     """A net keeps its dtype through a training step: activations, masks,
     pooled statistics, output, gradients and the optimizer moments."""
@@ -478,9 +555,10 @@ class TestDtype:
             targets = np.array([1.0, 2.5, 4.0, 6.0])  # float64 labels
             _, dpred = huber_loss_batch(cache.out[:, 0], targets, 0.5)
             grad_out = dpred[:, None]
-        opt = init_optimizer(net.param_arrays(), lr=1e-3, weight_decay=0.01)
-        grads = backward_batch(net, cache, grad_out)
-        optimizer_step(net.param_arrays(), grads, opt)
+        opt = init_optimizer({"net": net.flat}, lr=1e-3, weight_decay=0.01)
+        grad = backward_batch(net, cache, grad_out)
+        optimizer_step({"net": net.flat}, {"net": grad}, opt)
+        grads = net.named(grad)
         arrays = {
             f"cache.{f.name}": getattr(cache, f.name)
             for f in fields(cache)
@@ -501,7 +579,7 @@ class TestDtype:
         if projector:
             expected.add("norms")
         assert {k[len("cache."):] for k in arrays if k.startswith("cache.")} == expected
-        assert len([k for k in arrays if k.startswith(("m.", "v."))]) == 12
+        assert len([k for k in arrays if k.startswith(("m.", "v."))]) == 2
         assert {k: a.dtype for k, a in arrays.items()} == {k: np.dtype(dtype) for k in arrays}
 
     def test_init_draws_do_not_depend_on_dtype(self):
@@ -557,7 +635,7 @@ class TestStackedViews:
         for views in (batch.views, list(batch.views)):
             cache = forward_batch(net, views, training=True, rng=np.random.default_rng(23))
             caches.append(cache)
-            grads.append(backward_batch(net, cache, grad_out))
+            grads.append(net.named(backward_batch(net, cache, grad_out)))
         for f in fields(caches[0]):
             a, b = getattr(caches[0], f.name), getattr(caches[1], f.name)
             assert a.dtype == b.dtype and np.array_equal(a, b), f.name

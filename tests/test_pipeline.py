@@ -378,6 +378,51 @@ class TestDivergence:
         assert str(err.value) == f"{stage} loss diverged at epoch 1"
 
 
+def stage_run(stage, world, splits, epochs=1):
+    """A callable that trains `stage` ("regression" or "stage-2") on the small
+    world for `epochs`."""
+    train, val, _ = splits
+    if stage == "regression":
+        return lambda: train_regression(train, val, MODEL, replace(STAGE, epochs=epochs), 0)
+    mixed = build_stage2_corpus(train, None, world["typical"])
+    return lambda: train_stage2(mixed, MODEL, replace(STAGE2, epochs=epochs), 0, "coarse")
+
+
+class TestFlatStep:
+    """fit steps the optimizer on the net's one flat array, named by stage."""
+
+    @pytest.mark.parametrize("stage", ["regression", "stage-2"])
+    def test_one_array_per_step(self, stage, world, splits, monkeypatch):
+        seen = []
+        real = pipeline.optimizer_step
+
+        def recording(params, grads, state):
+            seen.append((params, grads))
+            return real(params, grads, state)
+
+        monkeypatch.setattr(pipeline, "optimizer_step", recording)
+        net = stage_run(stage, world, splits)().net
+        assert seen
+        for params, grads in seen:
+            assert list(params) == list(grads) == [stage]
+            assert params[stage] is net.flat
+            assert grads[stage].shape == net.flat.shape
+            assert grads[stage].dtype == net.dtype
+
+    @pytest.mark.parametrize("stage", ["regression", "stage-2"])
+    def test_nan_gradient_names_the_stage(self, stage, world, splits, monkeypatch):
+        real = pipeline.backward_batch
+
+        def poisoned(*args):
+            grad = real(*args)
+            grad[-1] = np.nan
+            return grad
+
+        monkeypatch.setattr(pipeline, "backward_batch", poisoned)
+        with pytest.raises(TrainingDivergedError, match=f"non-finite gradient in '{stage}'"):
+            stage_run(stage, world, splits)()
+
+
 class TestStage3:
     def test_transfer_then_zero_epochs_keeps_trunk(self, stage2_ckpt, splits):
         ckpt, _ = stage2_ckpt
