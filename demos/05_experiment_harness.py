@@ -51,7 +51,7 @@ def main() -> None:
         print("run id:", result["run_id"])
         for key, stats in result["summary"].items():
             print(f"  {key:24s} median srcc {stats['median_srcc']:.4f} "
-                  f"(per seed: {[round(s, 3) for s in stats['srcc']]})")
+                  f"(per seed: {[s if s is None else round(s, 3) for s in stats['srcc']]})")
 
         # -------------------------------------------------------------------
         # Temperature sweep with improvement over the baseline

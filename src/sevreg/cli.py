@@ -36,8 +36,20 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
     return config_from_dict(doc)
 
 
+def output_dir(path: str | Path) -> Path:
+    """`path` as a directory to write in; a file there or at a parent raises
+    ConfigError, before a command trains or writes anything."""
+    path = Path(path)
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise ConfigError(f"'{existing}' is a file, not a directory")
+            break
+    return path
+
+
 def resolve_run_root(cfg: RunConfig) -> Path:
-    return Path(os.environ.get(RUN_ROOT_ENV, cfg.run_root))
+    return output_dir(os.environ.get(RUN_ROOT_ENV, cfg.run_root))
 
 
 def load_world(cfg: RunConfig):
@@ -61,8 +73,8 @@ def persist_config(cfg: RunConfig, directory: Path) -> None:
 
 
 def cmd_gen_data(cfg: RunConfig, args) -> int:
+    root = output_dir(cfg.data.root)
     corpora = build_world(cfg.data.world)
-    root = Path(cfg.data.root)
     for name, corpus in corpora.items():
         save_corpus(corpus, root / name)
     persist_config(cfg, root)
@@ -84,9 +96,9 @@ def require_pseudo_labels(stages: Stages) -> None:
 
 
 def cmd_stage1(cfg: RunConfig, args) -> int:
+    run_dir = output_dir(args.run_dir)
     stages = stage_runner(cfg)
     require_pseudo_labels(stages)
-    run_dir = Path(args.run_dir)
     history = stages.read_history(run_dir)
     result = stages.teacher().fit
     persist_config(cfg, run_dir)
@@ -96,9 +108,9 @@ def cmd_stage1(cfg: RunConfig, args) -> int:
 
 
 def cmd_pseudo_label(cfg: RunConfig, args) -> int:
+    run_dir = output_dir(args.run_dir)
     stages = stage_runner(cfg)
     require_pseudo_labels(stages)
-    run_dir = Path(args.run_dir)
     pseudo = pseudo_label(stages.load(run_dir, "stage1"), stages.corpora["unlabeled"])
     save_corpus(pseudo, run_dir / "pseudo")
     stages.save_pool_histogram(run_dir, pseudo)
@@ -107,12 +119,12 @@ def cmd_pseudo_label(cfg: RunConfig, args) -> int:
 
 
 def cmd_stage2(cfg: RunConfig, args) -> int:
+    run_dir = output_dir(args.run_dir)
     stages = stage_runner(cfg)
     if not stages.has_stage2:
         raise ConfigError(
             "this config trains no stage 2 (strategy 'baseline' or ablation.skip_stage2)"
         )
-    run_dir = Path(args.run_dir)
     history = stages.read_history(run_dir)
     pool = stages.pool(lambda: load_corpus(run_dir / "pseudo"))
     result = stages.stage2(pool)
@@ -124,8 +136,8 @@ def cmd_stage2(cfg: RunConfig, args) -> int:
 
 
 def cmd_stage3(cfg: RunConfig, args) -> int:
+    run_dir = output_dir(args.run_dir)
     stages = stage_runner(cfg)
-    run_dir = Path(args.run_dir)
     history = stages.read_history(run_dir)
     result = stages.final(lambda: stages.load(run_dir, "stage2"))
     persist_config(cfg, run_dir)
@@ -135,8 +147,8 @@ def cmd_stage3(cfg: RunConfig, args) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
+    run_dir = output_dir(args.run_dir)
     stages = stage_runner(cfg)
-    run_dir = Path(args.run_dir)
     if args.checkpoint:
         net = net_from_checkpoint(load_checkpoint(Path(args.checkpoint)))
     else:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, draw_views
+from .data import label_bins
 from .errors import DimensionError, ParameterError
 from .nn import Stack
 
@@ -93,7 +94,7 @@ def positive_pairs(batch: Batch, spec: PairingSpec) -> np.ndarray:
     if spec.strategy == "sup":
         same = y[:, None] == y[None, :]
     elif spec.strategy == "dis":
-        bins = np.floor(y + 0.5)
+        bins = label_bins(y)
         same = bins[:, None] == bins[None, :]
     elif spec.strategy == "con":
         same = np.abs(y[:, None] - y[None, :]) < spec.alpha

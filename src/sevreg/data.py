@@ -300,26 +300,26 @@ def normalize_frames(h: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def label_bin(label: float) -> int:
-    """Nearest-integer severity bin in 1..7 (same rule as discrete pairing)."""
-    return int(min(max(np.floor(label + 0.5), LABEL_MIN), LABEL_MAX))
+def label_bins(labels) -> np.ndarray:
+    """Nearest-integer severity bin in 1..7 of each label, floor(y + 1/2):
+    the bins of sampling, of label histograms and of discrete pairing."""
+    bins = np.floor(np.asarray(labels, dtype=float) + 0.5)
+    return np.clip(bins, LABEL_MIN, LABEL_MAX).astype(int)
 
 
 def sampler_weights(corpus: Corpus) -> np.ndarray:
     """Inverse-bin-frequency weight per utterance; bins are rounded labels."""
-    labels = corpus.labels()
-    bins = np.array([label_bin(y) for y in labels])
-    counts = {b: int((bins == b).sum()) for b in np.unique(bins)}
-    return np.array([1.0 / counts[b] for b in bins])
+    _, inverse, counts = np.unique(
+        label_bins(corpus.labels()), return_inverse=True, return_counts=True
+    )
+    return 1.0 / counts[inverse]
 
 
 def label_histogram(corpus: Corpus) -> dict[int, int]:
     """Utterance counts per rounded severity bin 1..7."""
-    hist = {b: 0 for b in range(1, 8)}
-    for u in corpus:
-        if u.label is not None:
-            hist[label_bin(u.label)] += 1
-    return hist
+    labels = [u.label for u in corpus if u.label is not None]
+    counts = np.bincount(label_bins(labels), minlength=8)
+    return {b: int(counts[b]) for b in range(1, 8)}
 
 
 # ---------------------------------------------------------------------------

@@ -308,22 +308,21 @@ def run_single(
 
 
 def median_summary(rows: list[dict]) -> dict:
-    """Per (dataset, level): per-seed values plus the across-seed medians."""
+    """Per (dataset, level): the seeds, each seed's values in the same order
+    (None where flagged), and the medians over the defined values."""
     grouped: dict = {}
     for row in rows:
         key = (row["dataset"], row["level"])
         grouped.setdefault(key, []).append(row)
     summary = {}
     for (dataset, level), entries in sorted(grouped.items()):
-        srccs = [e["srcc"] for e in entries if e["srcc"] is not None]
-        pccs = [e["pcc"] for e in entries if e["pcc"] is not None]
-        summary[f"{dataset}/{level}"] = {
-            "seeds": [e["seed"] for e in entries],
-            "srcc": srccs,
-            "pcc": pccs,
-            "median_srcc": float(np.median(srccs)) if srccs else None,
-            "median_pcc": float(np.median(pccs)) if pccs else None,
-        }
+        stats = {"seeds": [e["seed"] for e in entries]}
+        for metric in ("srcc", "pcc"):
+            values = [e[metric] for e in entries]
+            defined = [v for v in values if v is not None]
+            stats[metric] = values
+            stats[f"median_{metric}"] = float(np.median(defined)) if defined else None
+        summary[f"{dataset}/{level}"] = stats
     return summary
 
 

@@ -25,7 +25,6 @@ from .data import (
     atomic_write,
     frame_header,
     label_histogram,
-    pack_u32,
     pseudo_pool,
     sampler_weights,
 )
@@ -53,7 +52,7 @@ SCORE_MIN, SCORE_MAX = 1.0, 7.0
 EVAL_CHUNK = 256  # utterances per eval-mode forward
 
 CKPT_MAGIC = b"DSQC"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 # The dtype of every net the pipeline trains, loads or evaluates. At the
 # stage-2 shape (2304x320 . 320x320) a float32 matmul took 8.0 ms against
@@ -74,11 +73,10 @@ def role_rng(seed: int, role: int) -> np.random.Generator:
 
 @dataclass
 class Checkpoint:
-    """Named parameter table plus a JSON-able metadata snapshot. The tensors
-    have the net's dtype when taken from a net and are float64 when read
-    from a file, which stores them as float64."""
+    """A net's flat parameter array (nn.AdaptorNet.flat) plus a JSON-able
+    metadata snapshot; read from a file, the array is float32."""
 
-    params: dict[str, np.ndarray]
+    flat: np.ndarray
     meta: dict
 
 
@@ -97,22 +95,14 @@ def checkpoint_from_net(
         "config": config_snapshot,
         "metrics": metrics or {},
     }
-    return Checkpoint(params=net.named(net.flat.copy()), meta=meta)
-
-
-# Model metadata that older checkpoints record, each with the only value the
-# model implements; a checkpoint naming another value cannot be loaded.
-FIXED_MODEL_META = {"pool": "mean_std", "feature_norm": "l2"}
+    return Checkpoint(net.flat.copy(), meta)
 
 
 def net_from_checkpoint(ckpt: Checkpoint) -> AdaptorNet:
-    """Rebuild the network in NET_DTYPE; the checkpoint must hold exactly its
-    tensors, each with the shape the recorded model gives it. A float32
-    net's checkpoint loads bit for bit; values float32 cannot represent are
-    rounded to nearest, and one beyond its range is an error."""
+    """Rebuild the network the recorded model describes, in NET_DTYPE; the
+    checkpoint must hold exactly as many values as that net has parameters."""
     try:
         m = ckpt.meta["model"]
-        fixed = {key: m.get(key, value) for key, value in FIXED_MODEL_META.items()}
         net = build_net(
             feat_dim=m["feat_dim"],
             seed_or_rng=0,
@@ -124,77 +114,41 @@ def net_from_checkpoint(ckpt: Checkpoint) -> AdaptorNet:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FeatureFormatError(f"bad model metadata in checkpoint: {exc!r}") from exc
-    if fixed != FIXED_MODEL_META:
+    if np.shape(ckpt.flat) != net.flat.shape:
         raise FeatureFormatError(
-            f"checkpoint model {fixed} is not the implemented {FIXED_MODEL_META}"
+            f"checkpoint holds {np.size(ckpt.flat)} parameter values, "
+            f"its model has {net.flat.size}"
         )
-    arrays = net.param_arrays()
-    missing = sorted(set(arrays) - set(ckpt.params))
-    unknown = sorted(set(ckpt.params) - set(arrays))
-    misshapen = sorted(
-        name
-        for name in set(arrays) & set(ckpt.params)
-        if np.shape(ckpt.params[name]) != arrays[name].shape
-    )
-    if missing or unknown or misshapen:
-        raise FeatureFormatError(
-            "checkpoint tensors do not fit the model: "
-            f"missing {missing}, unknown {unknown}, wrong shape {misshapen}"
-        )
-    with np.errstate(over="ignore"):
-        for name, value in ckpt.params.items():
-            arrays[name][...] = value
-    overflowed = sorted(name for name in arrays if not np.all(np.isfinite(arrays[name])))
-    if overflowed:
-        raise FeatureFormatError(
-            f"checkpoint tensors {overflowed} hold values beyond {net.dtype}"
-        )
+    net.flat[...] = ckpt.flat
     return net
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    """Framed file whose header field is the metadata length: meta JSON, the
-    tensor count, then per tensor its name length, name, rank, shape and
-    float64 values (float32 widens to float64 exactly)."""
+    """Framed file whose header fields are the metadata length and the value
+    count: the metadata JSON, then the flat array as float32, to which a
+    float64 array rounds to nearest."""
     meta_bytes = json.dumps(ckpt.meta, sort_keys=True).encode()
-    blob = bytearray(frame_header(CKPT_MAGIC, CKPT_VERSION, len(meta_bytes)))
-    blob += meta_bytes
-    names = sorted(ckpt.params)
-    blob += pack_u32(len(names))
-    for name in names:
-        arr = np.ascontiguousarray(ckpt.params[name], dtype="<f8")
-        name_bytes = name.encode()
-        blob += pack_u32(len(name_bytes)) + name_bytes
-        blob += pack_u32(arr.ndim, *arr.shape) + arr.tobytes()
-    atomic_write(path, bytes(blob))
+    values = np.asarray(ckpt.flat, dtype="<f4")
+    header = frame_header(CKPT_MAGIC, CKPT_VERSION, len(meta_bytes), values.size)
+    atomic_write(path, header + meta_bytes + values.tobytes())
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Strict reader for save_checkpoint's layout: a short, malformed or
     overlong file raises FeatureFormatError at the offending byte."""
-    frame = FrameReader(Path(path).read_bytes(), CKPT_MAGIC, CKPT_VERSION, 1)
+    frame = FrameReader(Path(path).read_bytes(), CKPT_MAGIC, CKPT_VERSION, 2)
+    meta_len, count = frame.header
     start = frame.pos
-    meta_bytes = frame.take(frame.header[0], "metadata")
+    meta_bytes = frame.take(meta_len, "metadata")
     try:
         meta = json.loads(meta_bytes.decode())
     except (ValueError, RecursionError) as exc:
         raise FeatureFormatError(f"unreadable metadata: {exc}", offset=start) from exc
     if not isinstance(meta, dict):
         raise FeatureFormatError("metadata is not a JSON object", offset=start)
-    params = {}
-    for _ in range(frame.u32s(1, "tensor count")[0]):
-        start = frame.pos
-        name_len = frame.u32s(1, "tensor name length")[0]
-        try:
-            name = frame.take(name_len, "tensor name").decode()
-        except UnicodeDecodeError as exc:
-            raise FeatureFormatError("tensor name is not UTF-8", offset=start) from exc
-        if name in params:
-            raise FeatureFormatError(f"duplicate tensor '{name}'", offset=start)
-        shape = frame.u32s(frame.u32s(1, "tensor rank")[0], "tensor shape")
-        params[name] = frame.array("<f8", shape, f"tensor '{name}'", finite=True).copy()
+    flat = frame.array("<f4", (count,), "parameters", finite=True).copy()
     frame.end()
-    return Checkpoint(params=params, meta=meta)
+    return Checkpoint(flat, meta)
 
 
 # ---------------------------------------------------------------------------

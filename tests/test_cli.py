@@ -6,12 +6,15 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sevreg
 from sevreg.cli import main
+from sevreg.nn import build_net
 
 WORLD = {
     "feat_dim": 8,
@@ -255,7 +258,10 @@ class TestStageChain:
 
     @pytest.mark.parametrize(
         "blob",
-        [b"DSQC\x01\x00\x00\x00\x05\x00", b"DSQC\x01\x00\x00\x00\x10\x00\x00\x00{\"st"],
+        [
+            b"DSQC\x02\x00\x00\x00\x05\x00",
+            b"DSQC\x02\x00\x00\x00\x10\x00\x00\x00\x00\x00\x00\x00{\"st",
+        ],
         ids=["ten_bytes", "truncated_metadata"],
     )
     def test_evaluate_corrupt_checkpoint_exits_1(self, workspace, tmp_path, capsys, blob):
@@ -268,16 +274,16 @@ class TestStageChain:
         assert "byte offset" in capsys.readouterr().err
         assert not (run_dir / "results.csv").exists()
 
-    def test_evaluate_huge_empty_shape_exits_1(self, workspace, tmp_path, capsys):
-        from test_formats import huge_empty_shape_checkpoint
+    def test_evaluate_huge_value_count_exits_1(self, workspace, tmp_path, capsys):
+        from test_formats import huge_count_checkpoint
 
         _, config_path, _ = workspace
-        run_dir = tmp_path / "shape"
+        run_dir = tmp_path / "count"
         run_dir.mkdir()
-        (run_dir / "model.dsqc").write_bytes(huge_empty_shape_checkpoint())
+        (run_dir / "model.dsqc").write_bytes(huge_count_checkpoint())
         code = main(["evaluate", "--config", str(config_path), "--run-dir", str(run_dir)])
         assert code == 1
-        assert "tensor 'w' of shape" in capsys.readouterr().err
+        assert "parameters of shape (4294967295,) overruns" in capsys.readouterr().err
         assert not (run_dir / "results.csv").exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -291,10 +297,10 @@ class TestStageChain:
         base = ["--config", str(config_path), "--run-dir", str(run_dir)]
         assert main(["stage1", *base]) == 0
         ckpt = load_checkpoint(run_dir / "stage1.dsqc")
-        ckpt.params["head.bias"][0] = value
+        ckpt.flat[-1] = value  # the head bias
         save_checkpoint(run_dir / "model.dsqc", ckpt)
         assert main(["evaluate", *base]) == 1
-        assert "non-finite values in tensor 'head.bias'" in capsys.readouterr().err
+        assert "non-finite values in parameters" in capsys.readouterr().err
         assert not (run_dir / "results.csv").exists()
 
     def test_dump_embeddings(self, workspace, tmp_path):
@@ -444,12 +450,19 @@ def stage2_inputs(workspace, tmp_path_factory):
     return run_dir
 
 
-def drop_bias(params):
-    del params["adaptor1.bias"]
+def cut(ckpt, key, index=...):
+    """The checkpoint with the values at `index` of parameter `key` cut from
+    its flat array."""
+    positions = build_net(seed_or_rng=0, **ckpt.meta["model"]).named(np.arange(ckpt.flat.size))
+    return replace(ckpt, flat=np.delete(ckpt.flat, positions[key][index]))
 
 
-def narrow_trunk(params):
-    params["adaptor2.weight"] = params["adaptor2.weight"][:, :-1]
+def drop_bias(ckpt):
+    return cut(ckpt, "adaptor1.bias")
+
+
+def narrow_trunk(ckpt):
+    return cut(ckpt, "adaptor2.weight", np.s_[:, -1])
 
 
 BAD_HISTORY = {
@@ -478,7 +491,11 @@ class TestStageInputs:
 
     @pytest.mark.parametrize(
         "mutate, named",
-        [(drop_bias, "adaptor1.bias"), (narrow_trunk, "adaptor2.weight"), (None, "byte offset")],
+        [
+            (drop_bias, "parameter values"),
+            (narrow_trunk, "parameter values"),
+            (None, "byte offset"),
+        ],
         ids=["no_adaptor1_bias", "misshapen_trunk", "ten_bytes"],
     )
     def test_stage3_corrupt_stage2_checkpoint_exits_1(
@@ -490,10 +507,9 @@ class TestStageInputs:
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         if mutate is None:
-            (run_dir / "stage2.dsqc").write_bytes(b"DSQC\x01\x00\x00\x00\x05\x00")
+            (run_dir / "stage2.dsqc").write_bytes(b"DSQC\x02\x00\x00\x00\x05\x00")
         else:
-            ckpt = load_checkpoint(stage2_inputs / "stage2.dsqc")
-            mutate(ckpt.params)
+            ckpt = mutate(load_checkpoint(stage2_inputs / "stage2.dsqc"))
             save_checkpoint(run_dir / "stage2.dsqc", ckpt)
         code = main(["stage3", "--config", str(config_path), "--run-dir", str(run_dir)])
         assert code == 1
@@ -580,6 +596,22 @@ class TestStageInputs:
         assert str(run_dir / "history.json") in err
         assert (run_dir / "history.json").read_bytes() == history
         assert sorted(run_dir.rglob("*")) == before
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["file", "below_file"])
+    @pytest.mark.parametrize("step", ["stage1", "stage3", "evaluate", "run-all"])
+    def test_run_dir_that_is_a_file_exits_1(self, workspace, tmp_path, capsys, step, nested):
+        _, config_path, _ = workspace
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory")
+        target = taken / "run" if nested else taken
+        if step == "run-all":
+            argv = [step, "--config", str(config_path), f"run_root={target}"]
+        else:
+            argv = [step, "--config", str(config_path), "--run-dir", str(target)]
+        assert main(argv) == 1
+        assert f"validation error: '{taken}' is a file, not a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [taken]
+        assert taken.read_bytes() == b"not a directory"
 
 
 class TestRunAll:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sevreg.data import (
     Corpus,
     Utterance,
-    label_bin,
+    label_bins,
     label_histogram,
     load_corpus,
     normalize_frames,
@@ -228,10 +228,9 @@ class TestSampler:
             sampler_weights(corpus)
 
     def test_label_bin_rounding(self):
-        assert label_bin(2.4) == 2
-        assert label_bin(2.6) == 3
-        assert label_bin(2.5) == 3  # floor(y + 1/2)
-        assert label_bin(7.0) == 7
+        # floor(y + 1/2): a half rounds up
+        assert label_bins([2.4, 2.6, 2.5, 1.0, 7.0]).tolist() == [2, 3, 3, 1, 7]
+        assert label_bins([]).shape == (0,)
 
     def test_histogram(self):
         corpus = make_corpus({"a": [1.0, 1.2, 6.8]})

@@ -24,6 +24,7 @@ from sevreg.experiments import (
     Teacher,
     ablate,
     ablation_config,
+    median_summary,
     run_all,
     split_labeled,
     sweep_tau,
@@ -236,3 +237,19 @@ class TestTeacherMemo:
             assert np.array_equal(value, before[name])
         assert entry.fit.history[0]["train_loss"] != -1.0
         assert len(entry.pseudo(corpora["unlabeled"])) == len(corpora["unlabeled"])
+
+
+def test_median_summary_keeps_seeds_and_values_aligned():
+    rows = [
+        {"dataset": "test", "level": "utterance", "seed": seed, "srcc": srcc, "pcc": pcc}
+        for seed, srcc, pcc in [(0, 0.9, 0.8), (1, None, 0.6), (2, 0.7, None)]
+    ]
+    assert median_summary(rows) == {
+        "test/utterance": {
+            "seeds": [0, 1, 2],
+            "srcc": [0.9, None, 0.7],
+            "pcc": [0.8, 0.6, None],
+            "median_srcc": 0.8,
+            "median_pcc": 0.7,
+        }
+    }

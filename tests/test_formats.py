@@ -119,10 +119,15 @@ class TestLeaksBecomeFormatErrors:
             read_embeddings(path)
         assert err.value.offset == 16
 
-    def test_dsqc_huge_empty_shape(self, tmp_path):
+    def test_dsqc_huge_value_count(self, tmp_path, monkeypatch):
         path = tmp_path / "c.dsqc"
-        path.write_bytes(huge_empty_shape_checkpoint())
-        with pytest.raises(FeatureFormatError, match=r"tensor 'w' of shape") as err:
+        path.write_bytes(huge_count_checkpoint())
+
+        def built(*args, **kwargs):
+            pytest.fail("the reader built the array before it checked the count")
+
+        monkeypatch.setattr(np, "frombuffer", built)
+        with pytest.raises(FeatureFormatError, match=r"shape \(4294967295,\) overruns") as err:
             load_checkpoint(path)
         assert err.value.offset == path.stat().st_size
 
@@ -137,18 +142,11 @@ class TestLeaksBecomeFormatErrors:
         assert err.value.offset == 16
 
 
-def huge_empty_shape_checkpoint() -> bytes:
-    """A DSQC file whose one tensor 'w' has shape (0, 2^31, 2^31): no payload
-    bytes, but more elements per row than numpy can index."""
+def huge_count_checkpoint() -> bytes:
+    """A DSQC file whose header counts 2^32 - 1 parameter values (16 GiB of
+    float32) but which ends after its metadata."""
     meta = b'{"stage": "stage1"}'
-    return (
-        b"DSQC"
-        + struct.pack("<II", 1, len(meta))
-        + meta
-        + struct.pack("<II", 1, 1)
-        + b"w"
-        + struct.pack("<4I", 3, 0, 1 << 31, 1 << 31)
-    )
+    return b"DSQC" + struct.pack("<III", 2, len(meta), (1 << 32) - 1) + meta
 
 
 def test_empty_embedding_dump_rejected_on_write(tmp_path):
