@@ -44,16 +44,18 @@ print(f"SRCC(label, mean of nuisance dims) = {srcc(labels, nuisance):.4f}  "
       "(the in-domain shortcut)")
 
 # ---------------------------------------------------------------------------
-# Feature files: binary, float32 payload, bit-exact round trips
+# Feature files: one binary file per corpus, float32 payload, exact round trips
 # ---------------------------------------------------------------------------
 print("\n== persistence ==")
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "utt.dsqf"
-    write_feature_file(path, corpus.utterances[0].features)
+    matrices = [u.features for u in corpus.utterances[:3]]
+    path = Path(tmp) / "three.dsqf"
+    write_feature_file(path, matrices)
     back = read_feature_file(path)
-    print("feature file round trip exact:", np.array_equal(back, corpus.utterances[0].features))
+    print("feature file round trip exact:", all(map(np.array_equal, back, matrices)))
 
     save_corpus(corpus, Path(tmp) / "corpus")
+    print("corpus directory:", sorted(p.name for p in (Path(tmp) / "corpus").iterdir()))
     reloaded = load_corpus(Path(tmp) / "corpus")
     print("corpus round trip ids equal:", [u.id for u in reloaded] == [u.id for u in corpus])
 

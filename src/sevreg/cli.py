@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergedError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
-    except (SevregError, FileNotFoundError) as exc:
+    except (SevregError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - unexpected

@@ -1,11 +1,13 @@
 """Corpus representation, feature-file format, sampling, and splits.
 
-A feature sequence is a (T, D) float64 matrix, stored as a framed DSQF file
-(FrameReader): magic "DSQF", little-endian u32 version, T and D, then T*D
-float32 values row-major, widened to float64 on load; nets read them through
+A feature sequence is a (T, D) float64 matrix. A corpus directory holds
+manifest.json plus features.dsqf, one framed file (FrameReader) with every
+utterance's features: magic "DSQF", little-endian u32 version 2, the
+utterance count N and D, N u32 lengths T, then every row as float32, in
+manifest order. Loading reads it once and widens it to one float64 array of
+which each utterance holds a row slice; nets read them through
 `Utterance.frames`, L2-normalized once per utterance. Normalization and
-augmentation run in float64; a net casts each stacked batch to its own
-dtype. A corpus directory holds manifest.json plus one DSQF file per utterance.
+augmentation run in float64; a net casts each stacked batch to its own dtype.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .errors import (
 )
 
 DSQF_MAGIC = b"DSQF"
-DSQF_VERSION = 1
+DSQF_VERSION = 2
+FEATURES_FILE = "features.dsqf"
 MAX_RANK = 32  # the highest array rank numpy 1.x holds
 
 PROVENANCES = ("labeled", "pseudo", "typical")
@@ -196,72 +199,76 @@ class FrameReader:
             raise FeatureFormatError(f"{len(self.raw) - self.pos} trailing bytes", self.pos)
 
 
-def write_feature_file(path: str | Path, features: np.ndarray) -> None:
-    """Serialize a (T, D) matrix; values are stored as float32."""
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise EmptyInputError(f"cannot write feature matrix of shape {features.shape}")
-    if not np.all(np.isfinite(features)):
+def write_feature_file(path: str | Path, matrices: list[np.ndarray]) -> None:
+    """Serialize (T, D) matrices of one D, atomically; values are stored as
+    float32."""
+    if len(matrices) == 0 or any(m.ndim != 2 or m.shape[0] < 1 for m in matrices):
+        raise EmptyInputError("a feature file needs one or more (T>=1, D) matrices")
+    rows = np.concatenate(matrices)
+    if not np.all(np.isfinite(rows)):
         raise ParameterError("feature matrix contains non-finite values")
-    header = frame_header(DSQF_MAGIC, DSQF_VERSION, *features.shape)
-    Path(path).write_bytes(header + features.astype("<f4").tobytes(order="C"))
+    header = frame_header(DSQF_MAGIC, DSQF_VERSION, len(matrices), rows.shape[1])
+    lengths = pack_u32(*(len(m) for m in matrices))
+    atomic_write(path, header + lengths + rows.astype("<f4").tobytes(order="C"))
 
 
-def read_feature_file(path: str | Path) -> np.ndarray:
-    """Load a DSQF file back into a float64 (T, D) matrix."""
+def read_feature_file(path: str | Path) -> list[np.ndarray]:
+    """Load a DSQF file back as float64 (T, D) row slices of one array."""
     frame = FrameReader(Path(path).read_bytes(), DSQF_MAGIC, DSQF_VERSION, 2)
-    t, d = frame.header
-    if t < 1 or d < 1:
-        raise FeatureFormatError(f"empty {t}x{d} feature matrix", offset=8)
-    features = frame.array("<f4", (t, d), "features", finite=True)
+    count, d = frame.header
+    if count < 1 or d < 1:
+        raise FeatureFormatError(f"{count} utterances of dimension {d}", 8 if count < 1 else 12)
+    lengths = frame.array("<u4", (count,), "utterance lengths")
+    if not lengths.all():
+        i = int(np.argmin(lengths))
+        raise FeatureFormatError(f"utterance {i} has length 0", offset=16 + 4 * i)
+    rows = frame.array("<f4", (int(lengths.sum(dtype=np.int64)), d), "features", finite=True)
     frame.end()
-    return features.astype(np.float64)
+    return np.split(rows.astype(np.float64), np.cumsum(lengths[:-1], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
-# Corpus persistence (manifest.json + features/)
+# Corpus persistence (manifest.json + features.dsqf)
 # ---------------------------------------------------------------------------
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
-    """Write one DSQF file per utterance, then manifest.json, which commits
-    the corpus: it is written last and atomically."""
+    """Write features.dsqf, then manifest.json, which commits the corpus:
+    both are written atomically, the manifest last."""
     directory = Path(directory)
-    (directory / "features").mkdir(parents=True, exist_ok=True)
-    entries = []
-    for u in corpus:
-        rel = f"features/{u.id}.dsqf"
-        write_feature_file(directory / rel, u.features)
-        entries.append(
-            {
-                "id": u.id,
-                "speaker_id": u.speaker_id,
-                "label": u.label,
-                "provenance": u.provenance,
-                "path": rel,
-            }
-        )
+    directory.mkdir(parents=True, exist_ok=True)
+    write_feature_file(directory / FEATURES_FILE, [u.features for u in corpus])
+    entries = [
+        {"id": u.id, "speaker_id": u.speaker_id, "label": u.label, "provenance": u.provenance}
+        for u in corpus
+    ]
     manifest = {"name": corpus.name, "utterances": entries}
-    atomic_write(
-        directory / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    atomic_write(directory / "manifest.json", json.dumps(manifest, sort_keys=True) + "\n")
 
 
 def load_corpus(directory: str | Path) -> Corpus:
     """Load a corpus saved by save_corpus; manifest order is preserved, and
-    a manifest not of the saved shape raises FeatureFormatError."""
+    a manifest not of the saved shape, or a directory without features.dsqf
+    (the per-utterance layout of earlier versions), raises FeatureFormatError."""
     path = Path(directory) / "manifest.json"
+    features = path.with_name(FEATURES_FILE)
     try:
         manifest = json.loads(path.read_bytes())
-        utts = [
-            Utterance(
-                id=entry["id"],
-                speaker_id=entry["speaker_id"],
-                features=read_feature_file(path.parent / entry["path"]),
-                label=entry["label"],
-                provenance=entry["provenance"],
-            )
-            for entry in manifest["utterances"]
+        fields = [
+            (e["id"], e["speaker_id"], e["label"], e["provenance"]) for e in manifest["utterances"]
         ]
+        if not features.is_file():
+            raise FeatureFormatError(f"no {features}: an older corpus? re-run gen-data")
+        try:
+            matrices = read_feature_file(features)
+        except FeatureFormatError as exc:  # name the file of the corpus
+            exc.args = (f"{features}: {exc}",)
+            raise
+        if len(fields) != len(matrices):
+            raise FeatureFormatError(
+                f"manifest {path} lists {len(fields)} utterances, {features} holds {len(matrices)}"
+            )
+        utts = [Utterance(i, spk, m, y, prov) for (i, spk, y, prov), m in zip(fields, matrices)]
         return Corpus(utts, name=manifest["name"])
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SevregError):  # a corrupt feature file or a bad value

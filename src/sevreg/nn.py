@@ -89,26 +89,29 @@ def linear_forward(params: LayerParams, x: np.ndarray) -> np.ndarray:
 
 
 def linear_param_grads(
-    x: np.ndarray, grad_out: np.ndarray
+    x: np.ndarray, grad_out: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Returns (grad_w, grad_b) for y = x @ W.T + b, for a layer whose input
-    needs no gradient.
+    needs no gradient, written into `out` when given.
 
     grad_w sums the products of GRAD_BLOCK_ROWS-row blocks in block order,
     so its bits do not depend on the BLAS thread count; up to
     GRAD_BLOCK_ROWS rows it is the one product grad_out.T @ x."""
-    grad_w = grad_out[:GRAD_BLOCK_ROWS].T @ x[:GRAD_BLOCK_ROWS]
+    grad_w, grad_b = (None, None) if out is None else out
+    grad_w = np.matmul(grad_out[:GRAD_BLOCK_ROWS].T, x[:GRAD_BLOCK_ROWS], out=grad_w)
     for start in range(GRAD_BLOCK_ROWS, x.shape[0], GRAD_BLOCK_ROWS):
         stop = start + GRAD_BLOCK_ROWS
         grad_w += grad_out[start:stop].T @ x[start:stop]
-    return grad_w, grad_out.sum(axis=0)
+    return grad_w, np.sum(grad_out, axis=0, out=grad_b)
 
 
 def linear_backward(
-    params: LayerParams, x: np.ndarray, grad_out: np.ndarray
+    params: LayerParams, x: np.ndarray, grad_out: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (grad_w, grad_b, grad_x) for y = x @ W.T + b."""
-    grad_w, grad_b = linear_param_grads(x, grad_out)
+    """Returns (grad_w, grad_b, grad_x) for y = x @ W.T + b; `out` as in
+    linear_param_grads."""
+    grad_w, grad_b = linear_param_grads(x, grad_out, out)
     return grad_w, grad_b, grad_out @ params.weight
 
 
@@ -504,17 +507,17 @@ def backward_batch(
 
     grad = np.empty_like(net.flat)
     g = net.named(grad)
-    g["head.weight"][...], g["head.bias"][...], grad_pooled = linear_backward(
-        net.layers["head"], cache.pooled, grad_raw
+    *_, grad_pooled = linear_backward(
+        net.layers["head"], cache.pooled, grad_raw, out=(g["head.weight"], g["head.bias"])
     )
 
     grad_h2 = stats_pool_backward(cache.h2, grad_pooled, cache.offsets, cache.pooled)
 
     grad_a2 = _relu_dropout_backward(cache.a2, cache.mask2, grad_h2)
-    g["adaptor2.weight"][...], g["adaptor2.bias"][...], grad_h1 = linear_backward(
-        net.layers["adaptor2"], cache.h1, grad_a2
+    *_, grad_h1 = linear_backward(
+        net.layers["adaptor2"], cache.h1, grad_a2, out=(g["adaptor2.weight"], g["adaptor2.bias"])
     )
 
     grad_a1 = _relu_dropout_backward(cache.a1, cache.mask1, grad_h1)
-    g["adaptor1.weight"][...], g["adaptor1.bias"][...] = linear_param_grads(cache.x, grad_a1)
+    linear_param_grads(cache.x, grad_a1, out=(g["adaptor1.weight"], g["adaptor1.bias"]))
     return grad

@@ -212,11 +212,12 @@ class TestConfigHandling:
         for name in CORPUS_NAMES[1:]:
             (data / name).parent.mkdir(parents=True, exist_ok=True)
             (data / name).symlink_to(root / "data" / name)
-        # gen-data writes the DSQF files first and the manifest last.
-        features = data / CORPUS_NAMES[0] / "features"
-        features.mkdir(parents=True)
-        for dsqf in sorted((root / "data" / CORPUS_NAMES[0] / "features").iterdir())[:5]:
-            (features / dsqf.name).write_bytes(dsqf.read_bytes())
+        # gen-data writes features.dsqf first and the manifest last.
+        (data / CORPUS_NAMES[0]).mkdir()
+        shutil.copyfile(
+            root / "data" / CORPUS_NAMES[0] / "features.dsqf",
+            data / CORPUS_NAMES[0] / "features.dsqf",
+        )
         run_root = tmp_path / "runs"
         cfg = write_config(
             tmp_path, doc, "partial.json",
@@ -224,6 +225,54 @@ class TestConfigHandling:
         )
         assert main(["run-all", "--config", str(cfg)]) == 1
         assert "run gen-data first" in capsys.readouterr().err
+        assert not run_root.exists()
+
+    def test_gen_data_writes_two_files_per_corpus(self, workspace):
+        from sevreg.cli import CORPUS_NAMES
+
+        root, _, _ = workspace
+        data = root / "data"
+        written = sorted(str(p.relative_to(data)) for p in data.rglob("*") if p.is_file())
+        corpus_files = ("features.dsqf", "manifest.json")
+        assert written == sorted(
+            ["config.json"] + [f"{name}/{file}" for name in CORPUS_NAMES for file in corpus_files]
+        )
+
+    @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            (lambda raw: raw[:4] + b"\x01" + raw[5:], "unsupported version 1 (byte offset 4)"),
+            (lambda raw: raw[:-4], "overruns the file"),
+            (lambda raw: raw + b"\0", "1 trailing bytes"),
+            (None, "re-run gen-data"),
+        ],
+        ids=["version_1", "truncated", "trailing", "per_utterance_layout"],
+    )
+    def test_corrupt_or_old_corpus_exits_1(self, workspace, tmp_path, capsys, corrupt, named):
+        """A damaged features.dsqf, or a corpus of one DSQF file per utterance
+        under features/ (DSQF version 1), exits 1 before anything is written."""
+        from sevreg.cli import CORPUS_NAMES
+
+        root, _, doc = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        corpus = data / CORPUS_NAMES[1]
+        features = corpus / "features.dsqf"
+        if corrupt is None:
+            features.unlink()
+            (corpus / "features").mkdir()
+            (corpus / "features" / "u0.dsqf").write_bytes(b"DSQF" + b"\x01\0\0\0" * 3)
+        else:
+            features.write_bytes(corrupt(features.read_bytes()))
+        run_root = tmp_path / "runs"
+        cfg = write_config(
+            tmp_path, doc, "corrupt.json",
+            data={"root": str(data), "world": WORLD}, run_root=str(run_root),
+        )
+        assert main(["run-all", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and named in err
+        assert str(corpus) in err
         assert not run_root.exists()
 
     def test_training_divergence_exits_2(self, workspace, monkeypatch):
@@ -343,6 +392,35 @@ SEED_FILES = (
     "stage1.dsqc", "stage2.dsqc", "model.dsqc",
     "history.json", "pseudo_histogram.json", "report.json",
 )
+
+
+@pytest.mark.parametrize(
+    "command, directory",
+    [
+        ("evaluate", "--checkpoint"),
+        ("dump-embeddings", "--checkpoint"),
+        ("dump-embeddings", "--out"),
+    ],
+    ids=["evaluate_checkpoint", "dump_embeddings_checkpoint", "dump_embeddings_out"],
+)
+def test_directory_where_a_file_is_expected_exits_1(
+    workspace, teacher_checkpoint, tmp_path, capsys, command, directory
+):
+    _, config_path, _ = workspace
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "stage1.dsqc").write_bytes(teacher_checkpoint)
+    paths = {"--checkpoint": str(tmp_path / "stage1.dsqc"), "--out": str(tmp_path / "emb.dsqe")}
+    paths[directory] = str(tmp_path / "adir")
+    args = [command, "--config", str(config_path), "--checkpoint", paths["--checkpoint"]]
+    if command == "evaluate":
+        args += ["--run-dir", str(tmp_path / "run")]
+    else:
+        args += ["--out", paths["--out"]]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err and "Is a directory" in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestChainEqualsRunAll:

@@ -1,5 +1,7 @@
 """Feature files, corpora, normalization, sampling, and splits."""
 
+import json
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from sevreg.data import (
     write_feature_file,
 )
 from sevreg.errors import (
+    EmptyInputError,
     FeatureFormatError,
     MergeError,
     ParameterError,
@@ -43,22 +46,34 @@ def make_corpus(labels_by_speaker, name="c"):
     return Corpus(utts, name=name)
 
 
+def float32_matrices(rng, lengths, d, scale=1.0):
+    """Float64 (T, D) matrices whose values float32 holds exactly."""
+    return [
+        (rng.standard_normal((t, d)) * scale).astype(np.float32).astype(np.float64)
+        for t in lengths
+    ]
+
+
 class TestFeatureFiles:
     def test_round_trip_bytes_identical(self, tmp_path):
-        rng = np.random.default_rng(0)
-        mat = rng.standard_normal((7, 13)).astype(np.float32).astype(np.float64)
+        mats = float32_matrices(np.random.default_rng(0), [7, 1, 4], 13)
         p1, p2 = tmp_path / "a.dsqf", tmp_path / "b.dsqf"
-        write_feature_file(p1, mat)
+        write_feature_file(p1, mats)
         loaded = read_feature_file(p1)
         write_feature_file(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
-        assert np.array_equal(loaded, mat)
+        assert len(loaded) == len(mats)
+        for a, b in zip(loaded, mats):
+            assert a.dtype == np.float64 and np.array_equal(a, b)
+        # Every matrix is a row slice of one array.
+        assert all(m.base is loaded[0].base for m in loaded)
 
     def test_zero_frames_rejected(self, tmp_path):
         path = tmp_path / "z.dsqf"
-        path.write_bytes(b"DSQF" + (1).to_bytes(4, "little") + (0).to_bytes(4, "little") + (3).to_bytes(4, "little"))
-        with pytest.raises(FeatureFormatError):
+        path.write_bytes(b"DSQF" + struct.pack("<IIII", 2, 1, 3, 0))
+        with pytest.raises(FeatureFormatError, match="utterance 0 has length 0") as err:
             read_feature_file(path)
+        assert err.value.offset == 16
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.dsqf"
@@ -69,38 +84,50 @@ class TestFeatureFiles:
 
     def test_truncated_payload_reports_offset(self, tmp_path):
         path = tmp_path / "t.dsqf"
-        write_feature_file(path, np.ones((4, 4)))
+        write_feature_file(path, [np.ones((4, 4)), np.ones((2, 4))])
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
-        with pytest.raises(FeatureFormatError):
+        with pytest.raises(FeatureFormatError, match=r"features of shape \(6, 4\) overruns") as err:
             read_feature_file(path)
+        assert err.value.offset == 24  # 16-byte header, two lengths
 
     def test_non_finite_rejected_on_write(self, tmp_path):
         bad = np.ones((2, 2))
         bad[0, 0] = np.inf
         with pytest.raises(ParameterError):
-            write_feature_file(tmp_path / "x.dsqf", bad)
+            write_feature_file(tmp_path / "x.dsqf", [np.ones((3, 2)), bad])
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "matrices",
+        [[], [np.ones((0, 3))], [np.ones(3)], np.ones((2, 3))],
+        ids=["no_matrix", "zero_rows", "one_dim", "one_bare_matrix"],
+    )
+    def test_empty_or_misshapen_rejected_on_write(self, tmp_path, matrices):
+        with pytest.raises(EmptyInputError):
+            write_feature_file(tmp_path / "x.dsqf", matrices)
+        assert not list(tmp_path.iterdir())
 
     def test_dimension_overflow_rejected(self, tmp_path):
-        import struct
-
         path = tmp_path / "huge.dsqf"
-        path.write_bytes(b"DSQF" + struct.pack("<III", 1, 2, 1 << 30) + b"\x00" * 8)
-        with pytest.raises(FeatureFormatError):
+        path.write_bytes(b"DSQF" + struct.pack("<IIII", 2, 1, 1 << 30, 2) + b"\x00" * 8)
+        with pytest.raises(FeatureFormatError, match="overruns") as err:
             read_feature_file(path)
+        assert err.value.offset == 20
 
     @given(
-        st.integers(min_value=1, max_value=6),
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5),
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=25, deadline=None)
-    def test_round_trip_property(self, tmp_path_factory, t, d, seed):
-        rng = np.random.default_rng(seed)
-        mat = (rng.standard_normal((t, d)) * 10).astype(np.float32).astype(np.float64)
+    def test_round_trip_property(self, tmp_path_factory, lengths, d, seed):
+        mats = float32_matrices(np.random.default_rng(seed), lengths, d, scale=10.0)
         path = tmp_path_factory.mktemp("rt") / "m.dsqf"
-        write_feature_file(path, mat)
-        assert np.array_equal(read_feature_file(path), mat)
+        write_feature_file(path, mats)
+        loaded = read_feature_file(path)
+        assert [m.shape for m in loaded] == [(t, d) for t in lengths]
+        assert all(np.array_equal(a, b) for a, b in zip(loaded, mats))
 
 
 class TestCorpusIO:
@@ -123,6 +150,24 @@ class TestCorpusIO:
         for a, b in zip(corpus, loaded):
             assert np.array_equal(a.features, b.features)
             assert a.label == b.label and a.provenance == b.provenance
+
+    def test_directory_holds_manifest_and_one_feature_file(self, tmp_path):
+        corpus = make_corpus({"a": [1.0, 2.0], "b": [3.0]})
+        save_corpus(corpus, tmp_path / "c")
+        assert sorted(p.name for p in (tmp_path / "c").iterdir()) == [
+            "features.dsqf", "manifest.json",
+        ]
+        manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+        assert all("path" not in entry for entry in manifest["utterances"])
+        loaded = load_corpus(tmp_path / "c")
+        assert all(u.features.base is loaded.utterances[0].features.base for u in loaded)
+
+    @pytest.mark.parametrize("stored", [2, 4])
+    def test_manifest_count_must_match_file(self, tmp_path, stored):
+        save_corpus(make_corpus({"a": [1.0, 2.0, 3.0]}), tmp_path / "c")
+        write_feature_file(tmp_path / "c" / "features.dsqf", [np.ones((2, 3))] * stored)
+        with pytest.raises(FeatureFormatError, match=f"lists 3 utterances, .* holds {stored}"):
+            load_corpus(tmp_path / "c")
 
     def test_duplicate_ids_rejected(self):
         u = Utterance(id="x", speaker_id="s", features=np.ones((1, 2)), label=1.0)

@@ -16,8 +16,10 @@ from sevreg.pipeline import checkpoint_from_net, load_checkpoint, save_checkpoin
 
 
 def dsqf(path):
+    """Two utterances of D 3 and lengths 4 and 2: a 16-byte header, the
+    lengths at 16, the payload at 24, 96 bytes in all."""
     rng = np.random.default_rng(0)
-    write_feature_file(path, rng.standard_normal((5, 3)))
+    write_feature_file(path, [rng.standard_normal((4, 3)), rng.standard_normal((2, 3))])
 
 
 def dsqc(path):
@@ -82,17 +84,25 @@ class TestSharedOffsets:
         "corrupt, offset",
         [
             (lambda raw: b"DSQE" + raw[4:], 0),
-            (lambda raw: raw[:4] + b"\x02" + raw[5:], 4),
+            (lambda raw: raw[:4] + b"\x01" + raw[5:], 4),
             (lambda raw: raw[:10], 4),
-            (lambda raw: raw[:-1], 16),
-            (lambda raw: raw + b"\0\0", 76),
-            (lambda raw: raw[:16] + struct.pack("<f", np.nan) + raw[20:], 16),
+            (lambda raw: raw[:8] + struct.pack("<I", 0) + raw[12:], 8),
+            (lambda raw: raw[:12] + struct.pack("<I", 0) + raw[16:], 12),
+            (lambda raw: raw[:18], 16),
+            (lambda raw: raw[:20] + struct.pack("<I", 0) + raw[24:], 20),
+            (lambda raw: raw[:-1], 24),
+            (lambda raw: raw[:24] + struct.pack("<f", np.nan) + raw[28:], 24),
+            (lambda raw: raw + b"\0\0", 96),
         ],
-        ids=["magic", "version", "short_header", "truncated", "trailing", "nan"],
+        ids=[
+            "magic", "version", "short_header", "zero_count", "zero_dim",
+            "truncated_lengths", "zero_length", "truncated", "nan", "trailing",
+        ],
     )
     def test_dsqf(self, tmp_path, corrupt, offset):
         path = tmp_path / "f.dsqf"
         dsqf(path)
+        assert len(path.read_bytes()) == 96
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(FeatureFormatError) as err:
             read_feature_file(path)
@@ -136,8 +146,20 @@ class TestLeaksBecomeFormatErrors:
         path = tmp_path / "f.dsqf"
         values = np.ones((2, 3), dtype="<f4")
         values[1, 2] = value
-        path.write_bytes(b"DSQF" + struct.pack("<III", 1, 2, 3) + values.tobytes())
+        path.write_bytes(b"DSQF" + struct.pack("<IIII", 2, 1, 3, 2) + values.tobytes())
         with pytest.raises(FeatureFormatError, match="non-finite") as err:
+            read_feature_file(path)
+        assert err.value.offset == 20
+
+    def test_dsqf_huge_count(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.dsqf"
+        path.write_bytes(b"DSQF" + struct.pack("<III", 2, (1 << 32) - 1, 3))
+
+        def built(*args, **kwargs):
+            pytest.fail("the reader built the array before it checked the count")
+
+        monkeypatch.setattr(np, "frombuffer", built)
+        with pytest.raises(FeatureFormatError, match="utterance lengths") as err:
             read_feature_file(path)
         assert err.value.offset == 16
 
