@@ -5,6 +5,7 @@ failure."""
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import os
@@ -45,6 +46,18 @@ def output_dir(path: str | Path) -> Path:
             if not existing.is_dir():
                 raise ConfigError(f"'{existing}' is a file, not a directory")
             break
+    return path
+
+
+def output_file(path: str | Path) -> Path:
+    """`path` as a file to write, checked before a command does any work: a
+    directory there raises IsADirectoryError, and a parent directory that is
+    missing or a file raises ConfigError."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not output_dir(path.parent).is_dir():
+        raise ConfigError(f"directory '{path.parent}' of '{path}' does not exist")
     return path
 
 
@@ -186,10 +199,11 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
 
 
 def cmd_dump_embeddings(cfg: RunConfig, args) -> int:
+    out = output_file(args.out)
     corpora = load_world(cfg)
     net = net_from_checkpoint(load_checkpoint(Path(args.checkpoint)))
     corpus = corpora[args.corpus]
-    dump_embeddings(net, corpus, Path(args.out))
+    dump_embeddings(net, corpus, out)
     print(f"embeddings for '{args.corpus}' written to {args.out}")
     return 0
 

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -127,12 +128,18 @@ def pseudo_pool(corpus: Corpus, labels: list[float | None], name: str) -> Corpus
     )
 
 
-def atomic_write(path: str | Path, data: str | bytes) -> None:
-    """Write via a temp file + rename so readers never see partial output."""
+def atomic_write(path: str | Path, data: str | bytes | Sequence[bytes | np.ndarray]) -> None:
+    """Write via a temp file + rename so readers never see partial output.
+    `data` is text, bytes, or a sequence of buffers (bytes, C-contiguous
+    arrays) written one after another, so no joined copy is made."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    if isinstance(data, str):
+        data = data.encode()
     try:
-        tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+        with tmp.open("wb") as fh:
+            for chunk in (data,) if isinstance(data, bytes) else data:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -201,15 +208,16 @@ class FrameReader:
 
 def write_feature_file(path: str | Path, matrices: list[np.ndarray]) -> None:
     """Serialize (T, D) matrices of one D, atomically; values are stored as
-    float32."""
+    float32, and a value that is not finite as float32 (such as 1e39) raises
+    ParameterError before anything is written."""
     if len(matrices) == 0 or any(m.ndim != 2 or m.shape[0] < 1 for m in matrices):
         raise EmptyInputError("a feature file needs one or more (T>=1, D) matrices")
-    rows = np.concatenate(matrices)
+    with np.errstate(over="ignore"):
+        rows = np.concatenate(matrices, dtype="<f4")
     if not np.all(np.isfinite(rows)):
-        raise ParameterError("feature matrix contains non-finite values")
+        raise ParameterError("feature matrix contains values that are not finite as float32")
     header = frame_header(DSQF_MAGIC, DSQF_VERSION, len(matrices), rows.shape[1])
-    lengths = pack_u32(*(len(m) for m in matrices))
-    atomic_write(path, header + lengths + rows.astype("<f4").tobytes(order="C"))
+    atomic_write(path, (header, pack_u32(*(len(m) for m in matrices)), rows))
 
 
 def read_feature_file(path: str | Path) -> list[np.ndarray]:

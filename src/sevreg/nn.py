@@ -5,9 +5,12 @@ dtype of its inputs: a net built in float32 (as the pipeline trains) runs in
 float32, one built in float64 (as the gradient checks use) in float64.
 Sequences are (T, D) matrices; batches of sequences are processed as one
 stacked matrix with segmented pooling, which keeps the matmuls large and the
-gradients exact. In training with dropout, ReLU and dropout are one
-multiplier per hidden layer: the ReLU gate times the inverted-dropout scale,
-applied forward as h = a * mask and backward as grad_a = grad_h * mask.
+gradients exact. ReLU and dropout run in place on the linear output, so a
+forward pass keeps each hidden layer once: its activation h. In training with
+dropout each hidden layer also keeps one boolean keep mask, the ReLU gate
+ANDed with the dropout draw; with the inverted-dropout scale s it gives
+h = a * keep * s forward and grad_a = grad_h * keep * s backward. Without
+dropout the ReLU gradient reads h, which is > 0 exactly where a is.
 """
 
 from __future__ import annotations
@@ -121,26 +124,25 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient passes only where x > 0 (subgradient at 0 is 0)."""
+    """Gradient passes only where x > 0 (subgradient at 0 is 0). `x` may be
+    the pre-activation or relu of it: both are > 0 at the same places."""
     return grad_out * (x > 0.0)
 
 
-def dropout_mask(
+def dropout_keep(
     shape: tuple[int, ...],
     p: float,
     rng: np.random.Generator | None,
-    dtype=np.float64,
     gate: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Inverted-dropout multiplier in `dtype`: 0 with probability p, else
-    1/(1-p).
+    """Boolean inverted-dropout keep mask: False with probability p.
 
     Each element draws one uint32 u from the generator's raw 64-bit words,
     two per word, and is kept where u >= round(p * 2**32) (capped at
     2**32 - 1), so the keep probability is 1 - p to within 2**-32 and n
     elements advance the stream by ceil(n/2) words. A boolean `gate` of the
-    same shape is ANDed into the keep mask; forward_batch passes a > 0, so
-    one multiplier applies ReLU and dropout together.
+    same shape is ANDed in; forward_batch passes a > 0, so one mask applies
+    ReLU and dropout together.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
@@ -155,7 +157,19 @@ def dropout_mask(
         keep = words.view(np.uint32)[:n].reshape(shape) >= threshold
     if gate is not None:
         keep &= gate
-    return np.divide(keep, 1.0 - p, dtype=dtype)
+    return keep
+
+
+def dropout_mask(
+    shape: tuple[int, ...],
+    p: float,
+    rng: np.random.Generator | None,
+    dtype=np.float64,
+    gate: np.ndarray | None = None,
+) -> np.ndarray:
+    """Inverted-dropout multiplier in `dtype`: 0 with probability p, else
+    1/(1-p); the keep draw of dropout_keep, scaled."""
+    return np.divide(dropout_keep(shape, p, rng, gate), 1.0 - p, dtype=dtype)
 
 
 def _segment_groups(lengths: np.ndarray, width: int, itemsize: int):
@@ -414,15 +428,13 @@ class Stack:
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one batched forward pass, consumed by backward. Every
-    array but `offsets` has the net's dtype."""
+    """What backward reads of one batched forward pass. Every array but
+    `offsets` and the keep masks has the net's dtype."""
 
     x: np.ndarray           # stacked input (sum T, D)
-    a1: np.ndarray          # pre-ReLU of adaptor1
-    h1: np.ndarray          # post ReLU/dropout: a1 * mask1, or relu(a1)
-    a2: np.ndarray
+    h1: np.ndarray          # adaptor1 after ReLU/dropout, in its output's buffer
     h2: np.ndarray
-    mask1: np.ndarray | None  # ReLU gate x dropout multiplier; None without dropout
+    mask1: np.ndarray | None  # bool: ReLU gate AND dropout keep; None without dropout
     mask2: np.ndarray | None
     offsets: np.ndarray     # segment boundaries into the stacked rows
     pooled: np.ndarray      # (B, 2 * hidden_dim): mean | std, reused by backward
@@ -430,24 +442,37 @@ class ForwardCache:
     norms: np.ndarray | None = None  # row norms used when normalize_output
 
 
+def _dropout_scale(net: AdaptorNet) -> np.ndarray:
+    """1/(1-p) in the net's dtype: the nonzero value of dropout_mask."""
+    return np.divide(1.0, 1.0 - net.dropout_p, dtype=net.dtype)
+
+
 def _relu_dropout(
     net: AdaptorNet, a: np.ndarray, drop: bool, rng: np.random.Generator | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """ReLU, then dropout when `drop`: returns (h, mask). With dropout the
-    mask is the ReLU gate times the dropout multiplier, and h = a * mask."""
+    """ReLU, then dropout when `drop`, written over `a`: returns (h, keep),
+    h being `a` itself. With dropout, keep is the ReLU gate AND the dropout
+    keep mask, and h = a * keep * s with s = 1/(1-p) in the net's dtype."""
     if not drop:
-        return relu(a), None
-    mask = dropout_mask(a.shape, net.dropout_p, rng, net.dtype, gate=a > 0.0)
-    return a * mask, mask
+        return np.maximum(a, 0.0, out=a), None
+    keep = dropout_keep(a.shape, net.dropout_p, rng, gate=a > 0.0)
+    a *= keep
+    a *= _dropout_scale(net)
+    return a, keep
 
 
 def _relu_dropout_backward(
-    a: np.ndarray, mask: np.ndarray | None, grad_h: np.ndarray
+    net: AdaptorNet, h: np.ndarray, keep: np.ndarray | None, grad_h: np.ndarray
 ) -> np.ndarray:
-    """dL/da from dL/dh; overwrites grad_h when there is a mask."""
-    if mask is None:
-        return relu_backward(a, grad_h)
-    return np.multiply(grad_h, mask, out=grad_h)
+    """dL/da from dL/dh; overwrites grad_h when there is a keep mask.
+
+    grad_h * keep * s equals grad_h * dropout_mask bit for bit: x * 1 is x,
+    and x * 0 is a zero of x's sign (or x's NaN), which s keeps."""
+    if keep is None:
+        return relu_backward(h, grad_h)
+    grad_h *= keep
+    grad_h *= _dropout_scale(net)
+    return grad_h
 
 
 def forward_batch(
@@ -473,10 +498,8 @@ def forward_batch(
         raise EmptyInputError("sequences must have T >= 1")
 
     drop = training and net.dropout_p > 0.0
-    a1 = linear_forward(net.layers["adaptor1"], x)
-    h1, mask1 = _relu_dropout(net, a1, drop, rng)
-    a2 = linear_forward(net.layers["adaptor2"], h1)
-    h2, mask2 = _relu_dropout(net, a2, drop, rng)
+    h1, mask1 = _relu_dropout(net, linear_forward(net.layers["adaptor1"], x), drop, rng)
+    h2, mask2 = _relu_dropout(net, linear_forward(net.layers["adaptor2"], h1), drop, rng)
 
     pooled = stats_pool(h2, offsets)
     out = linear_forward(net.layers["head"], pooled)
@@ -486,7 +509,7 @@ def forward_batch(
         norms = np.maximum(np.linalg.norm(out, axis=1, keepdims=True), 1e-12)
         out = out / norms
     return ForwardCache(
-        x=x, a1=a1, h1=h1, a2=a2, h2=h2, mask1=mask1, mask2=mask2,
+        x=x, h1=h1, h2=h2, mask1=mask1, mask2=mask2,
         offsets=offsets, pooled=pooled, out=out, norms=norms,
     )
 
@@ -513,11 +536,11 @@ def backward_batch(
 
     grad_h2 = stats_pool_backward(cache.h2, grad_pooled, cache.offsets, cache.pooled)
 
-    grad_a2 = _relu_dropout_backward(cache.a2, cache.mask2, grad_h2)
+    grad_a2 = _relu_dropout_backward(net, cache.h2, cache.mask2, grad_h2)
     *_, grad_h1 = linear_backward(
         net.layers["adaptor2"], cache.h1, grad_a2, out=(g["adaptor2.weight"], g["adaptor2.bias"])
     )
 
-    grad_a1 = _relu_dropout_backward(cache.a1, cache.mask1, grad_h1)
+    grad_a1 = _relu_dropout_backward(net, cache.h1, cache.mask1, grad_h1)
     linear_param_grads(cache.x, grad_a1, out=(g["adaptor1.weight"], g["adaptor1.bias"]))
     return grad

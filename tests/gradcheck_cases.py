@@ -132,7 +132,9 @@ def _relu_margin(net, seqs, drop_seed=None) -> float:
     """Smallest |pre-activation|; tiny margins straddle the ReLU kink under
     central differences, so instances are resampled until clear of it."""
     cache = _forward(net, seqs, drop_seed)
-    return min(float(np.min(np.abs(cache.a1))), float(np.min(np.abs(cache.a2))))
+    a1 = linear_forward(net.layers["adaptor1"], cache.x)
+    a2 = linear_forward(net.layers["adaptor2"], cache.h1)
+    return min(float(np.min(np.abs(a1))), float(np.min(np.abs(a2))))
 
 
 def _net_case(rng, projector: bool, dropout_p: float = 0.0):

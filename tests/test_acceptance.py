@@ -11,11 +11,13 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gradcheck_cases as cases
+import sevreg
 from sevreg.cli import main as cli_main
 from sevreg.config import ModelConfig, RegressionStageConfig, RunConfig, Stage2Config
 from sevreg.contrastive import (
@@ -338,8 +340,11 @@ def test_criterion_09_run_all_determinism(tmp_path):
     assert cli_main(["run-all", "--config", str(config_path)]) == 0
     run_a = next((tmp_path / "runsA").iterdir())
 
-    # second invocation in a fresh process, redirected via the env root
-    env = dict(os.environ, SEVREG_RUN_ROOT=str(tmp_path / "runsB"))
+    # second invocation in a fresh process, redirected via the env root; the
+    # child imports the package from the same source tree as this process
+    src = str(Path(sevreg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, SEVREG_RUN_ROOT=str(tmp_path / "runsB"))
     proc = subprocess.run(
         [sys.executable, "-m", "sevreg", "run-all", "--config", str(config_path)],
         env=env,

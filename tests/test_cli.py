@@ -423,6 +423,49 @@ def test_directory_where_a_file_is_expected_exits_1(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.fixture
+def no_forward(monkeypatch):
+    """Fails the test if the command runs a forward pass."""
+    from sevreg import pipeline
+
+    calls = []
+
+    def forward_batch(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("forward_batch ran")
+
+    monkeypatch.setattr(pipeline, "forward_batch", forward_batch)
+    yield
+    assert not calls, "forward_batch ran"
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        ("adir", "Is a directory"),
+        ("missing/emb.dsqe", "does not exist"),
+        ("afile/emb.dsqe", "is a file, not a directory"),
+    ],
+    ids=["directory", "missing_parent", "file_parent"],
+)
+def test_dump_embeddings_checks_out_before_the_forward(
+    workspace, teacher_checkpoint, tmp_path, capsys, no_forward, out, message
+):
+    _, config_path, _ = workspace
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("not a directory\n")
+    (tmp_path / "stage1.dsqc").write_bytes(teacher_checkpoint)
+    before = sorted(tmp_path.rglob("*"))
+    args = [
+        "dump-embeddings", "--config", str(config_path),
+        "--checkpoint", str(tmp_path / "stage1.dsqc"), "--out", str(tmp_path / out),
+    ]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err and message in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestChainEqualsRunAll:
     """The stage commands run run-all's steps for one seed, `cfg.seed`, so the
     chain must reproduce run-all's final model and results byte for byte."""

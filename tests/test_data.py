@@ -1,5 +1,6 @@
 """Feature files, corpora, normalization, sampling, and splits."""
 
+import hashlib
 import json
 import struct
 from dataclasses import fields, replace
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from sevreg.data import (
     Corpus,
     Utterance,
+    atomic_write,
     label_bins,
     label_histogram,
     load_corpus,
@@ -29,6 +31,7 @@ from sevreg.errors import (
     ParameterError,
     PartitionError,
 )
+from sevreg.synthetic import WorldConfig, build_world
 
 
 def make_corpus(labels_by_speaker, name="c"):
@@ -98,6 +101,20 @@ class TestFeatureFiles:
             write_feature_file(tmp_path / "x.dsqf", [np.ones((3, 2)), bad])
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.nan])
+    def test_values_not_finite_as_float32_rejected_on_write(self, tmp_path, value):
+        bad = np.ones((3, 2))
+        bad[1, 0] = value  # 1e39 is finite in float64 but inf in float32
+        with pytest.raises(ParameterError, match="not finite as float32"):
+            write_feature_file(tmp_path / "x.dsqf", [np.ones((2, 2)), bad])
+        assert not list(tmp_path.iterdir())  # no file and no .tmp
+
+    def test_atomic_write_joins_a_sequence_of_buffers(self, tmp_path):
+        rows = np.arange(6, dtype="<f4").reshape(2, 3)
+        atomic_write(tmp_path / "x.bin", (b"head", struct.pack("<I", 7), rows))
+        assert (tmp_path / "x.bin").read_bytes() == b"head" + struct.pack("<I", 7) + rows.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.bin"]
+
     @pytest.mark.parametrize(
         "matrices",
         [[], [np.ones((0, 3))], [np.ones(3)], np.ones((2, 3))],
@@ -161,6 +178,18 @@ class TestCorpusIO:
         assert all("path" not in entry for entry in manifest["utterances"])
         loaded = load_corpus(tmp_path / "c")
         assert all(u.features.base is loaded.utterances[0].features.base for u in loaded)
+
+    def test_default_world_feature_files_keep_their_bytes(self, tmp_path):
+        digests = {
+            "labeled": "4750b0e25a605bd6cc867df17b7a65762bcfc61bc320142603540dc78532707e",
+            "unlabeled": "4768e25dead0d35c54c3285cebf6d5fe1b272efd7c35e0dbe91ee6ba849b5168",
+            "typical": "bae925200e3309bd968a658f963026b1b8fbeb0e55faae332320abb37ee63e51",
+            "shifted_test": "7f2c1b2d0206a0edba93b08ecb4151fd8ca7283c0cb72389fa54a97ae93dda10",
+        }
+        for name, corpus in build_world(WorldConfig()).items():
+            save_corpus(corpus, tmp_path / name)
+            raw = (tmp_path / name / "features.dsqf").read_bytes()
+            assert hashlib.sha256(raw).hexdigest() == digests[name], name
 
     @pytest.mark.parametrize("stored", [2, 4])
     def test_manifest_count_must_match_file(self, tmp_path, stored):

@@ -136,8 +136,10 @@ class TestDropout:
         seqs = [np.random.default_rng(1).normal(size=(5, 4))]
         cache = forward_batch(net, seqs, training=False, rng=None)
         assert cache.mask1 is None and cache.mask2 is None
-        assert np.array_equal(cache.h1, relu(cache.a1))
-        assert np.array_equal(cache.h2, relu(cache.a2))
+        a1 = linear_forward(net.layers["adaptor1"], cache.x)
+        a2 = linear_forward(net.layers["adaptor2"], cache.h1)
+        assert np.array_equal(cache.h1, relu(a1))
+        assert np.array_equal(cache.h2, relu(a2))
 
     def test_p_zero_identity(self):
         assert np.array_equal(dropout_mask((4, 4), 0.0, None), np.ones((4, 4)))
@@ -245,6 +247,88 @@ class TestFusedDropout:
         assert np.isnan(cache.h1[2]).all()  # dropped and gated units too
         assert np.isnan(cache.out[0]).all()
         assert np.all(np.isfinite(cache.out[1]))
+
+
+class TestInPlaceActivations:
+    """ReLU and dropout overwrite the linear output, and training keeps a
+    boolean keep mask; forward and backward equal the float multiplier of
+    dropout_mask bit for bit."""
+
+    SPECIALS = np.array([-1.5, -0.0, 0.0, np.nan, 2.5, -3e-8])
+
+    def _values(self, dtype, seed):
+        """Normal draws with negatives, +-0.0 and NaN planted at random."""
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((40, 24)).astype(dtype)
+        flat = values.reshape(-1)
+        flat[rng.choice(flat.size, 120, replace=False)] = np.resize(self.SPECIALS, 120)
+        return values
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keep_mask_equals_the_multiplier(self, dtype, p):
+        net = build_net(feat_dim=4, seed_or_rng=0, hidden_dim=24, dropout_p=p, dtype=dtype)
+        a, grad_h = self._values(dtype, 1), self._values(dtype, 2)
+        mask = dropout_mask(a.shape, p, np.random.default_rng(3), dtype, gate=a > 0.0)
+        buffer, grad_buffer = a.copy(), grad_h.copy()
+        h, keep = nn._relu_dropout(net, buffer, True, np.random.default_rng(3))
+        grad_a = nn._relu_dropout_backward(net, h, keep, grad_buffer)
+        assert h is buffer and grad_a is grad_buffer
+        assert keep.dtype == bool and np.array_equal(keep, mask != 0.0)
+        assert h.dtype == dtype and h.tobytes() == (a * mask).tobytes()
+        assert grad_a.dtype == dtype and grad_a.tobytes() == (grad_h * mask).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_in_place_and_its_gradient_from_h(self, dtype):
+        net = build_net(feat_dim=4, seed_or_rng=0, hidden_dim=24, dtype=dtype)
+        a, grad_h = self._values(dtype, 4), self._values(dtype, 5)
+        buffer = a.copy()
+        h, keep = nn._relu_dropout(net, buffer, False, None)
+        assert h is buffer and keep is None
+        assert h.tobytes() == relu(a).tobytes()
+        grad_a = nn._relu_dropout_backward(net, h, None, grad_h)
+        assert grad_a.tobytes() == relu_backward(a, grad_h).tobytes()
+
+    def test_training_cache_holds_no_pre_activations(self):
+        from dataclasses import fields
+
+        net = build_net(feat_dim=4, seed_or_rng=1, hidden_dim=16, dropout_p=0.3, dtype=np.float32)
+        rng = np.random.default_rng(6)
+        seqs = [rng.standard_normal((t, 4)) for t in (5, 9, 3)]
+        cache = forward_batch(net, seqs, training=True, rng=rng)
+        assert not {f.name for f in fields(cache)} & {"a1", "a2"}
+        for h, keep in ((cache.h1, cache.mask1), (cache.h2, cache.mask2)):
+            assert keep.dtype == bool and keep.shape == h.shape
+            assert np.all(h >= 0.0) and not np.any(h[~keep])
+
+    def test_training_step_live_memory(self):
+        """One float32 training forward + backward at a stage-2 batch shape
+        (128 views, 2137 rows, H 320) peaks below six hidden-layer arrays
+        of live memory: the cache keeps h1, h2 and two one-byte keep masks,
+        and backward adds grad_h2 and grad_h1. A cache that also keeps the
+        pre-activations and float masks peaks at about 8.6."""
+        import tracemalloc
+
+        rows, views, d, hidden, embed = 2137, 128, 16, 320, 128
+        rng = np.random.default_rng(0)
+        net = build_net(
+            d, 0, hidden_dim=hidden, out_dim=embed, dropout_p=0.1,
+            normalize_output=True, dtype=np.float32,
+        )
+        cuts = np.sort(rng.choice(np.arange(1, rows), views - 1, replace=False))
+        stack = nn.Stack(
+            rng.standard_normal((rows, d)).astype(np.float32), np.concatenate([[0], cuts, [rows]])
+        )
+        grad_out = rng.standard_normal((views, embed)).astype(np.float32)
+        drop_rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            cache = forward_batch(net, stack, training=True, rng=drop_rng)
+            backward_batch(net, cache, grad_out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * rows * hidden * np.dtype(np.float32).itemsize
 
 
 class TestStatsPool:
@@ -575,12 +659,15 @@ class TestDtype:
     def test_step_keeps_the_net_dtype(self, dtype, projector):
         net, arrays = self._step(dtype, projector)
         assert net.dtype == dtype
-        expected = {"x", "a1", "h1", "a2", "h2", "mask1", "mask2", "pooled", "out"}
+        expected = {"x", "h1", "h2", "mask1", "mask2", "pooled", "out"}
         if projector:
             expected.add("norms")
         assert {k[len("cache."):] for k in arrays if k.startswith("cache.")} == expected
         assert len([k for k in arrays if k.startswith(("m.", "v."))]) == 2
-        assert {k: a.dtype for k, a in arrays.items()} == {k: np.dtype(dtype) for k in arrays}
+        masks = {"cache.mask1", "cache.mask2"}
+        assert {k: arrays[k].dtype for k in masks} == {k: np.dtype(bool) for k in masks}
+        floats = {k: a.dtype for k, a in arrays.items() if k not in masks}
+        assert floats == {k: np.dtype(dtype) for k in floats}
 
     def test_init_draws_do_not_depend_on_dtype(self):
         wide = build_net(feat_dim=4, seed_or_rng=3, hidden_dim=8)

@@ -581,13 +581,31 @@ class TestCheckpointIO:
         path = tmp_path / "m.dsqc"
         save_checkpoint(path, checkpoint_from_net(stage1.net, "stage1", {"run": 1}))
         before = path.read_bytes()
-        real_write = pathlib.Path.write_bytes
+        real_open = pathlib.Path.open
 
-        def crash_midway(self, data):
-            real_write(self, data[: len(data) // 2])
-            raise KeyboardInterrupt
+        class CrashMidway:
+            """A file whose first write stores half of its bytes, then is
+            interrupted."""
 
-        monkeypatch.setattr(pathlib.Path, "write_bytes", crash_midway)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                self.fh.write(data[: len(data) // 2])
+                raise KeyboardInterrupt
+
+        def crash_midway(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            return CrashMidway(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(pathlib.Path, "open", crash_midway)
         with pytest.raises(KeyboardInterrupt):
             save_checkpoint(path, checkpoint_from_net(stage1.net, "stage1", {"run": 2}))
         monkeypatch.undo()
