@@ -10,6 +10,7 @@ import numpy as np
 from sevreg.gradcheck import finite_diff_check
 from sevreg.nn import (
     LayerParams,
+    Stack,
     backward_batch,
     build_net,
     forward_batch,
@@ -44,7 +45,9 @@ for error in (0.0, 0.25, 2.0):
 # ---------------------------------------------------------------------------
 print("\n== adaptor network ==")
 net = build_net(feat_dim=3, seed_or_rng=1, hidden_dim=16, out_dim=1)
-seqs = [rng.standard_normal((t, 3)) for t in (5, 9, 7)]
+# A batch is one Stack: every sequence's rows stacked, split at its offsets.
+lengths = (5, 9, 7)
+seqs = Stack(rng.standard_normal((sum(lengths), 3)), np.cumsum([0, *lengths]))
 cache = forward_batch(net, seqs)
 print("three sequences of different lengths -> predictions", cache.out.ravel())
 

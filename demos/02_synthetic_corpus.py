@@ -26,19 +26,24 @@ from sevreg.synthetic import SyntheticSpec, gen_synthetic_corpus
 spec = SyntheticSpec(n_utts=600, feat_dim=16, n_speakers=30, nuisance_label_corr=0.8)
 corpus = gen_synthetic_corpus(spec, seed=0)
 
+# A corpus is one set of arrays: every utterance's rows one after another
+# (`features` as float32, `frames` at unit norm per row), the row `offsets`
+# between utterances, and one column entry per utterance.
 print("== corpus ==")
-print("utterances:", len(corpus), " speakers:", len(corpus.speakers()))
+print("utterances:", len(corpus), " speakers:", len(set(corpus.speakers)))
+print("rows:", corpus.features.shape, corpus.features.dtype, " offsets:", corpus.offsets[:4], "...")
 print("label histogram (skewed low, like real severity ratings):")
-for bin_id, count in label_histogram(corpus).items():
+for bin_id, count in label_histogram(corpus.labels).items():
     print(f"  severity {bin_id}: {'#' * (count // 8)} {count}")
 
 # The first `signal_dims` dimensions carry a mean that rises with severity.
-labels = corpus.labels()
-signal_means = np.array([u.features[:, : spec.signal_dims].mean() for u in corpus])
+labels = corpus.labels
+utterances = corpus.stack(values=corpus.features)  # a Stack: len() and iteration
+signal_means = np.array([f[:, : spec.signal_dims].mean() for f in utterances])
 print(f"\nSRCC(label, mean of signal dims) = {srcc(labels, signal_means):.4f}")
 
 nuisance = np.array(
-    [u.features[:, spec.signal_dims : spec.signal_dims + spec.nuisance_dims].mean() for u in corpus]
+    [f[:, spec.signal_dims : spec.signal_dims + spec.nuisance_dims].mean() for f in utterances]
 )
 print(f"SRCC(label, mean of nuisance dims) = {srcc(labels, nuisance):.4f}  "
       "(the in-domain shortcut)")
@@ -48,38 +53,41 @@ print(f"SRCC(label, mean of nuisance dims) = {srcc(labels, nuisance):.4f}  "
 # ---------------------------------------------------------------------------
 print("\n== persistence ==")
 with tempfile.TemporaryDirectory() as tmp:
-    matrices = [u.features for u in corpus.utterances[:3]]
+    first_three = corpus.stack(slice(3), values=corpus.features)
     path = Path(tmp) / "three.dsqf"
-    write_feature_file(path, matrices)
+    write_feature_file(path, first_three)
     back = read_feature_file(path)
-    print("feature file round trip exact:", all(map(np.array_equal, back, matrices)))
+    print("feature file round trip exact:", np.array_equal(back.rows, first_three.rows))
 
     save_corpus(corpus, Path(tmp) / "corpus")
     print("corpus directory:", sorted(p.name for p in (Path(tmp) / "corpus").iterdir()))
     reloaded = load_corpus(Path(tmp) / "corpus")
-    print("corpus round trip ids equal:", [u.id for u in reloaded] == [u.id for u in corpus])
+    print("corpus round trip ids equal:", np.array_equal(reloaded.ids, corpus.ids))
 
 # ---------------------------------------------------------------------------
 # Per-frame normalization and the label-balanced sampler
 # ---------------------------------------------------------------------------
 print("\n== preprocessing ==")
-h = corpus.utterances[0].features
-norms = np.linalg.norm(normalize_frames(h), axis=1)
+norms = np.linalg.norm(corpus.frames, axis=1)
 print("row norms after l2 normalization:", np.round(norms[:5], 6))
+print("frames equal normalize_frames of the rows:",
+      np.array_equal(corpus.frames, normalize_frames(corpus.features)))
 
 weights = sampler_weights(corpus)
 rng = np.random.default_rng(1)
 draws = rng.choice(len(corpus), size=50_000, p=weights / weights.sum())
-picked = np.array([labels[i] for i in draws])
+picked = labels[draws]
 print("weighted draws per severity bin (should be near-uniform):")
 hist, _ = np.histogram(np.floor(picked + 0.5), bins=np.arange(0.5, 8.5))
 print(" ", hist)
 
 # ---------------------------------------------------------------------------
-# Speaker-disjoint splits
+# Speaker-disjoint splits: index vectors over the corpus, no rows copied
 # ---------------------------------------------------------------------------
 print("\n== splits ==")
 train, val, test = split(corpus, (0.7, 0.15, 0.15), seed=0)
-print("speakers:", len(train.speakers()), "/", len(val.speakers()), "/", len(test.speakers()))
-overlap = set(train.speakers()) & set(test.speakers())
+print("speakers:", *(len(set(corpus.speakers[part])) for part in (train, val, test)))
+overlap = set(corpus.speakers[train]) & set(corpus.speakers[test])
 print("train/test speaker overlap:", overlap or "none")
+train_part = corpus.take(train, "train")
+print("the train part shares the corpus rows:", np.shares_memory(train_part.frames, corpus.frames))

@@ -11,12 +11,14 @@ from sevreg.augment import AugmentConfig, make_views
 from sevreg.contrastive import (
     Batch,
     PairingSpec,
+    build_batch,
     ntxent_loss,
     positive_pairs,
     simclr_loss,
     stage2_loss,
     variance_reg,
 )
+from sevreg.nn import Stack
 
 rng = np.random.default_rng(0)
 
@@ -28,6 +30,16 @@ h = rng.standard_normal((20, 8))
 cfg = AugmentConfig()  # noise 0.01, mask <= 20% of frames, crop >= 70%, p = 0.5
 v1, v2 = make_views(h, cfg, rng)
 print(f"source T={h.shape[0]} -> views T={v1.shape[0]} and T={v2.shape[0]}")
+
+# Stage 2 draws a whole batch at once: the sources are index entries into one
+# Stack of every sequence's rows (a corpus's `stack()`), their labels entries
+# of its label vector, and the 2B views come back as one Stack.
+lengths = [20, 12, 31, 9]
+source = Stack(rng.standard_normal((sum(lengths), 8)), np.cumsum([0, *lengths]))
+labels = np.array([1.0, 3.2, 6.5, 2.0])
+drawn = build_batch(source, labels, np.array([2, 0, 3]), cfg, rng)
+print(f"sources 2, 0, 3 of T={[lengths[i] for i in (2, 0, 3)]} -> views of",
+      f"T={np.diff(drawn.views.offsets).tolist()}, labels {drawn.labels.tolist()}")
 
 # ---------------------------------------------------------------------------
 # Pairing rules on a batch whose labels straddle the interesting boundaries

@@ -9,6 +9,8 @@ Run from the repository root:
     python3 demos/04_three_stage_pipeline.py
 """
 
+import numpy as np
+
 from sevreg.config import ModelConfig, RegressionStageConfig, RunConfig, Stage2Config
 from sevreg.data import label_histogram
 from sevreg.experiments import split_labeled
@@ -50,13 +52,19 @@ stage1 = train_regression(train, val, cfg.model, cfg.stage1, seed=0)
 for h in stage1.history[-3:]:
     print(f"  epoch {h['epoch']}: loss {h['train_loss']:.4f}  val srcc {h['val_srcc']}")
 pseudo = pseudo_label(stage1.net, world["unlabeled"])
-print("pseudo-label histogram:", dict(label_histogram(pseudo)))
+print("pseudo-label histogram:", label_histogram(pseudo.labels))
+# The pool is the unlabeled corpus's rows with a new label vector: no copy.
+print("pool shares the unlabeled rows:", pseudo.frames is world["unlabeled"].frames)
 
 # ---------------------------------------------------------------------------
 # Stage 2: weakly supervised contrastive pretraining (coarse dichotomy)
 # ---------------------------------------------------------------------------
 print("\n== stage 2: pretraining ==")
 mixed = build_stage2_corpus(train, pseudo, world["typical"])
+# The one copy stage 2 makes: the three pools' rows, with a provenance column.
+provenance, counts = np.unique(mixed.provenance, return_counts=True)
+print("stage-2 corpus:", dict(zip(provenance.tolist(), counts.tolist())),
+      f"{mixed.frames.shape[0]} rows")
 stage2 = train_stage2(mixed, cfg.model, cfg.stage2, seed=0, strategy="coarse")
 for h in stage2.history:
     print(f"  epoch {h['epoch']}: contrastive loss {h['train_loss']:.4f}")

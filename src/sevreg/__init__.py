@@ -21,8 +21,8 @@ from .contrastive import (
 )
 from .data import (
     Corpus,
-    Utterance,
     load_corpus,
+    make_corpus,
     normalize_frames,
     read_feature_file,
     sampler_weights,

@@ -34,10 +34,11 @@ class AugmentConfig:
 
 
 def draw_views(
-    seqs: list[np.ndarray], cfg: AugmentConfig, rng: np.random.Generator
+    source: Stack, index: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator
 ) -> Stack:
-    """Two augmented views of each of B (T_i, D) sequences as one Stack;
-    views i and B + i come from sequence i.
+    """Two augmented views of each of the B sequences `index` of `source` as
+    one Stack; views i and B + i come from sequence index[i]. The views'
+    rows are gathered from source.rows in one indexed take.
 
     Each view runs noise -> mask -> crop, each on its own coin of
     per_transform_prob: N(0, noise_sigma^2) noise, then mask_spans zeroed
@@ -47,11 +48,10 @@ def draw_views(
     is: the uniforms of every coin, span and crop, then the noise.
     """
     cfg.validate()
-    lengths = np.array([h.shape[0] for h in seqs])
-    if len(seqs) == 0 or lengths.min() < 1:
+    first_row = source.offsets[:-1][index]
+    lengths = source.offsets[1:][index] - first_row
+    if len(index) == 0 or lengths.min() < 1:
         raise EmptyInputError("views need at least one sequence, each with T >= 1")
-    src = np.concatenate(seqs, axis=0)
-    first_row = np.cumsum(lengths) - lengths
     t, first_row = np.concatenate((lengths, lengths)), np.concatenate((first_row, first_row))
     u = rng.random((5 + 2 * cfg.mask_spans, len(t)))
     noisy, masked, cropped = u[:3] < cfg.per_transform_prob
@@ -65,11 +65,11 @@ def draw_views(
 
     kept = np.where(cropped, crop_len, t)
     offsets = np.concatenate(([0], np.cumsum(kept)))
-    # Each view row's frame in its source, and that frame's row in src.
+    # Each view row's frame in its source, and that frame's row in source.rows.
     frame = np.arange(offsets[-1]) - np.repeat(offsets[:-1] - crop_start * cropped, kept)
-    rows = src.take(np.repeat(first_row, kept) + frame, axis=0)
+    rows = source.rows.take(np.repeat(first_row, kept) + frame, axis=0)
     noise_rows = np.flatnonzero(np.repeat(noisy, kept))
-    rows[noise_rows] += rng.normal(0.0, cfg.noise_sigma, size=(len(noise_rows), src.shape[1]))
+    rows[noise_rows] += rng.normal(0.0, cfg.noise_sigma, size=(len(noise_rows), rows.shape[1]))
     lo, hi = (np.repeat(a, kept, axis=1) for a in (span_start, span_start + span_len))
     rows[np.flatnonzero(np.repeat(masked, kept) & ((lo <= frame) & (frame < hi)).any(0))] = 0.0
     return Stack(rows, offsets)
@@ -84,4 +84,4 @@ def make_views(
     The source label travels with both views unchanged; batch assembly is
     responsible for tiling it.
     """
-    return tuple(draw_views([h], cfg, rng))
+    return tuple(draw_views(Stack(h, np.array([0, len(h)])), np.array([0]), cfg, rng))

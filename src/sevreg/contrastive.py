@@ -67,14 +67,16 @@ class Batch:
 
 
 def build_batch(
-    sources: list[tuple[np.ndarray, float]],
+    source: Stack,
+    labels: np.ndarray,
+    index: np.ndarray,
     cfg: AugmentConfig,
     rng: np.random.Generator,
 ) -> Batch:
-    """Augment each (features, label) source twice and tile the labels."""
-    views = draw_views([h for h, _ in sources], cfg, rng)
-    labels = np.array([y for _, y in sources], dtype=float)
-    return Batch(views=views, labels=np.tile(labels, 2), b=len(sources))
+    """Augment sequences `index` of `source` twice each and tile their
+    entries of the label vector `labels`."""
+    views = draw_views(source, index, cfg, rng)
+    return Batch(views=views, labels=np.tile(labels[index], 2), b=len(index))
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,31 @@
 """Corpus representation, feature-file format, sampling, and splits.
 
-A feature sequence is a (T, D) float64 matrix. A corpus directory holds
-manifest.json plus features.dsqf, one framed file (FrameReader) with every
-utterance's features: magic "DSQF", little-endian u32 version 2, the
-utterance count N and D, N u32 lengths T, then every row as float32, in
-manifest order. Loading reads it once and widens it to one float64 array of
-which each utterance holds a row slice; nets read them through
-`Utterance.frames`, L2-normalized once per utterance. Normalization and
-augmentation run in float64; a net casts each stacked batch to its own dtype.
+A corpus is one set of arrays (`Corpus`): every utterance's rows one after
+another, split at row offsets, as in Apache Arrow's list arrays, plus one
+column entry per utterance. Nets read its `frames`, the rows at unit L2
+norm (normalization and augmentation run in float64), and cast each batch
+to their own dtype. A split part is the same arrays with an index vector, a
+pseudo-label pool the same arrays with a label vector. A corpus directory
+holds manifest.json plus features.dsqf, one framed file (FrameReader):
+magic "DSQF", little-endian u32 version 2, the utterance count N and D, N
+u32 lengths T, then every row as float32, in manifest order.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    DimensionError,
     EmptyInputError,
     FeatureFormatError,
     MergeError,
@@ -31,6 +33,7 @@ from .errors import (
     PartitionError,
     SevregError,
 )
+from .nn import Stack
 
 DSQF_MAGIC = b"DSQF"
 DSQF_VERSION = 2
@@ -38,93 +41,128 @@ FEATURES_FILE = "features.dsqf"
 MAX_RANK = 32  # the highest array rank numpy 1.x holds
 
 PROVENANCES = ("labeled", "pseudo", "typical")
+COLUMNS = ("ids", "speakers", "labels", "provenance")
 
 LABEL_MIN = 1.0
 LABEL_MAX = 7.0
 
 
-@dataclass
-class Utterance:
-    """One utterance: features plus optional severity label in [1, 7].
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """An ordered collection of utterances with unique ids, as arrays.
 
-    provenance 'pseudo' covers the unlabeled pool both before pseudo-labeling
-    (label None) and after (label set by the teacher model).
+    `frames` holds the rows of M utterances at unit L2 norm in float64,
+    utterance j in rows offsets[j]:offsets[j + 1]; `features` holds them as
+    stored, in float32, or is None for a corpus made in memory (the stage-2
+    mix). The corpus is the utterances `index` of those M, in order, with
+    COLUMNS `ids`, `speakers`, `labels` (NaN where unlabeled) and
+    `provenance` ('pseudo' for the unlabeled pool, before and after
+    pseudo-labelling). Construction checks every utterance and makes every
+    array read-only, so corpora that share rows cannot change one another.
     """
 
-    id: str
-    speaker_id: str
-    features: np.ndarray
-    label: float | None = None
-    provenance: str = "labeled"
+    name: str
+    features: np.ndarray | None
+    frames: np.ndarray
+    offsets: np.ndarray
+    index: np.ndarray
+    ids: np.ndarray
+    speakers: np.ndarray
+    labels: np.ndarray
+    provenance: np.ndarray
 
     def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ParameterError(f"unknown provenance '{self.provenance}'")
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise EmptyInputError(
-                f"utterance '{self.id}' needs a (T>=1, D) feature matrix"
-            )
-        if self.label is not None:
-            if not LABEL_MIN <= self.label <= LABEL_MAX:
-                raise ParameterError(
-                    f"label {self.label} outside [{LABEL_MIN}, {LABEL_MAX}]"
-                )
-            if self.provenance == "typical" and self.label != LABEL_MIN:
-                raise ParameterError("typical utterances must carry label 1")
-
-    @cached_property
-    def frames(self) -> np.ndarray:
-        """The features at unit L2 norm per frame, made on first use, kept."""
-        return normalize_frames(self.features)
-
-
-@dataclass
-class Corpus:
-    """An ordered collection of utterances with unique ids."""
-
-    utterances: list[Utterance]
-    name: str = "corpus"
-
-    def __post_init__(self):
-        ids = [u.id for u in self.utterances]
-        if len(set(ids)) != len(ids):
+        columns = [getattr(self, c) for c in COLUMNS]
+        if any(len(c) != len(self.index) for c in columns):
+            raise DimensionError(f"corpus '{self.name}' has columns of unequal length")
+        known = np.isin(self.provenance, PROVENANCES)
+        if not known.all():
+            raise ParameterError(f"unknown provenance '{self.provenance[np.argmin(known)]}'")
+        lengths = self.offsets[self.index + 1] - self.offsets[self.index]
+        if np.any(lengths < 1):
+            utt = self.ids[np.argmin(lengths)]
+            raise EmptyInputError(f"utterance '{utt}' needs a (T>=1, D) feature matrix")
+        y = self.labels
+        bad = ~np.isnan(y) & ((y < LABEL_MIN) | (y > LABEL_MAX))
+        if bad.any():
+            raise ParameterError(f"label {y[np.argmax(bad)]} outside [{LABEL_MIN}, {LABEL_MAX}]")
+        if np.any((self.provenance == "typical") & ~np.isnan(y) & (y != LABEL_MIN)):
+            raise ParameterError("typical utterances must carry label 1")
+        if len(np.unique(self.ids)) != len(self.ids):
             raise MergeError(f"duplicate utterance ids in corpus '{self.name}'")
+        for array in (self.features, self.frames, self.offsets, self.index, *columns):
+            if array is not None:
+                array.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.utterances)
+        return len(self.index)
 
-    def __iter__(self):
-        return iter(self.utterances)
-
-    def labels(self) -> np.ndarray:
-        """Dense label vector; raises if any utterance is unlabeled."""
-        if any(u.label is None for u in self.utterances):
+    def targets(self) -> np.ndarray:
+        """The label vector; raises if any utterance is unlabeled."""
+        if np.isnan(self.labels).any():
             raise ParameterError(f"corpus '{self.name}' has unlabeled utterances")
-        return np.array([u.label for u in self.utterances], dtype=float)
+        return self.labels
 
-    def speakers(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for u in self.utterances:
-            seen.setdefault(u.speaker_id, None)
-        return list(seen)
+    def take(self, which: np.ndarray, name: str) -> Corpus:
+        """Utterances `which` (an index vector), in that order, over the
+        same rows: a split part."""
+        columns = {c: getattr(self, c)[which] for c in COLUMNS}
+        return replace(self, name=name, index=self.index[which], **columns)
 
-    def counts(self) -> dict[str, int]:
-        out = {p: 0 for p in PROVENANCES}
-        for u in self.utterances:
-            out[u.provenance] += 1
-        return out
+    def with_labels(self, labels: np.ndarray, name: str) -> Corpus:
+        """The corpus as the pseudo-label pool, over the same rows: each
+        utterance takes its entry of `labels` (NaN for none) and provenance
+        'pseudo'."""
+        return replace(
+            self, name=name, labels=np.array(labels, dtype=np.float64),
+            provenance=np.full(len(self), "pseudo"),
+        )
+
+    def stack(self, which=slice(None), values: np.ndarray | None = None) -> Stack:
+        """The rows in `values` (default `frames`) of utterances `which` (a
+        slice or an index vector) as one Stack: a zero-copy slice when they
+        follow one another, else one concatenation of their row ranges."""
+        values = self.frames if values is None else values
+        j = self.index[which]
+        starts, stops = self.offsets[j], self.offsets[j + 1]
+        offsets = np.concatenate(([0], np.cumsum(stops - starts)))
+        if np.array_equal(starts[1:], stops[:-1]):
+            return Stack(values[starts[0] : stops[-1]], offsets)
+        ranges = zip(starts.tolist(), stops.tolist())
+        return Stack(np.concatenate([values[lo:hi] for lo, hi in ranges]), offsets)
 
 
-def pseudo_pool(corpus: Corpus, labels: list[float | None], name: str) -> Corpus:
-    """The corpus as the pseudo-label pool: each utterance keeps its id,
-    speaker and features and takes its entry of `labels` (None before
-    pseudo-labelling) with provenance 'pseudo'."""
+def make_corpus(name: str, features: Stack, ids, speakers, labels, provenance) -> Corpus:
+    """The corpus of the float32 sequences `features`, their frames made in
+    one normalize_frames call (each row is scaled on its own, so bit for bit
+    as per utterance), and the given columns (None is no label)."""
+    if not all(y is None or isinstance(y, numbers.Real) for y in labels):
+        raise TypeError("every label must be a number or None")
     return Corpus(
-        [
-            replace(u, label=y, provenance="pseudo")
-            for u, y in zip(corpus, labels, strict=True)
-        ],
         name=name,
+        features=features.rows,
+        frames=normalize_frames(features.rows.astype(np.float64)),
+        offsets=np.asarray(features.offsets, dtype=np.int64),
+        index=np.arange(len(features)),
+        ids=np.asarray(ids, dtype=str),
+        speakers=np.asarray(speakers, dtype=str),
+        labels=np.array([np.nan if y is None else y for y in labels], dtype=np.float64),
+        provenance=np.asarray(provenance, dtype=str),
+    )
+
+
+def concat(parts: Sequence[Corpus], name: str) -> Corpus:
+    """The utterances of `parts`, in order, as one corpus made in memory:
+    their frames gathered once into one array, nothing normalised again."""
+    stacks = [p.stack() for p in parts]
+    lengths = np.concatenate([np.diff(s.offsets) for s in stacks])
+    return Corpus(
+        name=name,
+        features=None,
+        frames=np.concatenate([s.rows for s in stacks]),
+        offsets=np.concatenate(([0], np.cumsum(lengths))),
+        index=np.arange(len(lengths)),
+        **{c: np.concatenate([getattr(p, c) for p in parts]) for c in COLUMNS},
     )
 
 
@@ -151,14 +189,10 @@ def atomic_write(path: str | Path, data: str | bytes | Sequence[bytes | np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def pack_u32(*values: int) -> bytes:
-    """Little-endian u32s, the integer type of every framed file."""
-    return struct.pack(f"<{len(values)}I", *values)
-
-
 def frame_header(magic: bytes, version: int, *fields: int) -> bytes:
-    """Start of a framed file: magic, then the u32 version and header fields."""
-    return magic + pack_u32(version, *fields)
+    """Start of a framed file: magic, then the version and header fields as
+    little-endian u32s, the integer type of every framed file."""
+    return magic + struct.pack(f"<{1 + len(fields)}I", version, *fields)
 
 
 class FrameReader:
@@ -206,22 +240,23 @@ class FrameReader:
             raise FeatureFormatError(f"{len(self.raw) - self.pos} trailing bytes", self.pos)
 
 
-def write_feature_file(path: str | Path, matrices: list[np.ndarray]) -> None:
-    """Serialize (T, D) matrices of one D, atomically; values are stored as
-    float32, and a value that is not finite as float32 (such as 1e39) raises
-    ParameterError before anything is written."""
-    if len(matrices) == 0 or any(m.ndim != 2 or m.shape[0] < 1 for m in matrices):
-        raise EmptyInputError("a feature file needs one or more (T>=1, D) matrices")
+def write_feature_file(path: str | Path, stack: Stack) -> None:
+    """Serialize the (T, D) sequences of a Stack, atomically; values are
+    stored as float32, and a value that is not finite as float32 (such as
+    1e39) raises ParameterError before anything is written."""
+    rows, lengths = stack.rows, np.diff(stack.offsets)
+    if rows.ndim != 2 or len(lengths) == 0 or lengths.min() < 1 or lengths.sum() != len(rows):
+        raise EmptyInputError("a feature file needs one or more (T>=1, D) sequences")
     with np.errstate(over="ignore"):
-        rows = np.concatenate(matrices, dtype="<f4")
+        rows = np.ascontiguousarray(rows, dtype="<f4")
     if not np.all(np.isfinite(rows)):
         raise ParameterError("feature matrix contains values that are not finite as float32")
-    header = frame_header(DSQF_MAGIC, DSQF_VERSION, len(matrices), rows.shape[1])
-    atomic_write(path, (header, pack_u32(*(len(m) for m in matrices)), rows))
+    header = frame_header(DSQF_MAGIC, DSQF_VERSION, len(lengths), rows.shape[1])
+    atomic_write(path, (header, lengths.astype("<u4"), rows))
 
 
-def read_feature_file(path: str | Path) -> list[np.ndarray]:
-    """Load a DSQF file back as float64 (T, D) row slices of one array."""
+def read_feature_file(path: str | Path) -> Stack:
+    """Load a DSQF file as a Stack of its float32 rows, read-only, as stored."""
     frame = FrameReader(Path(path).read_bytes(), DSQF_MAGIC, DSQF_VERSION, 2)
     count, d = frame.header
     if count < 1 or d < 1:
@@ -230,9 +265,10 @@ def read_feature_file(path: str | Path) -> list[np.ndarray]:
     if not lengths.all():
         i = int(np.argmin(lengths))
         raise FeatureFormatError(f"utterance {i} has length 0", offset=16 + 4 * i)
-    rows = frame.array("<f4", (int(lengths.sum(dtype=np.int64)), d), "features", finite=True)
+    offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    rows = frame.array("<f4", (int(offsets[-1]), d), "features", finite=True)
     frame.end()
-    return np.split(rows.astype(np.float64), np.cumsum(lengths[:-1], dtype=np.int64))
+    return Stack(rows, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +279,14 @@ def read_feature_file(path: str | Path) -> list[np.ndarray]:
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     """Write features.dsqf, then manifest.json, which commits the corpus:
     both are written atomically, the manifest last."""
+    if corpus.features is None:
+        raise ParameterError(f"corpus '{corpus.name}' was made in memory: no rows to store")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_feature_file(directory / FEATURES_FILE, [u.features for u in corpus])
+    write_feature_file(directory / FEATURES_FILE, corpus.stack(values=corpus.features))
     entries = [
-        {"id": u.id, "speaker_id": u.speaker_id, "label": u.label, "provenance": u.provenance}
-        for u in corpus
+        {"id": i, "speaker_id": s, "label": None if math.isnan(y) else y, "provenance": p}
+        for i, s, y, p in zip(*(getattr(corpus, c).tolist() for c in COLUMNS))
     ]
     manifest = {"name": corpus.name, "utterances": entries}
     atomic_write(directory / "manifest.json", json.dumps(manifest, sort_keys=True) + "\n")
@@ -268,16 +306,15 @@ def load_corpus(directory: str | Path) -> Corpus:
         if not features.is_file():
             raise FeatureFormatError(f"no {features}: an older corpus? re-run gen-data")
         try:
-            matrices = read_feature_file(features)
+            rows = read_feature_file(features)
         except FeatureFormatError as exc:  # name the file of the corpus
             exc.args = (f"{features}: {exc}",)
             raise
-        if len(fields) != len(matrices):
+        if len(fields) != len(rows):
             raise FeatureFormatError(
-                f"manifest {path} lists {len(fields)} utterances, {features} holds {len(matrices)}"
+                f"manifest {path} lists {len(fields)} utterances, {features} holds {len(rows)}"
             )
-        utts = [Utterance(i, spk, m, y, prov) for (i, spk, y, prov), m in zip(fields, matrices)]
-        return Corpus(utts, name=manifest["name"])
+        return make_corpus(manifest["name"], rows, *zip(*fields))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SevregError):  # a corrupt feature file or a bad value
             raise
@@ -325,15 +362,16 @@ def label_bins(labels) -> np.ndarray:
 def sampler_weights(corpus: Corpus) -> np.ndarray:
     """Inverse-bin-frequency weight per utterance; bins are rounded labels."""
     _, inverse, counts = np.unique(
-        label_bins(corpus.labels()), return_inverse=True, return_counts=True
+        label_bins(corpus.targets()), return_inverse=True, return_counts=True
     )
     return 1.0 / counts[inverse]
 
 
-def label_histogram(corpus: Corpus) -> dict[int, int]:
-    """Utterance counts per rounded severity bin 1..7."""
-    labels = [u.label for u in corpus if u.label is not None]
-    counts = np.bincount(label_bins(labels), minlength=8)
+def label_histogram(labels: np.ndarray) -> dict[int, int]:
+    """Counts per rounded severity bin 1..7 of a label vector; NaN (no
+    label) is not counted."""
+    labels = np.asarray(labels, dtype=float)
+    counts = np.bincount(label_bins(labels[~np.isnan(labels)]), minlength=8)
     return {b: int(counts[b]) for b in range(1, 8)}
 
 
@@ -342,20 +380,18 @@ def label_histogram(corpus: Corpus) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def split(
-    corpus: Corpus, ratios: tuple[float, ...], seed: int
-) -> tuple[Corpus, ...]:
-    """Partition by speaker into len(ratios) corpora, deterministically.
+def split(corpus: Corpus, ratios: tuple[float, ...], seed: int) -> tuple[np.ndarray, ...]:
+    """Partition by speaker into len(ratios) index vectors, deterministically.
 
     Speakers are shuffled with the seed and allocated to parts in proportion
-    to the ratios; every part receives at least one speaker. Utterances keep
-    their corpus order inside each part.
+    to the ratios; every part receives at least one speaker. Each part lists
+    its utterances in corpus order.
     """
     if any(r <= 0 for r in ratios):
         raise ParameterError(f"ratios must be positive, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ParameterError(f"ratios must sum to 1, got {sum(ratios)}")
-    speakers = corpus.speakers()
+    speakers = list(dict.fromkeys(corpus.speakers.tolist()))
     n_parts = len(ratios)
     if len(speakers) < n_parts:
         raise PartitionError(
@@ -376,11 +412,8 @@ def split(
         counts[i] += 1
         remainders[i] = -1.0
 
-    parts = []
-    start = 0
-    for i, c in enumerate(counts):
-        chosen = set(order[start : start + c])
-        start += c
-        utts = [u for u in corpus if u.speaker_id in chosen]
-        parts.append(Corpus(utts, name=f"{corpus.name}/part{i}"))
-    return tuple(parts)
+    bounds = np.cumsum([0, *counts])
+    return tuple(
+        np.flatnonzero(np.isin(corpus.speakers, order[lo:hi]))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    )

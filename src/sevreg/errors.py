@@ -43,7 +43,7 @@ class MergeError(SevregError, ValueError):
 
 
 class MappingError(SevregError, ValueError):
-    """An utterance is missing from a required speaker mapping."""
+    """Utterance scores and their speakers do not pair up."""
 
 
 class DegenerateCorrelationError(SevregError, ValueError):

@@ -70,19 +70,14 @@ def srcc(a, b) -> float:
     return pcc(rank(a), rank(b))
 
 
-def speaker_aggregate(
-    utt_scores: dict[str, float], speaker_map: dict[str, str]
-) -> dict[str, float]:
-    """Arithmetic mean of utterance scores per speaker."""
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for utt_id, score in utt_scores.items():
-        if utt_id not in speaker_map:
-            raise MappingError(f"utterance '{utt_id}' has no speaker mapping")
-        spk = speaker_map[utt_id]
-        sums[spk] = sums.get(spk, 0.0) + score
-        counts[spk] = counts.get(spk, 0) + 1
-    return {spk: sums[spk] / counts[spk] for spk in sums}
+def speaker_aggregate(scores, speakers) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct speakers, sorted, and the arithmetic mean of each one's
+    utterance scores, summed in utterance order; `speakers` names the
+    speaker of each score."""
+    if len(scores) != len(speakers):
+        raise MappingError(f"{len(scores)} utterance scores, {len(speakers)} speakers")
+    names, inverse = np.unique(speakers, return_inverse=True)
+    return names, np.bincount(inverse, weights=scores) / np.bincount(inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -134,22 +129,14 @@ def evaluate_scores(
     """Correlate per-utterance scores against corpus labels at the given level.
     Scores of any float dtype are widened to float64 first."""
     scores = np.asarray(scores, dtype=np.float64)
-    refs = corpus.labels()
+    refs = corpus.targets()
     if level == "utterance":
         return correlate_scores(scores, refs, corpus.name, level)
     if level != "speaker":
         raise ParameterError(f"unknown evaluation level '{level}'")
-    ids = [u.id for u in corpus]
-    speaker_map = {u.id: u.speaker_id for u in corpus}
-    pred_by_speaker = speaker_aggregate(dict(zip(ids, scores)), speaker_map)
-    ref_by_speaker = speaker_aggregate(dict(zip(ids, refs)), speaker_map)
-    speakers = sorted(pred_by_speaker)
-    return correlate_scores(
-        np.array([pred_by_speaker[s] for s in speakers]),
-        np.array([ref_by_speaker[s] for s in speakers]),
-        corpus.name,
-        level,
-    )
+    _, preds = speaker_aggregate(scores, corpus.speakers)
+    _, truth = speaker_aggregate(refs, corpus.speakers)
+    return correlate_scores(preds, truth, corpus.name, level)
 
 
 def write_report_json(path: str | Path, payload: dict) -> None:
@@ -186,11 +173,12 @@ def embedding_dtype(dim: int) -> np.dtype:
 def write_embeddings(
     path: str | Path,
     vectors: np.ndarray,
-    labels: list[float | None],
-    provenances: list[str],
+    labels: np.ndarray | list[float | None],
+    provenances: np.ndarray | list[str],
 ) -> None:
     """Framed file with header fields (n, dim), then per row dim float32s,
-    the float32 label and the provenance byte (its index in PROVENANCES)."""
+    the float32 label (NaN where `labels` holds None or NaN) and the
+    provenance byte (its index in PROVENANCES)."""
     n, dim = vectors.shape
     if n < 1:
         raise EmptyInputError("cannot write an embedding dump without rows")
@@ -198,7 +186,7 @@ def write_embeddings(
         raise DimensionError("labels/provenances must match vector count")
     rows = np.empty(n, dtype=embedding_dtype(dim))
     rows["v"] = vectors
-    rows["label"] = [np.nan if y is None else y for y in labels]
+    rows["label"] = np.array(labels, dtype=np.float64)
     rows["prov"] = [PROVENANCES.index(p) for p in provenances]
     atomic_write(path, frame_header(DSQE_MAGIC, DSQE_VERSION, n, dim) + rows.tobytes())
 

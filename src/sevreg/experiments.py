@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .config import RunConfig, config_to_dict, run_id_for
-from .data import Corpus, atomic_write, label_histogram, pseudo_pool, split
+from .data import Corpus, atomic_write, label_histogram, split
 from .errors import ConfigError, FeatureFormatError
 from .evaluation import EvalReport, write_report_json, write_results_csv
 from .nn import AdaptorNet
@@ -64,19 +64,18 @@ def config_value(doc, key: str):
 
 
 def split_labeled(labeled: Corpus, world: WorldConfig) -> tuple[Corpus, Corpus, Corpus]:
-    """Speaker-disjoint train/val/test split, keyed to the world seed so every
-    strategy sees the same partition."""
+    """Speaker-disjoint train/val/test split over the labeled corpus's rows,
+    keyed to the world seed so every strategy sees the same partition."""
     parts = split(labeled, world.split, seed=world.seed)
-    for part, name in zip(parts, ("train", "val", "test")):
-        part.name = name
-    return parts
+    return tuple(labeled.take(idx, name) for idx, name in zip(parts, ("train", "val", "test")))
 
 
 @dataclass
 class Teacher:
     """A regression fit from the seeded init (no transferred trunk) and, once
-    asked for, the unlabeled pool pseudo-labelled by it. Readers get copies,
-    so an entry shared through a memo never changes."""
+    asked for, the unlabeled pool pseudo-labelled by it. Readers get a copy
+    of the fit and the read-only pool itself, so an entry shared through a
+    memo never changes."""
 
     fit: StageResult
     pool: Corpus | None = None
@@ -89,7 +88,7 @@ class Teacher:
     def pseudo(self, unlabeled: Corpus) -> Corpus:
         if self.pool is None:
             self.pool = pseudo_label(self.fit.net, unlabeled)
-        return Corpus(list(self.pool.utterances), name=self.pool.name)
+        return self.pool
 
 
 def teacher_key(resolved: dict, section: str, seed: int) -> str:
@@ -164,9 +163,8 @@ class Stages:
         if cfg.strategy == "simclr":
             return self.corpora["unlabeled"]
         unlabeled = self.corpora["unlabeled"]
-        return pseudo_pool(
-            unlabeled,
-            [cfg.ablation.assumed_dysarthric_label] * len(unlabeled),
+        return unlabeled.with_labels(
+            np.full(len(unlabeled), cfg.ablation.assumed_dysarthric_label),
             f"{unlabeled.name}/assumed",
         )
 
@@ -266,8 +264,8 @@ class Stages:
     @staticmethod
     def save_pool_histogram(run_dir: Path, pool: Corpus | None) -> None:
         """The label histogram of the stage-2 pool, when it is labelled."""
-        if pool is not None and any(u.label is not None for u in pool):
-            hist = {str(k): v for k, v in label_histogram(pool).items()}
+        if pool is not None and not np.isnan(pool.labels).all():
+            hist = {str(k): v for k, v in label_histogram(pool.labels).items()}
             write_report_json(run_dir / "pseudo_histogram.json", hist)
 
     def save_report(self, run_dir: Path, reports: list[EvalReport]) -> None:

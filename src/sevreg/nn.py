@@ -477,23 +477,17 @@ def _relu_dropout_backward(
 
 def forward_batch(
     net: AdaptorNet,
-    seqs: list[np.ndarray] | Stack,
+    seqs: Stack,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardCache:
-    """Run (T_i, D) sequences, a list or a Stack, through the network as one
+    """Run the (T_i, D) sequences of a Stack through the network as one
     stack, cast once to the net's dtype."""
     if not len(seqs):
         raise EmptyInputError("forward_batch needs at least one sequence")
-    parts = [seqs.rows] if isinstance(seqs, Stack) else seqs
-    bad = [s.shape for s in parts if s.ndim != 2 or s.shape[1] != net.feat_dim]
-    if bad:
-        raise DimensionError(f"expected (T, {net.feat_dim}) sequences, got {bad[0]}")
-    if isinstance(seqs, Stack):
-        x, offsets = seqs.rows.astype(net.dtype, copy=False), seqs.offsets
-    else:
-        x = np.concatenate(seqs, axis=0, dtype=net.dtype)
-        offsets = np.cumsum([0, *(s.shape[0] for s in seqs)])
+    if seqs.rows.ndim != 2 or seqs.rows.shape[1] != net.feat_dim:
+        raise DimensionError(f"expected (T, {net.feat_dim}) sequences, got {seqs.rows.shape}")
+    x, offsets = seqs.rows.astype(net.dtype, copy=False), seqs.offsets
     if np.diff(offsets).min() < 1:
         raise EmptyInputError("sequences must have T >= 1")
 

@@ -20,12 +20,13 @@ import numpy as np
 from .config import ModelConfig, RegressionStageConfig, RunConfig, Stage2Config
 from .contrastive import build_batch, stage2_loss
 from .data import (
+    PROVENANCES,
     Corpus,
     FrameReader,
     atomic_write,
+    concat,
     frame_header,
     label_histogram,
-    pseudo_pool,
     sampler_weights,
 )
 from .errors import (
@@ -168,7 +169,7 @@ def seeded_net(
     """The seed's initial network for a corpus: a one-output regressor, or
     for stage 2 the L2-normalized projector."""
     return build_net(
-        feat_dim=corpus.utterances[0].features.shape[1],
+        feat_dim=corpus.frames.shape[1],
         seed_or_rng=role_rng(seed, ROLE_MODEL_INIT),
         hidden_dim=model_cfg.hidden_dim,
         out_dim=model_cfg.embed_dim if projector else 1,
@@ -181,7 +182,7 @@ def seeded_net(
 def fit(
     net: AdaptorNet,
     cfg: RegressionStageConfig | Stage2Config,
-    batches: Callable[[], Iterable[tuple[list[np.ndarray] | Stack, Any]]],
+    batches: Callable[[], Iterable[tuple[Stack, Any]]],
     loss: Callable[[np.ndarray, Any], tuple[float, np.ndarray]],
     on_epoch: Callable[[int], dict],
     drop_rng: np.random.Generator,
@@ -189,7 +190,7 @@ def fit(
     decoupled: bool,
 ) -> list[dict]:
     """The step loop of every stage: per epoch of `cfg`, one step per
-    (sequences, target) batch drawn lazily from `batches()`, then a history
+    (Stack, target) batch drawn lazily from `batches()`, then a history
     row that `on_epoch(epoch)` extends. `loss(out, target)` returns the loss
     and its gradient w.r.t. the output; a non-finite loss raises
     TrainingDivergedError carrying the completed epochs' rows. The optimizer
@@ -239,12 +240,9 @@ def train_regression(
     if init_trunk is not None:
         net.load_trunk(init_trunk)
 
-    labels = train.labels()
+    labels = train.targets()
     weights = sampler_weights(train)
     probs = weights / weights.sum()
-    # Frames made between steps land among the step's temporaries and
-    # fragment the heap: +13 % peak RSS on a default coarse run.
-    feats = [u.frames for u in train]
     n = len(train)
     sampler = role_rng(seed, ROLE_SAMPLER)
 
@@ -252,7 +250,7 @@ def train_regression(
         order = sampler.choice(n, size=n, replace=True, p=probs)
         for start in range(0, n, stage_cfg.batch_size):
             idx = order[start : start + stage_cfg.batch_size]
-            yield [feats[i] for i in idx], labels[idx]
+            yield train.stack(idx), labels[idx]
 
     def loss(out, target):
         value, dpred = huber_loss_batch(out[:, 0], target, stage_cfg.huber_delta)
@@ -290,29 +288,30 @@ def validation_srcc(net: AdaptorNet, val: Corpus) -> float | None:
     return None if report.flagged else report.srcc
 
 
-def eval_forward(net: AdaptorNet, corpus: Corpus):
-    """Eval-mode forward caches over the corpus, EVAL_CHUNK utterances each."""
-    for start in range(0, len(corpus), EVAL_CHUNK):
-        seqs = [u.frames for u in corpus.utterances[start : start + EVAL_CHUNK]]
-        yield forward_batch(net, seqs, training=False)
+def eval_forward(net: AdaptorNet, corpus: Corpus, field: str) -> np.ndarray:
+    """One field of the eval-mode forward cache, 'out' or 'pooled', over the
+    corpus: one pass per EVAL_CHUNK utterances, each on a Stack of their
+    rows, and each pass's cache released before the next runs."""
+    return np.concatenate([
+        getattr(forward_batch(net, corpus.stack(slice(start, start + EVAL_CHUNK))), field)
+        for start in range(0, len(corpus), EVAL_CHUNK)
+    ])
 
 
 def predict(net: AdaptorNet, corpus: Corpus) -> np.ndarray:
     """Eval-mode severity scores of a one-output regressor, clamped to [1, 7]."""
     if net.out_dim != 1:
         raise DimensionError(f"predict needs a one-output regressor, got out_dim {net.out_dim}")
-    scores = np.concatenate([cache.out[:, 0] for cache in eval_forward(net, corpus)])
-    return np.clip(scores, SCORE_MIN, SCORE_MAX)
+    return np.clip(eval_forward(net, corpus, "out")[:, 0], SCORE_MIN, SCORE_MAX)
 
 
 def pseudo_label(net: AdaptorNet, unlabeled: Corpus) -> Corpus:
-    """Attach clamped predictions as labels; the input corpus is untouched."""
-    if any(u.label is not None for u in unlabeled):
+    """The unlabeled corpus with clamped predictions as its label vector,
+    over the same rows; the input corpus is untouched."""
+    if not np.isnan(unlabeled.labels).all():
         raise ParameterError("pseudo_label expects an unlabeled corpus")
-    scores = predict(net, unlabeled)
-    out = pseudo_pool(unlabeled, [float(s) for s in scores], f"{unlabeled.name}/pseudo")
-    hist = label_histogram(out)
-    logger.info("pseudo-label histogram: %s", hist)
+    out = unlabeled.with_labels(predict(net, unlabeled), f"{unlabeled.name}/pseudo")
+    logger.info("pseudo-label histogram: %s", label_histogram(out.labels))
     return out
 
 
@@ -324,26 +323,17 @@ def pseudo_label(net: AdaptorNet, unlabeled: Corpus) -> Corpus:
 def build_stage2_corpus(
     labeled: Corpus, pseudo: Corpus | None, typical: Corpus | None
 ) -> Corpus:
-    """Concatenate the pretraining pools, preserving provenance.
+    """Concatenate the pretraining pools, preserving provenance: the one
+    copy of their rows that stage 2 trains on.
 
     Dropping `typical` or `pseudo` yields the corresponding data ablations.
     """
-    utts = list(labeled.utterances)
-    if pseudo is not None:
-        utts.extend(pseudo.utterances)
-    if typical is not None:
-        for u in typical:
-            if u.label != 1.0:
-                raise ParameterError(
-                    f"typical utterance '{u.id}' must carry label 1"
-                )
-        utts.extend(typical.utterances)
-    merged = Corpus(utts, name="stage2")
-    counts = merged.counts()
-    logger.info(
-        "stage-2 corpus: N=%d labeled, M=%d pseudo, K=%d typical",
-        counts["labeled"], counts["pseudo"], counts["typical"],
-    )
+    if typical is not None and np.any(typical.labels != 1.0):
+        bad = typical.ids[np.argmax(typical.labels != 1.0)]
+        raise ParameterError(f"typical utterance '{bad}' must carry label 1")
+    merged = concat([c for c in (labeled, pseudo, typical) if c is not None], "stage2")
+    counts = [np.count_nonzero(merged.provenance == p) for p in PROVENANCES]
+    logger.info("stage-2 corpus: N=%d labeled, M=%d pseudo, K=%d typical", *counts)
     return merged
 
 
@@ -359,14 +349,12 @@ def train_stage2(
     is one shuffle of the corpus; a last batch of one source is dropped."""
     pairing = s2cfg.pairing.spec(strategy)
     pairing.validate()
-    labels = np.array(
-        [np.nan if u.label is None else u.label for u in mixed], dtype=float
-    )
+    labels = mixed.labels
     if strategy != "simclr" and np.any(np.isnan(labels)):
         raise ParameterError("weakly supervised pairing needs labels on every sample")
 
     net = seeded_net(model_cfg, mixed, seed, projector=True)
-    feats = [u.frames for u in mixed]  # before the first step, as in train_regression
+    source = mixed.stack()
     order_rng = role_rng(seed, ROLE_STAGE2_ORDER)
     aug_rng = role_rng(seed, ROLE_STAGE2_AUGMENT)
 
@@ -375,8 +363,7 @@ def train_stage2(
         for start in range(0, len(mixed), s2cfg.batch_size):
             idx = order[start : start + s2cfg.batch_size]
             if len(idx) >= 2:
-                sources = [(feats[i], labels[i]) for i in idx]
-                batch = build_batch(sources, s2cfg.augment, aug_rng)
+                batch = build_batch(source, labels, idx, s2cfg.augment, aug_rng)
                 yield batch.views, batch
 
     # Every view's sibling is among its positives, so no anchor is ever
@@ -433,9 +420,4 @@ def evaluate(net: AdaptorNet, corpus: Corpus, level: str = "utterance") -> EvalR
 def dump_embeddings(net: AdaptorNet, corpus: Corpus, path) -> None:
     """Write post-pooling vectors with labels and provenance for external
     projection tools."""
-    write_embeddings(
-        path,
-        np.concatenate([cache.pooled for cache in eval_forward(net, corpus)]),
-        [u.label for u in corpus],
-        [u.provenance for u in corpus],
-    )
+    write_embeddings(path, eval_forward(net, corpus, "pooled"), corpus.labels, corpus.provenance)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Corpus, Utterance, pseudo_pool
+from .data import Corpus, make_corpus
 from .errors import ParameterError
+from .nn import Stack
 
 DEFAULT_HISTOGRAM = (0.30, 0.25, 0.15, 0.10, 0.08, 0.07, 0.05)
 
@@ -81,7 +82,8 @@ def severity_to_unit(y) -> np.ndarray:
 def gen_synthetic_corpus(spec: SyntheticSpec, seed: int) -> Corpus:
     """Deterministically generate a labeled corpus from the spec.
 
-    Features are rounded to float32 so on-disk round trips are bit-exact.
+    Each utterance draws its label jitter, length and frame noise, in that
+    order; labels, base vectors and float32 rows are then made at once.
     """
     spec.validate()
     rng = np.random.default_rng(seed)
@@ -103,34 +105,34 @@ def gen_synthetic_corpus(spec: SyntheticSpec, seed: int) -> Corpus:
     )
     domain_offset = spec.domain_shift * rng.normal(0.0, 1.0, size=q)
 
-    utts = []
+    jitter, noise = np.zeros(spec.n_utts), []
     for i in range(spec.n_utts):
-        spk = i % spec.n_speakers
-        if spec.typical:
-            label = 1.0
-        else:
-            jitter = rng.uniform(-spec.label_jitter, spec.label_jitter)
-            label = float(np.clip(severities[spk] + jitter, 1.0, 7.0))
+        if not spec.typical:
+            jitter[i] = rng.uniform(-spec.label_jitter, spec.label_jitter)
         t = int(rng.integers(spec.t_range[0], spec.t_range[1] + 1))
-        base = np.zeros(d)
-        base[:s] = scales * severity_to_unit(label)
-        base[s : s + q] = offsets[spk] + domain_offset
-        frames = base + rng.normal(0.0, spec.frame_noise, size=(t, d))
-        utts.append(
-            Utterance(
-                id=f"{spec.id_prefix}-{i:05d}",
-                speaker_id=f"{spec.id_prefix}-spk-{spk:03d}",
-                features=frames.astype(np.float32).astype(np.float64),
-                label=label,
-                provenance="typical" if spec.typical else "labeled",
-            )
-        )
-    return Corpus(utts, name=spec.name)
+        noise.append(rng.normal(0.0, spec.frame_noise, size=(t, d)))
+    spk = np.arange(spec.n_utts) % spec.n_speakers
+    labels = np.clip(severities[spk] + jitter, 1.0, 7.0)  # typical: exactly 1
+    lengths = [len(n) for n in noise]
+    base = np.zeros((spec.n_utts, d))
+    base[:, :s] = severity_to_unit(labels)[:, None] * scales
+    base[:, s : s + q] = offsets[spk] + domain_offset
+    rows = np.concatenate(noise)
+    rows += np.repeat(base, lengths, axis=0)
+    return make_corpus(
+        spec.name,
+        Stack(rows.astype(np.float32), np.cumsum([0, *lengths])),
+        [f"{spec.id_prefix}-{i:05d}" for i in range(spec.n_utts)],
+        [f"{spec.id_prefix}-spk-{k:03d}" for k in spk],
+        labels,
+        ["typical" if spec.typical else "labeled"] * spec.n_utts,
+    )
 
 
 def strip_labels(corpus: Corpus, name: str | None = None) -> Corpus:
-    """Drop labels and mark utterances as the pseudo-label pool."""
-    return pseudo_pool(corpus, [None] * len(corpus), name or f"{corpus.name}/unlabeled")
+    """Drop labels and mark utterances as the pseudo-label pool, over the
+    same rows."""
+    return corpus.with_labels(np.full(len(corpus), np.nan), name or f"{corpus.name}/unlabeled")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ tests and the acceptance gradient suite.
 """
 
 import numpy as np
+from stacks import stack_of
 
 from sevreg.contrastive import (
     Batch,
@@ -140,9 +141,9 @@ def _relu_margin(net, seqs, drop_seed=None) -> float:
 def _net_case(rng, projector: bool, dropout_p: float = 0.0):
     feat_dim, hidden = 3, 4
     while True:
-        seqs = [
+        seqs = stack_of(
             rng.standard_normal((int(rng.integers(2, 5)), feat_dim)) for _ in range(3)
-        ]
+        )
         net = build_net(
             feat_dim=feat_dim,
             seed_or_rng=int(rng.integers(1 << 30)),
@@ -238,10 +239,10 @@ def stage2_full_case(rng):
     """Composed check: projector parameters through the full stage-2 loss."""
     feat_dim, hidden, embed, b = 3, 4, 4, 4
     while True:
-        seqs = [
+        seqs = stack_of(
             rng.standard_normal((int(rng.integers(2, 5)), feat_dim))
             for _ in range(2 * b)
-        ]
+        )
         net = build_net(
             feat_dim=feat_dim,
             seed_or_rng=int(rng.integers(1 << 30)),

@@ -231,7 +231,10 @@ def test_criterion_06_stage1_on_synthetic():
         nuisance_label_corr=0.8,
     )
     corpus = gen_synthetic_corpus(spec, seed=0)
-    train, val, test = split(corpus, (0.7, 0.15, 0.15), seed=0)
+    parts = split(corpus, (0.7, 0.15, 0.15), seed=0)
+    train, val, test = (
+        corpus.take(idx, name) for idx, name in zip(parts, ("train", "val", "test"))
+    )
     start = time.monotonic()
     result = train_regression(
         train, val, ModelConfig(), RegressionStageConfig(epochs=6), seed=0

@@ -6,6 +6,7 @@ every coin firing and the other two transforms switched off.
 
 import numpy as np
 import pytest
+from stacks import stack_of
 
 from sevreg.augment import AugmentConfig, draw_views, make_views
 from sevreg.contrastive import build_batch
@@ -17,7 +18,7 @@ OFF = {"noise_sigma": 0.0, "mask_max_frac": 0.0, "crop_min_frac": 1.0}
 def only(seqs, rng, **transform):
     """The 2B views of `seqs` with every coin firing and only `transform` on."""
     cfg = AugmentConfig(per_transform_prob=1.0, **{**OFF, **transform})
-    return list(draw_views(seqs, cfg, rng))
+    return list(draw_views(stack_of(seqs), np.arange(len(seqs)), cfg, rng))
 
 
 def sources_of(views, seqs):
@@ -53,7 +54,8 @@ class TestNoise:
         """A transform fires on a view with per_transform_prob."""
         seqs = [np.zeros((3, 2))] * 1000
         cfg = AugmentConfig(per_transform_prob=0.3, **{**OFF, "noise_sigma": 0.1})
-        noisy = [np.any(v != 0.0) for v in draw_views(seqs, cfg, np.random.default_rng(3))]
+        views = draw_views(stack_of(seqs), np.arange(1000), cfg, np.random.default_rng(3))
+        noisy = [np.any(v != 0.0) for v in views]
         assert abs(np.mean(noisy) - 0.3) < 0.03  # 3 standard errors at 2000 views
 
     def test_seeded_determinism(self, h, ragged):
@@ -172,11 +174,12 @@ class TestMakeViews:
 
     def test_labels_carried_to_both_views(self, h):
         rng = np.random.default_rng(12)
-        sources = [(h, float(y)) for y in rng.uniform(1, 7, size=8)]
-        batch = build_batch(sources, AugmentConfig(), rng)
-        for i in range(8):
-            assert batch.labels[i] == sources[i][1]
-            assert batch.labels[i + 8] == sources[i][1]
+        labels = rng.uniform(1, 7, size=10)
+        index = np.array([9, 0, 3, 3, 5, 1, 2, 8])
+        batch = build_batch(stack_of([h] * 10), labels, index, AugmentConfig(), rng)
+        for i, j in enumerate(index):
+            assert batch.labels[i] == labels[j]
+            assert batch.labels[i + 8] == labels[j]
 
     def test_bad_config_rejected(self, h):
         with pytest.raises(ParameterError):
@@ -209,8 +212,8 @@ class TestBatchedDraw:
         calls = []
         for b in (2, 64):
             counting = CountingGenerator(np.random.default_rng(14))
-            sources = [(rng.standard_normal((rng.integers(3, 30), 5)), 1.0) for _ in range(b)]
-            batch = build_batch(sources, cfg, counting)
+            seqs = [rng.standard_normal((rng.integers(3, 30), 5)) for _ in range(b)]
+            batch = build_batch(stack_of(seqs), np.ones(b), np.arange(b), cfg, counting)
             assert len(batch.views) == 2 * b
             calls.append(counting.calls)
         assert calls[0] == calls[1]
@@ -224,3 +227,15 @@ class TestBatchedDraw:
                     np.array_equal(out, src[start : start + len(out)])
                     for start in range(len(src) - len(out) + 1)
                 )
+
+    def test_indexed_sources_are_gathered_in_one_draw(self, h, ragged):
+        """Views of sources `index` of a stack equal the views of a stack of
+        just those sources, bit for bit, with no stack of them made."""
+        seqs = [h, *ragged]
+        index = np.array([4, 0, 2, 2, 5])
+        cfg = AugmentConfig(per_transform_prob=0.7, mask_spans=2)
+        got = draw_views(stack_of(seqs), index, cfg, np.random.default_rng(16))
+        picked = stack_of([seqs[i] for i in index])
+        want = draw_views(picked, np.arange(len(index)), cfg, np.random.default_rng(16))
+        assert np.array_equal(got.offsets, want.offsets)
+        assert got.rows.tobytes() == want.rows.tobytes()

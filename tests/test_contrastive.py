@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from stacks import stack_of
 
 from sevreg.contrastive import (
     DEFAULT_TAU,
@@ -403,11 +404,12 @@ class TestProject:
     def test_output_shape_and_norm(self):
         net = self.make_projector()
         rng = np.random.default_rng(17)
-        z = forward_batch(net, [rng.standard_normal((9, 6))]).out[0]
+        z = forward_batch(net, stack_of([rng.standard_normal((9, 6))])).out[0]
         assert z.shape == (128,)
         assert abs(np.linalg.norm(z) - 1.0) < 1e-9
 
     def test_eval_mode_deterministic(self):
         net = self.make_projector()
         view = np.random.default_rng(18).standard_normal((5, 6))
-        assert np.array_equal(forward_batch(net, [view]).out, forward_batch(net, [view]).out)
+        views = stack_of([view])
+        assert np.array_equal(forward_batch(net, views).out, forward_batch(net, views).out)

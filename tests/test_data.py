@@ -3,20 +3,20 @@
 import hashlib
 import json
 import struct
-from dataclasses import fields, replace
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from stacks import stack_of
 
 from sevreg.data import (
-    Corpus,
-    Utterance,
     atomic_write,
     label_bins,
     label_histogram,
     load_corpus,
+    make_corpus,
     normalize_frames,
     read_feature_file,
     sampler_weights,
@@ -31,22 +31,25 @@ from sevreg.errors import (
     ParameterError,
     PartitionError,
 )
-from sevreg.synthetic import WorldConfig, build_world
+from sevreg.nn import Stack
+from sevreg.synthetic import WorldConfig, build_world, strip_labels
 
 
-def make_corpus(labels_by_speaker, name="c"):
-    utts = []
-    i = 0
-    for spk, labels in labels_by_speaker.items():
-        for y in labels:
-            utts.append(
-                Utterance(
-                    id=f"u{i:04d}", speaker_id=spk,
-                    features=np.ones((2, 3)), label=y,
-                )
-            )
-            i += 1
-    return Corpus(utts, name=name)
+def labeled_corpus(labels_by_speaker, name="c"):
+    """A corpus of (2, 3) utterances of ones with the given labels per speaker."""
+    pairs = [(spk, y) for spk, labels in labels_by_speaker.items() for y in labels]
+    return make_corpus(
+        name,
+        stack_of([np.ones((2, 3), dtype=np.float32)] * len(pairs)),
+        [f"u{i:04d}" for i in range(len(pairs))],
+        [spk for spk, _ in pairs],
+        [y for _, y in pairs],
+        ["labeled"] * len(pairs),
+    )
+
+
+def one_utterance(label, provenance="labeled"):
+    return make_corpus("c", stack_of([np.ones((1, 2))]), ["x"], ["s"], [label], [provenance])
 
 
 def float32_matrices(rng, lengths, d, scale=1.0):
@@ -61,15 +64,15 @@ class TestFeatureFiles:
     def test_round_trip_bytes_identical(self, tmp_path):
         mats = float32_matrices(np.random.default_rng(0), [7, 1, 4], 13)
         p1, p2 = tmp_path / "a.dsqf", tmp_path / "b.dsqf"
-        write_feature_file(p1, mats)
+        write_feature_file(p1, stack_of(mats))
         loaded = read_feature_file(p1)
         write_feature_file(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
         assert len(loaded) == len(mats)
         for a, b in zip(loaded, mats):
-            assert a.dtype == np.float64 and np.array_equal(a, b)
-        # Every matrix is a row slice of one array.
-        assert all(m.base is loaded[0].base for m in loaded)
+            assert np.array_equal(a, b)
+        # The rows as stored: one read-only float32 array.
+        assert loaded.rows.dtype == np.float32 and not loaded.rows.flags.writeable
 
     def test_zero_frames_rejected(self, tmp_path):
         path = tmp_path / "z.dsqf"
@@ -87,7 +90,7 @@ class TestFeatureFiles:
 
     def test_truncated_payload_reports_offset(self, tmp_path):
         path = tmp_path / "t.dsqf"
-        write_feature_file(path, [np.ones((4, 4)), np.ones((2, 4))])
+        write_feature_file(path, stack_of([np.ones((4, 4)), np.ones((2, 4))]))
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(FeatureFormatError, match=r"features of shape \(6, 4\) overruns") as err:
@@ -98,7 +101,7 @@ class TestFeatureFiles:
         bad = np.ones((2, 2))
         bad[0, 0] = np.inf
         with pytest.raises(ParameterError):
-            write_feature_file(tmp_path / "x.dsqf", [np.ones((3, 2)), bad])
+            write_feature_file(tmp_path / "x.dsqf", stack_of([np.ones((3, 2)), bad]))
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", [1e39, -1e39, np.nan])
@@ -106,7 +109,7 @@ class TestFeatureFiles:
         bad = np.ones((3, 2))
         bad[1, 0] = value  # 1e39 is finite in float64 but inf in float32
         with pytest.raises(ParameterError, match="not finite as float32"):
-            write_feature_file(tmp_path / "x.dsqf", [np.ones((2, 2)), bad])
+            write_feature_file(tmp_path / "x.dsqf", stack_of([np.ones((2, 2)), bad]))
         assert not list(tmp_path.iterdir())  # no file and no .tmp
 
     def test_atomic_write_joins_a_sequence_of_buffers(self, tmp_path):
@@ -116,13 +119,24 @@ class TestFeatureFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.bin"]
 
     @pytest.mark.parametrize(
-        "matrices",
-        [[], [np.ones((0, 3))], [np.ones(3)], np.ones((2, 3))],
+        "stack",
+        [
+            Stack(np.ones((0, 3)), np.array([0])),
+            Stack(np.ones((0, 3)), np.array([0, 0])),
+            Stack(np.ones(3), np.array([0, 3])),
+            Stack(np.ones((2, 3)), np.array([0])),  # rows, but no sequence boundaries
+        ],
         ids=["no_matrix", "zero_rows", "one_dim", "one_bare_matrix"],
     )
-    def test_empty_or_misshapen_rejected_on_write(self, tmp_path, matrices):
+    def test_empty_or_misshapen_rejected_on_write(self, tmp_path, stack):
         with pytest.raises(EmptyInputError):
-            write_feature_file(tmp_path / "x.dsqf", matrices)
+            write_feature_file(tmp_path / "x.dsqf", stack)
+        assert not list(tmp_path.iterdir())
+
+    def test_offsets_must_cover_the_rows(self, tmp_path):
+        for offsets in ([1, 3], [0, 2]):
+            with pytest.raises(EmptyInputError):
+                write_feature_file(tmp_path / "x.dsqf", Stack(np.ones((3, 2)), np.array(offsets)))
         assert not list(tmp_path.iterdir())
 
     def test_dimension_overflow_rejected(self, tmp_path):
@@ -141,7 +155,7 @@ class TestFeatureFiles:
     def test_round_trip_property(self, tmp_path_factory, lengths, d, seed):
         mats = float32_matrices(np.random.default_rng(seed), lengths, d, scale=10.0)
         path = tmp_path_factory.mktemp("rt") / "m.dsqf"
-        write_feature_file(path, mats)
+        write_feature_file(path, stack_of(mats))
         loaded = read_feature_file(path)
         assert [m.shape for m in loaded] == [(t, d) for t in lengths]
         assert all(np.array_equal(a, b) for a, b in zip(loaded, mats))
@@ -150,26 +164,25 @@ class TestFeatureFiles:
 class TestCorpusIO:
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
-        utts = [
-            Utterance(
-                id=f"u{i}", speaker_id=f"s{i % 2}",
-                features=rng.standard_normal((3, 4)).astype(np.float32).astype(float),
-                label=float(1 + i % 7) if i % 3 else None,
-                provenance="pseudo" if i % 3 == 0 else "labeled",
-            )
-            for i in range(6)
-        ]
-        corpus = Corpus(utts, name="demo")
+        feats = [rng.standard_normal((3, 4)).astype(np.float32) for _ in range(6)]
+        labels = [float(1 + i % 7) if i % 3 else None for i in range(6)]
+        provenance = ["pseudo" if i % 3 == 0 else "labeled" for i in range(6)]
+        ids = [f"u{i}" for i in range(6)]
+        corpus = make_corpus(
+            "demo", stack_of(feats), ids, [f"s{i % 2}" for i in range(6)], labels, provenance
+        )
         save_corpus(corpus, tmp_path / "c")
         loaded = load_corpus(tmp_path / "c")
         assert loaded.name == "demo"
-        assert [u.id for u in loaded] == [u.id for u in corpus]
-        for a, b in zip(corpus, loaded):
-            assert np.array_equal(a.features, b.features)
-            assert a.label == b.label and a.provenance == b.provenance
+        assert loaded.ids.tolist() == ids
+        assert np.array_equal(loaded.features, corpus.features)
+        assert np.array_equal(loaded.offsets, corpus.offsets)
+        assert loaded.frames.tobytes() == corpus.frames.tobytes()
+        assert np.array_equal(loaded.labels, corpus.labels, equal_nan=True)
+        assert loaded.provenance.tolist() == provenance
 
     def test_directory_holds_manifest_and_one_feature_file(self, tmp_path):
-        corpus = make_corpus({"a": [1.0, 2.0], "b": [3.0]})
+        corpus = labeled_corpus({"a": [1.0, 2.0], "b": [3.0]})
         save_corpus(corpus, tmp_path / "c")
         assert sorted(p.name for p in (tmp_path / "c").iterdir()) == [
             "features.dsqf", "manifest.json",
@@ -177,7 +190,9 @@ class TestCorpusIO:
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert all("path" not in entry for entry in manifest["utterances"])
         loaded = load_corpus(tmp_path / "c")
-        assert all(u.features.base is loaded.utterances[0].features.base for u in loaded)
+        # The payload as read: one float32 array, and one normalised copy of it.
+        assert loaded.features.dtype == np.float32 and loaded.features.shape == (6, 3)
+        assert loaded.frames.dtype == np.float64 and loaded.frames.shape == (6, 3)
 
     def test_default_world_feature_files_keep_their_bytes(self, tmp_path):
         digests = {
@@ -193,26 +208,23 @@ class TestCorpusIO:
 
     @pytest.mark.parametrize("stored", [2, 4])
     def test_manifest_count_must_match_file(self, tmp_path, stored):
-        save_corpus(make_corpus({"a": [1.0, 2.0, 3.0]}), tmp_path / "c")
-        write_feature_file(tmp_path / "c" / "features.dsqf", [np.ones((2, 3))] * stored)
+        save_corpus(labeled_corpus({"a": [1.0, 2.0, 3.0]}), tmp_path / "c")
+        write_feature_file(tmp_path / "c" / "features.dsqf", stack_of([np.ones((2, 3))] * stored))
         with pytest.raises(FeatureFormatError, match=f"lists 3 utterances, .* holds {stored}"):
             load_corpus(tmp_path / "c")
 
     def test_duplicate_ids_rejected(self):
-        u = Utterance(id="x", speaker_id="s", features=np.ones((1, 2)), label=1.0)
         with pytest.raises(MergeError):
-            Corpus([u, u])
+            make_corpus("c", stack_of([np.ones((1, 2))] * 2), ["x", "x"], ["s", "s"],
+                        [1.0, 1.0], ["labeled"] * 2)
 
     def test_typical_must_be_label_one(self):
         with pytest.raises(ParameterError):
-            Utterance(
-                id="x", speaker_id="s", features=np.ones((1, 2)),
-                label=3.0, provenance="typical",
-            )
+            one_utterance(3.0, provenance="typical")
 
     def test_label_range_enforced(self):
         with pytest.raises(ParameterError):
-            Utterance(id="x", speaker_id="s", features=np.ones((1, 2)), label=8.0)
+            one_utterance(8.0)
 
 
 class TestNormalize:
@@ -239,46 +251,67 @@ class TestNormalize:
         twice = normalize_frames(once)
         assert np.max(np.abs(once - twice)) < 1e-12
 
+    def test_one_call_per_corpus_equals_one_per_utterance(self):
+        for name, corpus in build_world(WorldConfig()).items():
+            rows = corpus.stack(values=corpus.features)
+            per_utterance = [normalize_frames(f.astype(np.float64)) for f in rows]
+            assert corpus.frames.tobytes() == np.concatenate(per_utterance).tobytes(), name
 
-class TestFrames:
-    """`Utterance.frames`: the normalized features, made once per utterance."""
 
-    def utterance(self):
-        rng = np.random.default_rng(3)
-        return Utterance(id="x", speaker_id="s", features=rng.standard_normal((5, 4)) * 7.0)
+class TestSharedRows:
+    """Splits and pools are index and label vectors over one corpus's rows."""
 
-    def test_normalized_once_bit_for_bit(self):
-        u = self.utterance()
-        raw = u.features.copy()
-        frames = u.frames
-        assert frames.tobytes() == normalize_frames(raw).tobytes()
-        assert u.frames is frames
-        assert np.array_equal(u.features, raw)
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_world(WorldConfig())
 
-    def test_replaced_utterance_makes_equal_frames(self):
-        u = self.utterance()
-        frames = u.frames
-        copy = replace(u, label=3.0, provenance="pseudo")
-        assert copy.frames is not frames
-        assert copy.frames.tobytes() == frames.tobytes()
-        assert copy.frames is copy.frames
+    def test_split_parts_and_pools_share_the_rows(self, world):
+        labeled = world["labeled"]
+        for idx in split(labeled, (0.7, 0.15, 0.15), seed=0):
+            part = labeled.take(idx, "part")
+            assert np.shares_memory(part.frames, labeled.frames)
+            assert part.stack().rows.tobytes() == b"".join(
+                labeled.frames[labeled.offsets[i] : labeled.offsets[i + 1]].tobytes() for i in idx
+            )
+        unlabeled = world["unlabeled"]
+        pool = unlabeled.with_labels(np.full(len(unlabeled), 4.0), "pool")
+        assert np.shares_memory(pool.frames, unlabeled.frames)
+        assert np.shares_memory(pool.features, unlabeled.features)
+        assert np.all(pool.labels == 4.0) and np.isnan(unlabeled.labels).all()
 
-    def test_not_a_field(self):
-        u = self.utterance()
-        u.frames
-        assert "frames" not in {f.name for f in fields(Utterance)}
-        assert "frames" not in repr(u)
+    def test_making_a_pool_copies_no_rows(self, world):
+        unlabeled = world["unlabeled"]
+        labels = np.full(len(unlabeled), 4.0)
+        tracemalloc.start()
+        try:
+            pool = unlabeled.with_labels(labels, "pool")
+            frames = pool.stack().rows  # what a net reads of the pool
+            strip_labels(unlabeled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One row copy would be 0.9 MB (float32) or 1.8 MB (frames); the new
+        # label, provenance and id-check columns take about 0.1 MB.
+        assert np.shares_memory(frames, unlabeled.frames)
+        assert peak < unlabeled.features.nbytes // 4
+
+    def test_corpus_arrays_are_read_only(self, world):
+        corpus = world["labeled"]
+        for array in (corpus.features, corpus.frames, corpus.offsets, corpus.index,
+                      corpus.ids, corpus.speakers, corpus.labels, corpus.provenance):
+            with pytest.raises(ValueError):
+                array[0] = array[1]
 
 
 class TestSampler:
     def test_two_bin_weights(self):
-        corpus = make_corpus({"a": [1.0] * 90, "b": [7.0] * 10})
+        corpus = labeled_corpus({"a": [1.0] * 90, "b": [7.0] * 10})
         w = sampler_weights(corpus)
         assert np.allclose(w[:90], 1.0 / 90)
         assert np.allclose(w[90:], 1.0 / 10)
 
     def test_two_bin_draws_balance(self):
-        corpus = make_corpus({"a": [1.0] * 90, "b": [7.0] * 10})
+        corpus = labeled_corpus({"a": [1.0] * 90, "b": [7.0] * 10})
         w = sampler_weights(corpus)
         rng = np.random.default_rng(4)
         draws = rng.choice(len(corpus), size=100_000, p=w / w.sum())
@@ -286,20 +319,17 @@ class TestSampler:
         assert abs(freq_low - 0.5) < 0.02
 
     def test_uniform_histogram_equal_weights(self):
-        corpus = make_corpus({"a": [float(b) for b in range(1, 8)]})
+        corpus = labeled_corpus({"a": [float(b) for b in range(1, 8)]})
         assert np.allclose(sampler_weights(corpus), 1.0)
 
     def test_single_bin_equal_weights(self):
-        corpus = make_corpus({"a": [2.0, 2.2, 1.8]})
+        corpus = labeled_corpus({"a": [2.0, 2.2, 1.8]})
         w = sampler_weights(corpus)
         assert np.allclose(w, w[0])
 
     def test_unlabeled_rejected(self):
-        corpus = Corpus(
-            [Utterance(id="u", speaker_id="s", features=np.ones((1, 2)), label=None, provenance="pseudo")]
-        )
         with pytest.raises(ParameterError):
-            sampler_weights(corpus)
+            sampler_weights(one_utterance(None, provenance="pseudo"))
 
     def test_label_bin_rounding(self):
         # floor(y + 1/2): a half rounds up
@@ -307,37 +337,39 @@ class TestSampler:
         assert label_bins([]).shape == (0,)
 
     def test_histogram(self):
-        corpus = make_corpus({"a": [1.0, 1.2, 6.8]})
-        hist = label_histogram(corpus)
+        corpus = labeled_corpus({"a": [1.0, 1.2, 6.8]})
+        hist = label_histogram(corpus.labels)
         assert hist[1] == 2 and hist[7] == 1 and hist[4] == 0
+        assert label_histogram([np.nan, 2.0]) == {1: 0, 2: 1, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0}
 
 
 class TestSplit:
     def corpus_with_speakers(self, n_speakers, utts_per=3):
-        return make_corpus(
+        return labeled_corpus(
             {f"spk{j}": [float(1 + j % 7)] * utts_per for j in range(n_speakers)}
         )
 
     def test_10_speakers_811(self):
         corpus = self.corpus_with_speakers(10)
         train, val, test = split(corpus, (0.8, 0.1, 0.1), seed=0)
-        assert len(train.speakers()) == 8
-        assert len(val.speakers()) == 1
-        assert len(test.speakers()) == 1
+        assert len(set(corpus.speakers[train])) == 8
+        assert len(set(corpus.speakers[val])) == 1
+        assert len(set(corpus.speakers[test])) == 1
 
     def test_deterministic(self):
         corpus = self.corpus_with_speakers(12)
         a = split(corpus, (0.5, 0.25, 0.25), seed=9)
         b = split(corpus, (0.5, 0.25, 0.25), seed=9)
         for pa, pb in zip(a, b):
-            assert [u.id for u in pa] == [u.id for u in pb]
+            assert np.array_equal(pa, pb)
 
     def test_partition_property(self):
         corpus = self.corpus_with_speakers(9)
         parts = split(corpus, (0.4, 0.3, 0.3), seed=1)
-        all_ids = sorted(u.id for p in parts for u in p)
-        assert all_ids == sorted(u.id for u in corpus)
-        speaker_sets = [set(p.speakers()) for p in parts]
+        # Each part keeps corpus order, and together they hold every utterance once.
+        assert all(np.all(np.diff(p) > 0) for p in parts)
+        assert sorted(np.concatenate(parts).tolist()) == list(range(len(corpus)))
+        speaker_sets = [set(corpus.speakers[p]) for p in parts]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert not (speaker_sets[i] & speaker_sets[j])

@@ -9,8 +9,9 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from stacks import stack_of
 
-from sevreg.data import Corpus, Utterance
+from sevreg.data import make_corpus
 from sevreg.errors import (
     DegenerateCorrelationError,
     FeatureFormatError,
@@ -147,48 +148,39 @@ class TestPcc:
 
 class TestSpeakerAggregate:
     def test_identity_when_one_per_speaker(self):
-        scores = {"u1": 2.0, "u2": 5.0}
-        mapping = {"u1": "a", "u2": "b"}
-        assert speaker_aggregate(scores, mapping) == {"a": 2.0, "b": 5.0}
+        names, means = speaker_aggregate([5.0, 2.0], ["b", "a"])
+        assert names.tolist() == ["a", "b"] and means.tolist() == [2.0, 5.0]
 
     def test_mean(self):
-        scores = {"u1": 2.0, "u2": 4.0}
-        mapping = {"u1": "a", "u2": "a"}
-        assert speaker_aggregate(scores, mapping) == {"a": 3.0}
+        names, means = speaker_aggregate([2.0, 4.0], ["a", "a"])
+        assert names.tolist() == ["a"] and means.tolist() == [3.0]
 
     def test_unmapped_utterance(self):
         with pytest.raises(MappingError):
-            speaker_aggregate({"u1": 2.0}, {})
+            speaker_aggregate([2.0, 3.0], ["a"])
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(6)
-        ids = [f"u{i}" for i in range(20)]
-        scores = {u: float(rng.standard_normal()) for u in ids}
-        mapping = {u: f"s{i % 4}" for i, u in enumerate(ids)}
-        base = speaker_aggregate(scores, mapping)
-        shuffled = dict(sorted(scores.items(), key=lambda kv: kv[1]))
-        again = speaker_aggregate(shuffled, mapping)
-        for spk in base:
-            assert base[spk] == pytest.approx(again[spk], abs=1e-12)
+        scores = rng.standard_normal(20)
+        speakers = np.array([f"s{i % 4}" for i in range(20)])
+        names, base = speaker_aggregate(scores, speakers)
+        order = rng.permutation(20)
+        again_names, again = speaker_aggregate(scores[order], speakers[order])
+        assert np.array_equal(names, again_names)
+        assert np.allclose(base, again, rtol=0, atol=1e-12)
 
 
 def two_speaker_corpus():
-    utts = []
-    labels = {"a": [2.0, 4.0], "b": [5.0, 7.0]}
-    i = 0
-    for spk, ys in labels.items():
-        for y in ys:
-            utts.append(
-                Utterance(id=f"u{i}", speaker_id=spk, features=np.ones((1, 2)), label=y)
-            )
-            i += 1
-    return Corpus(utts, name="two")
+    return make_corpus(
+        "two", stack_of([np.ones((1, 2))] * 4), [f"u{i}" for i in range(4)],
+        ["a", "a", "b", "b"], [2.0, 4.0, 5.0, 7.0], ["labeled"] * 4,
+    )
 
 
 class TestEvaluateScores:
     def test_perfect_scores(self):
         corpus = two_speaker_corpus()
-        report = evaluate_scores(corpus, corpus.labels(), level="utterance")
+        report = evaluate_scores(corpus, corpus.labels, level="utterance")
         assert report.srcc == pytest.approx(1.0)
         assert report.pcc == pytest.approx(1.0)
         assert report.n == 4 and not report.flagged

@@ -3,7 +3,6 @@ once per sweep_tau / ablate call, and the artifacts match separate runs and
 do not depend on the number of worker processes."""
 
 import json
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -188,26 +187,26 @@ class TestWorkers:
 
 class TestFramesOnce:
     def test_each_utterance_normalizes_once(self):
+        """Each corpus normalises all its rows in one call when it is made;
+        runs, their splits and their pools make no frames."""
         from sevreg import data
 
-        corpora = build_world(WORLD)  # fresh: no utterance has made its frames
-        holders = Counter(id(u.features) for c in corpora.values() for u in c)
-        # the pseudo-labelled pool: new utterances over the unlabeled features
-        holders.update(id(u.features) for u in corpora["unlabeled"])
-        calls = Counter()
+        calls = []
         real = data.normalize_frames
 
         def counting(h):
-            calls[id(h)] += 1
+            calls.append(h.shape)
             return real(h)
 
         memo: dict[str, Teacher] = {}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "normalize_frames", counting)
-            experiments.run_single(fast_cfg(strategy="coarse"), corpora, 0, memo=memo)
-            assert calls and all(n <= holders[key] for key, n in calls.items())
+            corpora = build_world(WORLD)
+            # labeled, the unlabeled source (stripped over the same rows),
+            # typical and shifted_test
+            assert calls == [c.frames.shape for c in corpora.values()]
             calls.clear()
-            # the same utterances and the memoised pool: nothing is left to make
+            experiments.run_single(fast_cfg(strategy="coarse"), corpora, 0, memo=memo)
             experiments.run_single(fast_cfg(strategy="dis"), corpora, 0, memo=memo)
             assert not calls
 
@@ -232,11 +231,24 @@ class TestTeacherMemo:
             value += 1.0
         out.history[0]["train_loss"] = -1.0
         pool = entry.pseudo(corpora["unlabeled"])
-        pool.utterances.clear()
+        labels = pool.labels.copy()
+        with pytest.raises(ValueError):
+            pool.labels[0] = 1.0
         for name, value in entry.fit.net.param_arrays().items():
             assert np.array_equal(value, before[name])
         assert entry.fit.history[0]["train_loss"] != -1.0
-        assert len(entry.pseudo(corpora["unlabeled"])) == len(corpora["unlabeled"])
+        assert np.array_equal(entry.pseudo(corpora["unlabeled"]).labels, labels)
+
+    def test_pool_shares_the_unlabeled_rows(self, corpora):
+        labeled, unlabeled = corpora["labeled"], corpora["unlabeled"]
+        train, val, test = split_labeled(labeled, WORLD)
+        assert all(np.shares_memory(part.frames, labeled.frames) for part in (train, val, test))
+        cfg = fast_cfg()
+        entry = Teacher(pipeline.train_regression(train, val, cfg.model, cfg.stage1, 0))
+        pool = entry.pseudo(unlabeled)
+        assert entry.pseudo(unlabeled) is pool
+        assert np.shares_memory(pool.frames, unlabeled.frames)
+        assert np.shares_memory(pool.features, unlabeled.features)
 
 
 def test_median_summary_keeps_seeds_and_values_aligned():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from stacks import stack_of
 
 from sevreg.data import read_feature_file, write_feature_file
 from sevreg.errors import EmptyInputError, FeatureFormatError
@@ -19,7 +20,7 @@ def dsqf(path):
     """Two utterances of D 3 and lengths 4 and 2: a 16-byte header, the
     lengths at 16, the payload at 24, 96 bytes in all."""
     rng = np.random.default_rng(0)
-    write_feature_file(path, [rng.standard_normal((4, 3)), rng.standard_normal((2, 3))])
+    write_feature_file(path, stack_of([rng.standard_normal((4, 3)), rng.standard_normal((2, 3))]))
 
 
 def dsqc(path):

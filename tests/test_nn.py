@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from stacks import stack_of
 
 from sevreg import nn
 from sevreg.errors import DimensionError, EmptyInputError, ParameterError
@@ -134,7 +135,7 @@ class TestDropout:
     def test_eval_mode_identity(self):
         net = self._net()
         seqs = [np.random.default_rng(1).normal(size=(5, 4))]
-        cache = forward_batch(net, seqs, training=False, rng=None)
+        cache = forward_batch(net, stack_of(seqs), training=False, rng=None)
         assert cache.mask1 is None and cache.mask2 is None
         a1 = linear_forward(net.layers["adaptor1"], cache.x)
         a2 = linear_forward(net.layers["adaptor2"], cache.h1)
@@ -162,7 +163,7 @@ class TestDropout:
             dropout_mask((2, 2), 0.5, None)
         seqs = [np.ones((3, 4))]
         with pytest.raises(ParameterError):
-            forward_batch(self._net(), seqs, training=True, rng=None)
+            forward_batch(self._net(), stack_of(seqs), training=True, rng=None)
 
 
 class TestFusedDropout:
@@ -207,7 +208,7 @@ class TestFusedDropout:
         # training mode applies the one multiplier and never the plain ReLU ops
         monkeypatch.setattr(nn, "relu", None)
         monkeypatch.setattr(nn, "relu_backward", None)
-        cache = forward_batch(net, seqs, training=True, rng=np.random.default_rng(5))
+        cache = forward_batch(net, stack_of(seqs), training=True, rng=np.random.default_rng(5))
         grads = net.named(backward_batch(net, cache, grad_out))
         monkeypatch.undo()
 
@@ -243,7 +244,7 @@ class TestFusedDropout:
         rng = np.random.default_rng(1)
         seqs = [rng.standard_normal((5, 4)), rng.standard_normal((3, 4))]
         seqs[0][2, 1] = np.nan
-        cache = forward_batch(net, seqs, training=True, rng=rng)
+        cache = forward_batch(net, stack_of(seqs), training=True, rng=rng)
         assert np.isnan(cache.h1[2]).all()  # dropped and gated units too
         assert np.isnan(cache.out[0]).all()
         assert np.all(np.isfinite(cache.out[1]))
@@ -295,7 +296,7 @@ class TestInPlaceActivations:
         net = build_net(feat_dim=4, seed_or_rng=1, hidden_dim=16, dropout_p=0.3, dtype=np.float32)
         rng = np.random.default_rng(6)
         seqs = [rng.standard_normal((t, 4)) for t in (5, 9, 3)]
-        cache = forward_batch(net, seqs, training=True, rng=rng)
+        cache = forward_batch(net, stack_of(seqs), training=True, rng=rng)
         assert not {f.name for f in fields(cache)} & {"a1", "a2"}
         for h, keep in ((cache.h1, cache.mask1), (cache.h2, cache.mask2)):
             assert keep.dtype == bool and keep.shape == h.shape
@@ -508,8 +509,8 @@ class TestNet:
         rng = np.random.default_rng(8)
         net = build_net(feat_dim=5, seed_or_rng=1, hidden_dim=8, out_dim=1)
         seqs = [rng.standard_normal((7, 5)), rng.standard_normal((3, 5))]
-        out1 = forward_batch(net, seqs, training=False).out
-        out2 = forward_batch(net, seqs, training=False).out
+        out1 = forward_batch(net, stack_of(seqs), training=False).out
+        out2 = forward_batch(net, stack_of(seqs), training=False).out
         assert np.array_equal(out1, out2)
 
     def test_init_bounds(self):
@@ -528,7 +529,7 @@ class TestNet:
     def test_rejects_wrong_feature_dim(self):
         net = build_net(feat_dim=4, seed_or_rng=0)
         with pytest.raises(DimensionError):
-            forward_batch(net, [np.ones((3, 5))])
+            forward_batch(net, stack_of([np.ones((3, 5))]))
 
 
 class TestFlatLayout:
@@ -602,7 +603,7 @@ class TestFlatLayout:
     def test_gradient_has_the_layout(self):
         net = build_net(feat_dim=3, seed_or_rng=0, hidden_dim=5, dtype=np.float32)
         seqs = [np.random.default_rng(1).standard_normal((4, 3))]
-        grad = backward_batch(net, forward_batch(net, seqs), np.ones((1, 1)))
+        grad = backward_batch(net, forward_batch(net, stack_of(seqs)), np.ones((1, 1)))
         assert grad.shape == net.flat.shape and grad.dtype == net.dtype
         assert not np.shares_memory(grad, net.flat)
         assert list(net.named(grad)) == list(net.param_arrays())
@@ -628,14 +629,14 @@ class TestDtype:
         )
         seqs = [rng.standard_normal((t, 4)) for t in (5, 3, 7, 4)]
         if projector:
-            labels = [1.0, 2.5, 4.0, 6.0]
-            batch = build_batch(list(zip(seqs, labels)), AugmentConfig(), rng)
+            labels = np.array([1.0, 2.5, 4.0, 6.0])
+            batch = build_batch(stack_of(seqs), labels, np.arange(4), AugmentConfig(), rng)
             cache = forward_batch(net, batch.views, training=True, rng=rng)
             result = stage2_loss(cache.out, batch, PairingSpec("coarse"), 0.5, 1.0)
             grad_out = result.grad
             assert grad_out.dtype == dtype
         else:
-            cache = forward_batch(net, seqs, training=True, rng=rng)
+            cache = forward_batch(net, stack_of(seqs), training=True, rng=rng)
             targets = np.array([1.0, 2.5, 4.0, 6.0])  # float64 labels
             _, dpred = huber_loss_batch(cache.out[:, 0], targets, 0.5)
             grad_out = dpred[:, None]
@@ -696,7 +697,7 @@ class TestDtype:
 
 class TestStackedViews:
     """build_batch hands forward_batch its views as one Stack; the net sees
-    the same rows as from the list of the same views."""
+    the same rows as from the list of the same views, stacked again."""
 
     @staticmethod
     def _batch(b=6):
@@ -704,8 +705,8 @@ class TestStackedViews:
         from sevreg.contrastive import build_batch
 
         rng = np.random.default_rng(21)
-        sources = [(rng.standard_normal((rng.integers(2, 15), 4)), 1.0) for _ in range(b)]
-        return build_batch(sources, AugmentConfig(), rng)
+        seqs = [rng.standard_normal((rng.integers(2, 15), 4)) for _ in range(b)]
+        return build_batch(stack_of(seqs), np.ones(b), np.arange(b), AugmentConfig(), rng)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_backward_match_list(self, dtype):
@@ -719,7 +720,7 @@ class TestStackedViews:
         )
         grad_out = np.random.default_rng(22).standard_normal((len(batch.views), 5))
         caches, grads = [], []
-        for views in (batch.views, list(batch.views)):
+        for views in (batch.views, stack_of(list(batch.views))):
             cache = forward_batch(net, views, training=True, rng=np.random.default_rng(23))
             caches.append(cache)
             grads.append(net.named(backward_batch(net, cache, grad_out)))

@@ -18,16 +18,15 @@ from sevreg.synthetic import (
 def corpora_equal(a, b):
     if len(a) != len(b) or a.name != b.name:
         return False
-    for ua, ub in zip(a, b):
-        if (
-            ua.id != ub.id
-            or ua.speaker_id != ub.speaker_id
-            or ua.label != ub.label
-            or ua.provenance != ub.provenance
-            or not np.array_equal(ua.features, ub.features)
-        ):
-            return False
-    return True
+    return all(
+        np.array_equal(getattr(a, column), getattr(b, column))
+        for column in ("ids", "speakers", "labels", "provenance", "offsets", "features")
+    )
+
+
+def utterance_means(corpus, columns):
+    """Each utterance's mean over its frames of the given feature columns."""
+    return np.array([f[:, columns].mean(axis=0) for f in corpus.stack(values=corpus.features)])
 
 
 def test_same_seed_identical_corpora():
@@ -51,24 +50,21 @@ def test_serialized_corpora_byte_identical(tmp_path):
 def test_signal_mean_tracks_labels():
     spec = SyntheticSpec(n_utts=1000, n_speakers=50)
     corpus = gen_synthetic_corpus(spec, 11)
-    labels = corpus.labels()
-    means = np.array(
-        [u.features[:, : spec.signal_dims].mean() for u in corpus]
-    )
-    assert srcc(labels, means) > 0.9
+    means = utterance_means(corpus, slice(spec.signal_dims)).mean(axis=1)
+    assert srcc(corpus.labels, means) > 0.9
 
 
 def test_typical_labels_all_one():
     spec = SyntheticSpec(n_utts=40, n_speakers=8, typical=True)
     corpus = gen_synthetic_corpus(spec, 5)
-    assert all(u.label == 1.0 for u in corpus)
-    assert all(u.provenance == "typical" for u in corpus)
+    assert np.all(corpus.labels == 1.0)
+    assert np.all(corpus.provenance == "typical")
 
 
 def test_labels_within_range():
     spec = SyntheticSpec(n_utts=300, n_speakers=20)
     corpus = gen_synthetic_corpus(spec, 13)
-    labels = corpus.labels()
+    labels = corpus.labels
     assert labels.min() >= 1.0 and labels.max() <= 7.0
 
 
@@ -88,16 +84,17 @@ def test_domain_shift_moves_nuisance_dims():
 
     far = gen_synthetic_corpus(dataclasses.replace(base, domain_shift=3.0), 21)
     s, q = base.signal_dims, base.nuisance_dims
-    near_nuis = np.mean([u.features[:, s : s + q].mean(axis=0) for u in near], axis=0)
-    far_nuis = np.mean([u.features[:, s : s + q].mean(axis=0) for u in far], axis=0)
+    near_nuis = utterance_means(near, slice(s, s + q)).mean(axis=0)
+    far_nuis = utterance_means(far, slice(s, s + q)).mean(axis=0)
     assert np.linalg.norm(far_nuis) > np.linalg.norm(near_nuis) + 1.0
 
 
 def test_strip_labels():
     corpus = gen_synthetic_corpus(SyntheticSpec(n_utts=10, n_speakers=2), 1)
     stripped = strip_labels(corpus)
-    assert all(u.label is None and u.provenance == "pseudo" for u in stripped)
-    assert all(u.label is not None for u in corpus)  # source untouched
+    assert np.isnan(stripped.labels).all() and np.all(stripped.provenance == "pseudo")
+    assert not np.isnan(corpus.labels).any()  # source untouched
+    assert stripped.features is corpus.features and stripped.frames is corpus.frames
 
 
 def test_build_world_shapes():
@@ -109,9 +106,9 @@ def test_build_world_shapes():
     world = build_world(cfg)
     assert set(world) == {"labeled", "unlabeled", "typical", "shifted_test"}
     assert len(world["labeled"]) == 60
-    assert all(u.label is None for u in world["unlabeled"])
-    assert all(u.label == 1.0 for u in world["typical"])
-    assert all(u.label is not None for u in world["shifted_test"])
+    assert np.isnan(world["unlabeled"].labels).all()
+    assert np.all(world["typical"].labels == 1.0)
+    assert not np.isnan(world["shifted_test"].labels).any()
     # ids are unique across the union (needed for stage-2 merging)
-    ids = [u.id for c in world.values() for u in c]
+    ids = [i for c in world.values() for i in c.ids.tolist()]
     assert len(ids) == len(set(ids))
