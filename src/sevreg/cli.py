@@ -1,6 +1,8 @@
 """Command-line entry points for data generation, the three stages, and the
-experiment harnesses. Exit codes: 0 success, 1 validation error, 2 runtime
-failure."""
+experiment harnesses. The stage chain `stage1` -> `stage2` -> `stage3` ->
+`evaluate` runs run-all's steps for one seed, `cfg.seed`, in one run
+directory; each step reads the checkpoint the one before it left there.
+Exit codes: 0 success, 1 validation error, 2 runtime failure."""
 
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .evaluation import write_report_json, write_results_csv
 from .experiments import (
     ABLATION_VARIANTS, CHECKPOINTS, TAU_GRID, Stages, ablate, run_all, sweep_tau,
 )
-from .pipeline import dump_embeddings, load_checkpoint, net_from_checkpoint, pseudo_label
+from .pipeline import dump_embeddings, load_checkpoint, net_from_checkpoint
 from .synthetic import build_world
 
 logger = logging.getLogger(__name__)
@@ -100,34 +102,20 @@ def stage_runner(cfg: RunConfig) -> Stages:
     return Stages(cfg, load_world(cfg), cfg.seed)
 
 
-def require_pseudo_labels(stages: Stages) -> None:
+def cmd_stage1(cfg: RunConfig, args) -> int:
+    run_dir = output_dir(args.run_dir)
+    stages = stage_runner(cfg)
     if not stages.pseudo_labels:
         raise ConfigError(
             "this config reads no stage-1 teacher or pseudo-labels "
             "(strategy 'baseline' or 'simclr', or ablation.skip_stage1)"
         )
-
-
-def cmd_stage1(cfg: RunConfig, args) -> int:
-    run_dir = output_dir(args.run_dir)
-    stages = stage_runner(cfg)
-    require_pseudo_labels(stages)
     history = stages.read_history(run_dir)
     result = stages.teacher().fit
     persist_config(cfg, run_dir)
     stages.save(run_dir, {"stage1": result}, history)
+    stages.save_pool_histogram(run_dir, stages.pool())
     print(f"stage1 checkpoint written to {run_dir / CHECKPOINTS['stage1']}")
-    return 0
-
-
-def cmd_pseudo_label(cfg: RunConfig, args) -> int:
-    run_dir = output_dir(args.run_dir)
-    stages = stage_runner(cfg)
-    require_pseudo_labels(stages)
-    pseudo = pseudo_label(stages.load(run_dir, "stage1"), stages.corpora["unlabeled"])
-    save_corpus(pseudo, run_dir / "pseudo")
-    stages.save_pool_histogram(run_dir, pseudo)
-    print(f"pseudo-labeled corpus written to {run_dir / 'pseudo'}")
     return 0
 
 
@@ -139,7 +127,9 @@ def cmd_stage2(cfg: RunConfig, args) -> int:
             "this config trains no stage 2 (strategy 'baseline' or ablation.skip_stage2)"
         )
     history = stages.read_history(run_dir)
-    pool = stages.pool(lambda: load_corpus(run_dir / "pseudo"))
+    if stages.pseudo_labels:
+        stages.load_teacher(run_dir)
+    pool = stages.pool()
     result = stages.stage2(pool)
     persist_config(cfg, run_dir)
     stages.save(run_dir, {"stage2": result}, history)
@@ -237,11 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("gen-data", cmd_gen_data, "generate the synthetic corpora")
-    add("stage1", cmd_stage1, "train the teacher regression model", run_dir=True)
-    add(
-        "pseudo-label", cmd_pseudo_label,
-        "pseudo-label the unlabeled pool with a stage-1 checkpoint", run_dir=True,
-    )
+    add("stage1", cmd_stage1, "train the teacher and pseudo-label the pool", run_dir=True)
     add("stage2", cmd_stage2, "weakly supervised contrastive pretraining", run_dir=True)
     add("stage3", cmd_stage3, "transfer weights and fine-tune", run_dir=True)
 

@@ -197,19 +197,20 @@ def frame_header(magic: bytes, version: int, *fields: int) -> bytes:
 
 class FrameReader:
     """Bounds-checked reads over one framed file; `header` holds the fields
-    after the version. A malformed file raises FeatureFormatError: bad magic at
-    offset 0, a bad version at 4, a truncated field where it starts, non-finite
-    values (finite=True) where the array starts, left-over bytes at the first."""
+    after the version. Reads are views of the file's bytes, never copies. A
+    malformed file raises FeatureFormatError: bad magic at offset 0, a bad
+    version at 4, a truncated field where it starts, non-finite values
+    (finite=True) where the array starts, left-over bytes at the first."""
 
     def __init__(self, raw: bytes, magic: bytes, version: int, n_fields: int):
         if raw[:4] != magic:
             raise FeatureFormatError(f"bad magic, not a {magic.decode()} file", offset=0)
-        self.raw, self.pos = raw, 4
+        self.raw, self.pos = memoryview(raw), 4
         found, *self.header = self.u32s(1 + n_fields, "header")
         if found != version:
             raise FeatureFormatError(f"unsupported version {found}", offset=4)
 
-    def take(self, nbytes: int, what: str) -> bytes:
+    def take(self, nbytes: int, what: str) -> memoryview:
         if nbytes > len(self.raw) - self.pos:
             raise FeatureFormatError(f"truncated {what}", offset=self.pos)
         self.pos += nbytes

@@ -1,7 +1,9 @@
 """Experiment flows: single runs, multi-seed runs, the temperature sweep,
 and the ablation harness, with one worker process per seed. These produce
 the run-directory artifacts; the files of a seed directory are written and
-read by `Stages` alone, for run-all and the CLI stage commands alike."""
+read by `Stages` alone, for run-all and the CLI stage commands alike. The
+stage commands pseudo-label with the stage-1 checkpoint, loaded into the
+teacher memo where run-all keeps its fit."""
 
 from __future__ import annotations
 
@@ -108,7 +110,8 @@ class Stages:
     ablation decision is made here, once.
 
     `memo` shares teachers between runs on the same corpora: a fit with no
-    transferred trunk is made once per `teacher_key`."""
+    transferred trunk is made once per `teacher_key`, or read from its
+    checkpoint (`load_teacher`)."""
 
     def __init__(
         self,
@@ -151,13 +154,20 @@ class Stages:
             )
         return self.memo[key]
 
-    def pool(self, pseudo: Callable[[], Corpus]) -> Corpus | None:
+    def load_teacher(self, run_dir: Path) -> None:
+        """Memoise the net of `run_dir`'s stage-1 checkpoint, read through
+        `load`, as this run's stage-1 teacher: the fit a stage-1 step left
+        stands in for the one `teacher` would make."""
+        key = teacher_key(self.resolved, "stage1", self.seed)
+        self.memo[key] = Teacher(StageResult(self.load(run_dir, "stage1")))
+
+    def pool(self) -> Corpus | None:
         """The unlabeled pool as stage 2 would see it: none for `baseline`,
         raw for label-free `simclr`, wholly assumed dysarthric when stage 1
-        is skipped, else the teacher's pseudo-labels that `pseudo` returns."""
+        is skipped, else pseudo-labelled by the stage-1 teacher."""
         cfg = self.cfg
         if self.pseudo_labels:
-            return pseudo()
+            return self.teacher().pseudo(self.corpora["unlabeled"])
         if cfg.strategy == "baseline":
             return None
         if cfg.strategy == "simclr":
@@ -287,7 +297,7 @@ def run_single(
     teacher is still shared between the stages of this run."""
     stages = Stages(cfg, corpora, seed, memo)
     stage1 = stages.teacher().fit if stages.pseudo_labels else None
-    pool = stages.pool(lambda: stages.teacher().pseudo(corpora["unlabeled"]))
+    pool = stages.pool()
     stage2 = stages.stage2(pool)
     final = stages.final(lambda: stage2.net)
     reports = stages.evaluate(final.net)

@@ -142,7 +142,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     start = frame.pos
     meta_bytes = frame.take(meta_len, "metadata")
     try:
-        meta = json.loads(meta_bytes.decode())
+        meta = json.loads(str(meta_bytes, "utf-8"))
     except (ValueError, RecursionError) as exc:
         raise FeatureFormatError(f"unreadable metadata: {exc}", offset=start) from exc
     if not isinstance(meta, dict):

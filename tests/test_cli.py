@@ -294,8 +294,6 @@ class TestStageChain:
         base = ["--config", str(config_path), "--run-dir", str(run_dir)]
         assert main(["stage1", *base]) == 0
         assert (run_dir / "stage1.dsqc").exists()
-        assert main(["pseudo-label", *base]) == 0
-        assert (run_dir / "pseudo" / "manifest.json").exists()
         assert (run_dir / "pseudo_histogram.json").exists()
         assert main(["stage2", *base]) == 0
         assert (run_dir / "stage2.dsqc").exists()
@@ -304,6 +302,17 @@ class TestStageChain:
         assert main(["evaluate", *base]) == 0
         rows = read_csv_rows(run_dir / "results.csv")
         assert {r["dataset"] for r in rows} == {"test", "shifted_test"}
+
+    def test_pseudo_label_is_no_command(self, workspace, tmp_path, capsys):
+        """stage1 pseudo-labels the pool and stage2 reads its checkpoint, so
+        no step writes a pseudo-labelled corpus."""
+        _, config_path, _ = workspace
+        argv = ["pseudo-label", "--config", str(config_path), "--run-dir", str(tmp_path / "run")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'pseudo-label'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "blob",
@@ -384,8 +393,8 @@ def teacher_checkpoint(workspace, tmp_path_factory):
     return (run_dir / "stage1.dsqc").read_bytes()
 
 
-CHAIN = ("stage1", "pseudo-label", "stage2", "stage3", "evaluate")
-NO_STAGE2 = ("stage1", "pseudo-label", "stage3", "evaluate")
+CHAIN = ("stage1", "stage2", "stage3", "evaluate")
+NO_STAGE2 = ("stage1", "stage3", "evaluate")
 
 # The files a run-all seed directory may hold.
 SEED_FILES = (
@@ -502,6 +511,9 @@ class TestChainEqualsRunAll:
         assert (run_dir / "results.csv").read_bytes() == (
             run_all_dir / "results.csv"
         ).read_bytes()
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+            [*written, "config.json", "results.csv"]
+        )
 
     def test_stage3_resumes_a_run_all_seed_directory(self, workspace, tmp_path):
         """Each seed directory's checkpoints record that directory's seed, so
@@ -540,7 +552,7 @@ class TestChainEqualsRunAll:
         assert code == 1
         assert not run_dir.exists()
 
-    @pytest.mark.parametrize("step", ["stage1", "pseudo-label"])
+    @pytest.mark.parametrize("step", ["stage1"])
     @pytest.mark.parametrize(
         "override",
         ["strategy=baseline", "strategy=simclr", "ablation.skip_stage1=true"],
@@ -563,10 +575,10 @@ class TestChainEqualsRunAll:
 
 @pytest.fixture(scope="module")
 def stage2_inputs(workspace, tmp_path_factory):
-    """A run dir after stage1, pseudo-label and stage2 of the template config."""
+    """A run dir after stage1 and stage2 of the template config."""
     _, config_path, _ = workspace
     run_dir = tmp_path_factory.mktemp("inputs")
-    for step in ("stage1", "pseudo-label", "stage2"):
+    for step in ("stage1", "stage2"):
         assert main([step, "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
     return run_dir
 
@@ -643,15 +655,17 @@ class TestStageInputs:
         "step, checkpoint, overrides, named",
         [
             ("stage3", "stage2.dsqc", ["seed=5", "seeds=[5]"], "another seed"),
-            ("pseudo-label", "stage1.dsqc", ["model.hidden_dim=16"], "another model"),
-            ("pseudo-label", "stage1.dsqc", ["stage1.lr=0.001"], "another stage1"),
+            ("stage2", "stage1.dsqc", ["seed=5", "seeds=[5]"], "another seed"),
+            ("stage2", "stage1.dsqc", ["model.hidden_dim=16"], "another model"),
+            ("stage2", "stage1.dsqc", ["stage1.lr=0.001"], "another stage1"),
+            ("stage2", "stage1.dsqc", ["data.world.seed=7"], "another data.world"),
             ("stage3", "stage2.dsqc", ["stage2.pairing.tau=5.0"], "another stage2"),
             ("stage3", "stage2.dsqc", ["strategy=dis"], "another strategy"),
             ("stage3", "stage2.dsqc", None, "records no config object"),
         ],
         ids=[
-            "stage3_seed", "pseudo_label_hidden_dim", "pseudo_label_stage1_lr",
-            "stage3_stage2_tau", "stage3_strategy", "stage3_no_config",
+            "stage3_seed", "stage2_seed", "stage2_hidden_dim", "stage2_stage1_lr",
+            "stage2_world_seed", "stage3_stage2_tau", "stage3_strategy", "stage3_no_config",
         ],
     )
     def test_checkpoint_of_another_chain_exits_1(
@@ -694,7 +708,7 @@ class TestStageInputs:
 
     @pytest.mark.parametrize(
         "step, inputs",
-        [("stage1", ()), ("stage2", ("pseudo",)), ("stage3", ("stage2.dsqc",))],
+        [("stage1", ()), ("stage2", ("stage1.dsqc",)), ("stage3", ("stage2.dsqc",))],
         ids=["stage1", "stage2", "stage3"],
     )
     @pytest.mark.parametrize("history", BAD_HISTORY.values(), ids=list(BAD_HISTORY))
@@ -705,9 +719,7 @@ class TestStageInputs:
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         for name in inputs:
-            source = stage2_inputs / name
-            copy = shutil.copytree if source.is_dir() else shutil.copyfile
-            copy(source, run_dir / name)
+            shutil.copyfile(stage2_inputs / name, run_dir / name)
         (run_dir / "history.json").write_bytes(history)
         before = sorted(run_dir.rglob("*"))
         code = main([step, "--config", str(config_path), "--run-dir", str(run_dir)])

@@ -74,6 +74,21 @@ class TestFeatureFiles:
         # The rows as stored: one read-only float32 array.
         assert loaded.rows.dtype == np.float32 and not loaded.rows.flags.writeable
 
+    def test_read_holds_the_file_bytes_once(self, tmp_path):
+        labeled = build_world(WorldConfig())["labeled"]
+        path = tmp_path / "features.dsqf"
+        write_feature_file(path, labeled.stack(values=labeled.features))
+        tracemalloc.start()
+        try:
+            loaded = read_feature_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The file is read once and the rows are a view of its bytes; a copy
+        # of the payload would take the peak past twice the file's size.
+        assert loaded.rows.tobytes() == labeled.features.tobytes()
+        assert peak < 1.5 * path.stat().st_size
+
     def test_zero_frames_rejected(self, tmp_path):
         path = tmp_path / "z.dsqf"
         path.write_bytes(b"DSQF" + struct.pack("<IIII", 2, 1, 3, 0))

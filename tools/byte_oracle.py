@@ -9,9 +9,9 @@ the `src` beside this script):
 
 - `gen-data` of the default world and of the fast world;
 - on the fast world, with seeds [0, 1]: `sweep-tau`, `ablate`,
-  `run-all strategy=simclr`, the stage chain `stage1` -> `pseudo-label` ->
-  `stage2` -> `stage3` -> `evaluate` (seed 0), and `dump-embeddings` of the
-  chain's stage-2 checkpoint;
+  `run-all strategy=simclr`, the stage chain `stage1` -> `stage2` ->
+  `stage3` -> `evaluate` (seed 0), and `dump-embeddings` of the chain's
+  stage-2 checkpoint;
 - on the default world, a coarse `run-all` with seeds [0].
 
 It prints one `sha256  path` line per file, sorted by path. A change that
@@ -67,7 +67,7 @@ def commands() -> list[list[str]]:
     chain = overrides({**FAST, "data.root": "data_fast", "seed": 0, "seeds": [0]})
     default = overrides({"data.root": "data_default", "run_root": "runs_default",
                          "strategy": "coarse", "seed": 0, "seeds": [0]})
-    steps = ["stage1", "pseudo-label", "stage2", "stage3", "evaluate"]
+    steps = ["stage1", "stage2", "stage3", "evaluate"]
     return [
         ["gen-data", *default],
         ["gen-data", *fast],
