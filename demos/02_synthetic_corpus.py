@@ -27,8 +27,8 @@ spec = SyntheticSpec(n_utts=600, feat_dim=16, n_speakers=30, nuisance_label_corr
 corpus = gen_synthetic_corpus(spec, seed=0)
 
 # A corpus is one set of arrays: every utterance's rows one after another
-# (`features` as float32, `frames` at unit norm per row), the row `offsets`
-# between utterances, and one column entry per utterance.
+# (`features`, float32 as stored), the row `offsets` between utterances, and
+# one column entry per utterance.
 print("== corpus ==")
 print("utterances:", len(corpus), " speakers:", len(set(corpus.speakers)))
 print("rows:", corpus.features.shape, corpus.features.dtype, " offsets:", corpus.offsets[:4], "...")
@@ -38,7 +38,7 @@ for bin_id, count in label_histogram(corpus.labels).items():
 
 # The first `signal_dims` dimensions carry a mean that rises with severity.
 labels = corpus.labels
-utterances = corpus.stack(values=corpus.features)  # a Stack: len() and iteration
+utterances = corpus.stored()  # a Stack: len() and iteration
 signal_means = np.array([f[:, : spec.signal_dims].mean() for f in utterances])
 print(f"\nSRCC(label, mean of signal dims) = {srcc(labels, signal_means):.4f}")
 
@@ -53,7 +53,7 @@ print(f"SRCC(label, mean of nuisance dims) = {srcc(labels, nuisance):.4f}  "
 # ---------------------------------------------------------------------------
 print("\n== persistence ==")
 with tempfile.TemporaryDirectory() as tmp:
-    first_three = corpus.stack(slice(3), values=corpus.features)
+    first_three = corpus.stored(slice(3))
     path = Path(tmp) / "three.dsqf"
     write_feature_file(path, first_three)
     back = read_feature_file(path)
@@ -68,10 +68,14 @@ with tempfile.TemporaryDirectory() as tmp:
 # Per-frame normalization and the label-balanced sampler
 # ---------------------------------------------------------------------------
 print("\n== preprocessing ==")
-norms = np.linalg.norm(corpus.frames, axis=1)
+# A net reads rows where a fit or an evaluation gathers them (Corpus.stack):
+# at unit norm, in float64, one normalize_frames call per gather.
+frames = corpus.stack().rows
+norms = np.linalg.norm(frames, axis=1)
 print("row norms after l2 normalization:", np.round(norms[:5], 6))
-print("frames equal normalize_frames of the rows:",
-      np.array_equal(corpus.frames, normalize_frames(corpus.features)))
+per_utterance = [normalize_frames(f.astype(np.float64)) for f in utterances]
+print("one call per gather equals one per utterance:",
+      frames.tobytes() == np.concatenate(per_utterance).tobytes())
 
 weights = sampler_weights(corpus)
 rng = np.random.default_rng(1)
@@ -90,4 +94,4 @@ print("speakers:", *(len(set(corpus.speakers[part])) for part in (train, val, te
 overlap = set(corpus.speakers[train]) & set(corpus.speakers[test])
 print("train/test speaker overlap:", overlap or "none")
 train_part = corpus.take(train, "train")
-print("the train part shares the corpus rows:", np.shares_memory(train_part.frames, corpus.frames))
+print("the train part shares the corpus rows:", train_part.features is corpus.features)

@@ -54,7 +54,7 @@ for h in stage1.history[-3:]:
 pseudo = pseudo_label(stage1.net, world["unlabeled"])
 print("pseudo-label histogram:", label_histogram(pseudo.labels))
 # The pool is the unlabeled corpus's rows with a new label vector: no copy.
-print("pool shares the unlabeled rows:", pseudo.frames is world["unlabeled"].frames)
+print("pool shares the unlabeled rows:", pseudo.features is world["unlabeled"].features)
 
 # ---------------------------------------------------------------------------
 # Stage 2: weakly supervised contrastive pretraining (coarse dichotomy)
@@ -64,7 +64,7 @@ mixed = build_stage2_corpus(train, pseudo, world["typical"])
 # The one copy stage 2 makes: the three pools' rows, with a provenance column.
 provenance, counts = np.unique(mixed.provenance, return_counts=True)
 print("stage-2 corpus:", dict(zip(provenance.tolist(), counts.tolist())),
-      f"{mixed.frames.shape[0]} rows")
+      f"{mixed.features.shape[0]} rows")
 stage2 = train_stage2(mixed, cfg.model, cfg.stage2, seed=0, strategy="coarse")
 for h in stage2.history:
     print(f"  epoch {h['epoch']}: contrastive loss {h['train_loss']:.4f}")

@@ -42,7 +42,7 @@ def main() -> None:
     # Each corpus is one array of rows plus per-utterance columns; every run
     # below trains on index and label vectors over these arrays.
     for name, corpus in corpora.items():
-        print(f"{name:13s} {len(corpus):4d} utterances, {corpus.frames.shape[0]:5d} rows")
+        print(f"{name:13s} {len(corpus):4d} utterances, {corpus.features.shape[0]:5d} rows")
 
     with tempfile.TemporaryDirectory() as tmp:
         out_root = Path(tmp)

@@ -107,8 +107,8 @@ def cmd_stage1(cfg: RunConfig, args) -> int:
     stages = stage_runner(cfg)
     if not stages.pseudo_labels:
         raise ConfigError(
-            "this config reads no stage-1 teacher or pseudo-labels "
-            "(strategy 'baseline' or 'simclr', or ablation.skip_stage1)"
+            "this config reads no stage-1 teacher or pseudo-labels (strategy 'baseline' "
+            "or 'simclr', ablation.skip_stage1, ablation.skip_stage2 or no ablation.use_pseudo)"
         )
     history = stages.read_history(run_dir)
     result = stages.teacher().fit

@@ -1,14 +1,14 @@
 """Corpus representation, feature-file format, sampling, and splits.
 
-A corpus is one set of arrays (`Corpus`): every utterance's rows one after
-another, split at row offsets, as in Apache Arrow's list arrays, plus one
-column entry per utterance. Nets read its `frames`, the rows at unit L2
-norm (normalization and augmentation run in float64), and cast each batch
-to their own dtype. A split part is the same arrays with an index vector, a
-pseudo-label pool the same arrays with a label vector. A corpus directory
-holds manifest.json plus features.dsqf, one framed file (FrameReader):
-magic "DSQF", little-endian u32 version 2, the utterance count N and D, N
-u32 lengths T, then every row as float32, in manifest order.
+A corpus is one set of arrays (`Corpus`): every utterance's float32 rows
+one after another, split at row offsets, as in Apache Arrow's list arrays,
+plus one column entry per utterance. Nets read `Corpus.stack`, the gathered
+rows at unit L2 norm (normalization and augmentation run in float64), and
+cast each batch to their own dtype. A split part is the same arrays with an
+index vector, a pseudo-label pool the same arrays with a label vector. A
+corpus directory holds manifest.json and features.dsqf, a framed file
+(FrameReader): magic "DSQF", little-endian u32 version 2, the utterance
+count N and D, N u32 lengths T, then the rows as float32, in manifest order.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ LABEL_MAX = 7.0
 class Corpus:
     """An ordered collection of utterances with unique ids, as arrays.
 
-    `frames` holds the rows of M utterances at unit L2 norm in float64,
-    utterance j in rows offsets[j]:offsets[j + 1]; `features` holds them as
-    stored, in float32, or is None for a corpus made in memory (the stage-2
-    mix). The corpus is the utterances `index` of those M, in order, with
+    `features` holds the rows of M utterances as stored, in float32,
+    utterance j in rows offsets[j]:offsets[j + 1]. The corpus is the
+    utterances `index` of those M, in order, with
     COLUMNS `ids`, `speakers`, `labels` (NaN where unlabeled) and
     `provenance` ('pseudo' for the unlabeled pool, before and after
     pseudo-labelling). Construction checks every utterance and makes every
@@ -62,8 +61,7 @@ class Corpus:
     """
 
     name: str
-    features: np.ndarray | None
-    frames: np.ndarray
+    features: np.ndarray
     offsets: np.ndarray
     index: np.ndarray
     ids: np.ndarray
@@ -90,9 +88,8 @@ class Corpus:
             raise ParameterError("typical utterances must carry label 1")
         if len(np.unique(self.ids)) != len(self.ids):
             raise MergeError(f"duplicate utterance ids in corpus '{self.name}'")
-        for array in (self.features, self.frames, self.offsets, self.index, *columns):
-            if array is not None:
-                array.flags.writeable = False
+        for array in (self.features, self.offsets, self.index, *columns):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.index)
@@ -118,30 +115,25 @@ class Corpus:
             provenance=np.full(len(self), "pseudo"),
         )
 
-    def stack(self, which=slice(None), values: np.ndarray | None = None) -> Stack:
-        """The rows in `values` (default `frames`) of utterances `which` (a
-        slice or an index vector) as one Stack: a zero-copy slice when they
-        follow one another, else one concatenation of their row ranges."""
-        values = self.frames if values is None else values
-        j = self.index[which]
-        starts, stops = self.offsets[j], self.offsets[j + 1]
-        offsets = np.concatenate(([0], np.cumsum(stops - starts)))
-        if np.array_equal(starts[1:], stops[:-1]):
-            return Stack(values[starts[0] : stops[-1]], offsets)
-        ranges = zip(starts.tolist(), stops.tolist())
-        return Stack(np.concatenate([values[lo:hi] for lo, hi in ranges]), offsets)
+    def stored(self, which=slice(None)) -> Stack:
+        """The stored float32 rows of utterances `which` as one Stack."""
+        return Stack(self.features, self.offsets).take(self.index[which])
+
+    def stack(self, which=slice(None)) -> Stack:
+        """The rows of utterances `which` at unit L2 norm in float64, in one
+        normalize_frames call; rows scale alone, so any gather agrees."""
+        rows = self.stored(which)
+        return Stack(normalize_frames(rows.rows.astype(np.float64)), rows.offsets)
 
 
 def make_corpus(name: str, features: Stack, ids, speakers, labels, provenance) -> Corpus:
-    """The corpus of the float32 sequences `features`, their frames made in
-    one normalize_frames call (each row is scaled on its own, so bit for bit
-    as per utterance), and the given columns (None is no label)."""
+    """The corpus of the float32 sequences `features` and the given columns
+    (None is no label)."""
     if not all(y is None or isinstance(y, numbers.Real) for y in labels):
         raise TypeError("every label must be a number or None")
     return Corpus(
         name=name,
         features=features.rows,
-        frames=normalize_frames(features.rows.astype(np.float64)),
         offsets=np.asarray(features.offsets, dtype=np.int64),
         index=np.arange(len(features)),
         ids=np.asarray(ids, dtype=str),
@@ -152,14 +144,13 @@ def make_corpus(name: str, features: Stack, ids, speakers, labels, provenance) -
 
 
 def concat(parts: Sequence[Corpus], name: str) -> Corpus:
-    """The utterances of `parts`, in order, as one corpus made in memory:
-    their frames gathered once into one array, nothing normalised again."""
-    stacks = [p.stack() for p in parts]
+    """The utterances of `parts`, in order, as one corpus: their stored rows
+    gathered once into one array."""
+    stacks = [p.stored() for p in parts]
     lengths = np.concatenate([np.diff(s.offsets) for s in stacks])
     return Corpus(
         name=name,
-        features=None,
-        frames=np.concatenate([s.rows for s in stacks]),
+        features=np.concatenate([s.rows for s in stacks]),
         offsets=np.concatenate(([0], np.cumsum(lengths))),
         index=np.arange(len(lengths)),
         **{c: np.concatenate([getattr(p, c) for p in parts]) for c in COLUMNS},
@@ -280,11 +271,9 @@ def read_feature_file(path: str | Path) -> Stack:
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     """Write features.dsqf, then manifest.json, which commits the corpus:
     both are written atomically, the manifest last."""
-    if corpus.features is None:
-        raise ParameterError(f"corpus '{corpus.name}' was made in memory: no rows to store")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_feature_file(directory / FEATURES_FILE, corpus.stack(values=corpus.features))
+    write_feature_file(directory / FEATURES_FILE, corpus.stored())
     entries = [
         {"id": i, "speaker_id": s, "label": None if math.isnan(y) else y, "provenance": p}
         for i, s, y, p in zip(*(getattr(corpus, c).tolist() for c in COLUMNS))

@@ -37,14 +37,12 @@ def rank(values) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ParameterError("rank requires finite values")
     order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    first = np.flatnonzero(starts)  # each tie group's first and last position
+    last = np.append(first[1:], v.size) - 1
     ranks = np.empty(v.size)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = (0.5 * (first + last) + 1.0)[np.cumsum(starts) - 1]
     return ranks
 
 

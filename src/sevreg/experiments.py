@@ -3,7 +3,7 @@ and the ablation harness, with one worker process per seed. These produce
 the run-directory artifacts; the files of a seed directory are written and
 read by `Stages` alone, for run-all and the CLI stage commands alike. The
 stage commands pseudo-label with the stage-1 checkpoint, loaded into the
-teacher memo where run-all keeps its fit."""
+teacher memo where run-all keeps its fit (made only if stage 2 reads it)."""
 
 from __future__ import annotations
 
@@ -136,11 +136,15 @@ class Stages:
         return self.cfg.strategy != "baseline" and not self.cfg.ablation.skip_stage2
 
     @property
+    def reads_pool(self) -> bool:
+        return self.has_stage2 and self.cfg.ablation.use_pseudo
+
+    @property
     def pseudo_labels(self) -> bool:
-        """Whether the pool is the stage-1 teacher's pseudo-labels; otherwise
-        no step reads the teacher fit of `stage1` or its pseudo-labels."""
+        """Whether stage 2 trains on the stage-1 teacher's pseudo-labels; if
+        not, no step reads the teacher fit of `stage1`."""
         cfg = self.cfg
-        return cfg.strategy not in ("baseline", "simclr") and not cfg.ablation.skip_stage1
+        return self.reads_pool and cfg.strategy != "simclr" and not cfg.ablation.skip_stage1
 
     def teacher(self, section: str = "stage1") -> Teacher:
         """The regression fit of `section` from the seeded init, memoised."""
@@ -162,17 +166,16 @@ class Stages:
         self.memo[key] = Teacher(StageResult(self.load(run_dir, "stage1")))
 
     def pool(self) -> Corpus | None:
-        """The unlabeled pool as stage 2 would see it: none for `baseline`,
-        raw for label-free `simclr`, wholly assumed dysarthric when stage 1
-        is skipped, else pseudo-labelled by the stage-1 teacher."""
-        cfg = self.cfg
+        """The unlabeled pool as stage 2 sees it: none if it reads none, raw
+        for label-free `simclr`, wholly assumed dysarthric when stage 1 is
+        skipped, else pseudo-labelled by the stage-1 teacher."""
+        cfg, unlabeled = self.cfg, self.corpora["unlabeled"]
         if self.pseudo_labels:
-            return self.teacher().pseudo(self.corpora["unlabeled"])
-        if cfg.strategy == "baseline":
+            return self.teacher().pseudo(unlabeled)
+        if not self.reads_pool:
             return None
         if cfg.strategy == "simclr":
-            return self.corpora["unlabeled"]
-        unlabeled = self.corpora["unlabeled"]
+            return unlabeled
         return unlabeled.with_labels(
             np.full(len(unlabeled), cfg.ablation.assumed_dysarthric_label),
             f"{unlabeled.name}/assumed",
@@ -186,9 +189,7 @@ class Stages:
             return None
         cfg = self.cfg
         mixed = build_stage2_corpus(
-            self.train,
-            pool if cfg.ablation.use_pseudo else None,
-            self.corpora["typical"] if cfg.ablation.use_typical else None,
+            self.train, pool, self.corpora["typical"] if cfg.ablation.use_typical else None
         )
         return train_stage2(mixed, cfg.model, cfg.stage2, self.seed, cfg.strategy)
 

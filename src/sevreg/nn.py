@@ -425,6 +425,16 @@ class Stack:
     def __iter__(self):
         return (self.rows[lo:hi] for lo, hi in zip(self.offsets[:-1], self.offsets[1:]))
 
+    def take(self, which) -> Stack:
+        """Sequences `which` (a slice or index vector) in that order: a zero-copy
+        slice of `rows` when they follow one another, else one concatenation."""
+        starts, stops = self.offsets[:-1][which], self.offsets[1:][which]
+        offsets = np.concatenate(([0], np.cumsum(stops - starts)))
+        if np.array_equal(starts[1:], stops[:-1]):
+            return Stack(self.rows[starts[0] : stops[-1]], offsets)
+        ranges = zip(starts.tolist(), stops.tolist())
+        return Stack(np.concatenate([self.rows[lo:hi] for lo, hi in ranges]), offsets)
+
 
 @dataclass
 class ForwardCache:

@@ -4,7 +4,8 @@ supervised contrastive pretraining, and weight-transfer fine-tuning.
 All randomness flows from one run seed through fixed role keys, so a
 (config, seed, corpus) triple maps to bit-identical checkpoints. The bytes do
 not depend on OPENBLAS_NUM_THREADS: the weight gradients reduce in fixed row
-blocks (nn.GRAD_BLOCK_ROWS).
+blocks (nn.GRAD_BLOCK_ROWS). Rows are normalised once per fit and per
+evaluation chunk (Corpus.stack), never per step.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def seeded_net(
     """The seed's initial network for a corpus: a one-output regressor, or
     for stage 2 the L2-normalized projector."""
     return build_net(
-        feat_dim=corpus.frames.shape[1],
+        feat_dim=corpus.features.shape[1],
         seed_or_rng=role_rng(seed, ROLE_MODEL_INIT),
         hidden_dim=model_cfg.hidden_dim,
         out_dim=model_cfg.embed_dim if projector else 1,
@@ -244,13 +245,14 @@ def train_regression(
     weights = sampler_weights(train)
     probs = weights / weights.sum()
     n = len(train)
+    source = train.stack()
     sampler = role_rng(seed, ROLE_SAMPLER)
 
     def batches():
         order = sampler.choice(n, size=n, replace=True, p=probs)
         for start in range(0, n, stage_cfg.batch_size):
             idx = order[start : start + stage_cfg.batch_size]
-            yield train.stack(idx), labels[idx]
+            yield source.take(idx), labels[idx]
 
     def loss(out, target):
         value, dpred = huber_loss_batch(out[:, 0], target, stage_cfg.huber_delta)
@@ -324,7 +326,7 @@ def build_stage2_corpus(
     labeled: Corpus, pseudo: Corpus | None, typical: Corpus | None
 ) -> Corpus:
     """Concatenate the pretraining pools, preserving provenance: the one
-    copy of their rows that stage 2 trains on.
+    copy of their stored rows, which train_stage2 normalises once.
 
     Dropping `typical` or `pseudo` yields the corresponding data ablations.
     """

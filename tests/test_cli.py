@@ -394,7 +394,7 @@ def teacher_checkpoint(workspace, tmp_path_factory):
 
 
 CHAIN = ("stage1", "stage2", "stage3", "evaluate")
-NO_STAGE2 = ("stage1", "stage3", "evaluate")
+NO_TEACHER = ("stage2", "stage3", "evaluate")
 
 # The files a run-all seed directory may hold.
 SEED_FILES = (
@@ -483,10 +483,10 @@ class TestChainEqualsRunAll:
         "overrides, steps",
         [
             ([], CHAIN),
-            (["strategy=simclr"], ("stage2", "stage3", "evaluate")),
-            (["ablation.use_pseudo=false"], CHAIN),
-            (["ablation.skip_stage2=true"], NO_STAGE2),
-            (["strategy=dis", "ablation.skip_stage1=true"], ("stage2", "stage3", "evaluate")),
+            (["strategy=simclr"], NO_TEACHER),
+            (["ablation.use_pseudo=false"], NO_TEACHER),
+            (["ablation.skip_stage2=true"], ("stage3", "evaluate")),
+            (["strategy=dis", "ablation.skip_stage1=true"], NO_TEACHER),
             (["strategy=baseline", "stage3.epochs=2"], ("stage3", "evaluate")),
         ],
         ids=["coarse", "simclr", "no_pseudo", "skip_stage2", "dis_skip_stage1", "baseline"],
@@ -555,7 +555,10 @@ class TestChainEqualsRunAll:
     @pytest.mark.parametrize("step", ["stage1"])
     @pytest.mark.parametrize(
         "override",
-        ["strategy=baseline", "strategy=simclr", "ablation.skip_stage1=true"],
+        [
+            "strategy=baseline", "strategy=simclr", "ablation.skip_stage1=true",
+            "ablation.skip_stage2=true", "ablation.use_pseudo=false",
+        ],
     )
     def test_teacher_steps_nothing_reads_exit_1(
         self, workspace, teacher_checkpoint, tmp_path, capsys, step, override

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from stacks import stack_of
 
 from sevreg.data import (
+    FEATURES_FILE,
     atomic_write,
     label_bins,
     label_histogram,
@@ -77,7 +78,7 @@ class TestFeatureFiles:
     def test_read_holds_the_file_bytes_once(self, tmp_path):
         labeled = build_world(WorldConfig())["labeled"]
         path = tmp_path / "features.dsqf"
-        write_feature_file(path, labeled.stack(values=labeled.features))
+        write_feature_file(path, labeled.stored())
         tracemalloc.start()
         try:
             loaded = read_feature_file(path)
@@ -192,7 +193,7 @@ class TestCorpusIO:
         assert loaded.ids.tolist() == ids
         assert np.array_equal(loaded.features, corpus.features)
         assert np.array_equal(loaded.offsets, corpus.offsets)
-        assert loaded.frames.tobytes() == corpus.frames.tobytes()
+        assert loaded.stack().rows.tobytes() == corpus.stack().rows.tobytes()
         assert np.array_equal(loaded.labels, corpus.labels, equal_nan=True)
         assert loaded.provenance.tolist() == provenance
 
@@ -205,9 +206,25 @@ class TestCorpusIO:
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert all("path" not in entry for entry in manifest["utterances"])
         loaded = load_corpus(tmp_path / "c")
-        # The payload as read: one float32 array, and one normalised copy of it.
+        # The payload as read: one float32 array, normalised where it is read.
         assert loaded.features.dtype == np.float32 and loaded.features.shape == (6, 3)
-        assert loaded.frames.dtype == np.float64 and loaded.frames.shape == (6, 3)
+        stacked = loaded.stack().rows
+        assert stacked.dtype == np.float64 and stacked.shape == (6, 3)
+
+    def test_loaded_corpus_holds_its_rows_once(self, tmp_path):
+        save_corpus(build_world(WorldConfig())["labeled"], tmp_path / "labeled")
+        size = (tmp_path / "labeled" / FEATURES_FILE).stat().st_size
+        load_corpus(tmp_path / "labeled")  # warm-up: imports and caches
+        tracemalloc.start()
+        try:
+            loaded = load_corpus(tmp_path / "labeled")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # The file's bytes, viewed as the float32 rows, and the columns; a
+        # second row array (float64 is twice the payload) passes 3x the file.
+        assert len(loaded) > 0
+        assert held < 1.5 * size
 
     def test_default_world_feature_files_keep_their_bytes(self, tmp_path):
         digests = {
@@ -242,6 +259,16 @@ class TestCorpusIO:
             one_utterance(8.0)
 
 
+def per_utterance_frames(corpus, utterances) -> bytes:
+    """The bytes of normalize_frames of each utterance's stored rows, one
+    call per utterance, for `utterances` of a corpus made with make_corpus."""
+    bounds = corpus.offsets
+    return b"".join(
+        normalize_frames(corpus.features[bounds[i] : bounds[i + 1]].astype(np.float64)).tobytes()
+        for i in utterances
+    )
+
+
 class TestNormalize:
     def test_row_345(self):
         out = normalize_frames(np.array([[3.0, 4.0]]))
@@ -268,9 +295,32 @@ class TestNormalize:
 
     def test_one_call_per_corpus_equals_one_per_utterance(self):
         for name, corpus in build_world(WorldConfig()).items():
-            rows = corpus.stack(values=corpus.features)
-            per_utterance = [normalize_frames(f.astype(np.float64)) for f in rows]
-            assert corpus.frames.tobytes() == np.concatenate(per_utterance).tobytes(), name
+            expected = per_utterance_frames(corpus, np.arange(len(corpus)))
+            assert corpus.stack().rows.tobytes() == expected, name
+
+    def test_every_gather_equals_one_call_per_utterance(self):
+        world = build_world(WorldConfig())
+        labeled, unlabeled = world["labeled"], world["unlabeled"]
+        idx = np.random.default_rng(3).choice(len(labeled), size=40, replace=True)
+        for which, utterances in [
+            (slice(5, 60), np.arange(5, 60)), (idx, idx), (np.array([7]), np.array([7])),
+        ]:
+            assert labeled.stack(which).rows.tobytes() == per_utterance_frames(
+                labeled, utterances
+            )
+        for part in split(labeled, (0.7, 0.15, 0.15), seed=0):
+            assert labeled.take(part, "part").stack().rows.tobytes() == per_utterance_frames(
+                labeled, part
+            )
+            # a gather of a part indexes the part's utterances
+            inner = np.arange(len(part))[::-2]
+            assert labeled.take(part, "part").stack(inner).rows.tobytes() == (
+                per_utterance_frames(labeled, part[inner])
+            )
+        pool = unlabeled.with_labels(np.full(len(unlabeled), 4.0), "pool")
+        assert pool.stack().rows.tobytes() == per_utterance_frames(
+            unlabeled, np.arange(len(unlabeled))
+        )
 
 
 class TestSharedRows:
@@ -284,14 +334,15 @@ class TestSharedRows:
         labeled = world["labeled"]
         for idx in split(labeled, (0.7, 0.15, 0.15), seed=0):
             part = labeled.take(idx, "part")
-            assert np.shares_memory(part.frames, labeled.frames)
-            assert part.stack().rows.tobytes() == b"".join(
-                labeled.frames[labeled.offsets[i] : labeled.offsets[i + 1]].tobytes() for i in idx
+            assert part.features is labeled.features
+            assert part.stored().rows.tobytes() == b"".join(
+                labeled.features[labeled.offsets[i] : labeled.offsets[i + 1]].tobytes()
+                for i in idx
             )
         unlabeled = world["unlabeled"]
         pool = unlabeled.with_labels(np.full(len(unlabeled), 4.0), "pool")
-        assert np.shares_memory(pool.frames, unlabeled.frames)
-        assert np.shares_memory(pool.features, unlabeled.features)
+        assert pool.features is unlabeled.features
+        assert np.shares_memory(pool.stored().rows, unlabeled.features)
         assert np.all(pool.labels == 4.0) and np.isnan(unlabeled.labels).all()
 
     def test_making_a_pool_copies_no_rows(self, world):
@@ -300,19 +351,20 @@ class TestSharedRows:
         tracemalloc.start()
         try:
             pool = unlabeled.with_labels(labels, "pool")
-            frames = pool.stack().rows  # what a net reads of the pool
+            stored = pool.stored().rows  # the pool's rows, before a net reads them
             strip_labels(unlabeled)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One row copy would be 0.9 MB (float32) or 1.8 MB (frames); the new
-        # label, provenance and id-check columns take about 0.1 MB.
-        assert np.shares_memory(frames, unlabeled.frames)
+        # One row copy would be 0.9 MB (float32) or 1.8 MB (float64); the new
+        # label, provenance and id-check columns take about 0.1 MB. Reading
+        # the pool (Corpus.stack) normalises a float64 copy, by design.
+        assert np.shares_memory(stored, unlabeled.features)
         assert peak < unlabeled.features.nbytes // 4
 
     def test_corpus_arrays_are_read_only(self, world):
         corpus = world["labeled"]
-        for array in (corpus.features, corpus.frames, corpus.offsets, corpus.index,
+        for array in (corpus.features, corpus.offsets, corpus.index,
                       corpus.ids, corpus.speakers, corpus.labels, corpus.provenance):
             with pytest.raises(ValueError):
                 array[0] = array[1]

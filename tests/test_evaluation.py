@@ -58,6 +58,22 @@ class TestRank:
     def test_matches_brute_force(self, values):
         assert np.allclose(rank(values), brute_force_rank(values))
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-1.5, -0.0, 0.0, 2.0, 7.0]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1, max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_each_rank_is_the_mean_of_its_tie_positions(self, values):
+        ordered = sorted(values)
+        for value, r in zip(values, rank(values)):
+            positions = [p + 1 for p, u in enumerate(ordered) if u == value]
+            assert r == sum(positions) / len(positions)
+
     def test_matches_scipy(self):
         rng = np.random.default_rng(0)
         values = rng.integers(0, 6, size=40).astype(float)

@@ -185,30 +185,48 @@ class TestWorkers:
         assert [row["seed"] for row in result["rows"]] == [1, 1]
 
 
-class TestFramesOnce:
-    def test_each_utterance_normalizes_once(self):
-        """Each corpus normalises all its rows in one call when it is made;
-        runs, their splits and their pools make no frames."""
-        from sevreg import data
+def normalize_calls(fn) -> list[tuple[int, int]]:
+    """The shapes of the normalize_frames calls made while fn() runs."""
+    from sevreg import data
 
-        calls = []
-        real = data.normalize_frames
+    calls = []
+    real = data.normalize_frames
 
-        def counting(h):
-            calls.append(h.shape)
-            return real(h)
+    def counting(h):
+        calls.append(h.shape)
+        return real(h)
 
-        memo: dict[str, Teacher] = {}
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data, "normalize_frames", counting)
-            corpora = build_world(WORLD)
-            # labeled, the unlabeled source (stripped over the same rows),
-            # typical and shifted_test
-            assert calls == [c.frames.shape for c in corpora.values()]
-            calls.clear()
-            experiments.run_single(fast_cfg(strategy="coarse"), corpora, 0, memo=memo)
-            experiments.run_single(fast_cfg(strategy="dis"), corpora, 0, memo=memo)
-            assert not calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "normalize_frames", counting)
+        fn()
+    return calls
+
+
+class TestNormalizeOutsideTheStepLoop:
+    """Rows are normalised where a fit or an evaluation gathers them: once
+    per regression or stage-2 fit and once per evaluation chunk, never once
+    per training step."""
+
+    def test_building_a_world_normalizes_nothing(self):
+        assert normalize_calls(lambda: build_world(WORLD)) == []
+
+    def test_calls_do_not_grow_with_the_step_count(self, corpora):
+        def calls(batch_size):
+            cfg = fast_cfg(
+                strategy="coarse",
+                stage1=RegressionStageConfig(lr=3e-3, epochs=2, batch_size=batch_size),
+                stage3=RegressionStageConfig(lr=3e-3, epochs=2, batch_size=batch_size),
+                stage2=Stage2Config(batch_size=batch_size, epochs=1),
+            )
+            return normalize_calls(lambda: experiments.run_single(cfg, corpora, 0))
+
+        few_steps = calls(32)
+        train, _, _ = split_labeled(corpora["labeled"], WORLD)
+        rows = [len(c.stored().rows) for c in (train, corpora["unlabeled"], corpora["typical"])]
+        # stages 1 and 3 gather the training split once each, stage 2 its mix
+        assert few_steps.count((rows[0], WORLD.feat_dim)) == 2
+        assert few_steps.count((sum(rows), WORLD.feat_dim)) == 1
+        assert calls(8) == few_steps
 
 
 class TestTeacherMemo:
@@ -242,13 +260,12 @@ class TestTeacherMemo:
     def test_pool_shares_the_unlabeled_rows(self, corpora):
         labeled, unlabeled = corpora["labeled"], corpora["unlabeled"]
         train, val, test = split_labeled(labeled, WORLD)
-        assert all(np.shares_memory(part.frames, labeled.frames) for part in (train, val, test))
+        assert all(part.features is labeled.features for part in (train, val, test))
         cfg = fast_cfg()
         entry = Teacher(pipeline.train_regression(train, val, cfg.model, cfg.stage1, 0))
         pool = entry.pseudo(unlabeled)
         assert entry.pseudo(unlabeled) is pool
-        assert np.shares_memory(pool.frames, unlabeled.frames)
-        assert np.shares_memory(pool.features, unlabeled.features)
+        assert pool.features is unlabeled.features
 
 
 def test_median_summary_keeps_seeds_and_values_aligned():

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from sevreg import pipeline
 from sevreg.config import ModelConfig, RegressionStageConfig, RunConfig, Stage2Config
-from sevreg.data import label_histogram, save_corpus
+from sevreg.data import label_histogram, load_corpus, save_corpus
 from sevreg.errors import (
     DimensionError,
     FeatureFormatError,
@@ -123,7 +123,7 @@ class TestStage1:
 
     def test_nan_features_abort(self, splits):
         train, val, _ = splits
-        bad = replace(train, name="bad", frames=np.full_like(train.frames, np.nan))
+        bad = replace(train, name="bad", features=np.full_like(train.features, np.nan))
         with pytest.raises(TrainingDivergedError):
             train_regression(bad, val, MODEL, replace(STAGE, epochs=1), seed=0)
 
@@ -250,7 +250,7 @@ class TestPseudoLabel:
 
 
 class TestStage2Corpus:
-    def test_counts(self, stage1, world, splits, tmp_path):
+    def test_counts(self, stage1, world, splits):
         train, _, _ = splits
         pseudo = pseudo_label(stage1.net, world["unlabeled"])
         merged = build_stage2_corpus(train, pseudo, world["typical"])
@@ -259,14 +259,26 @@ class TestStage2Corpus:
         assert counts["pseudo"] == len(pseudo)
         assert counts["typical"] == len(world["typical"])
         assert len(merged) == sum(counts.values())
-        # The one copy of the pools' rows, in order, made in memory: no
-        # float32 rows to store.
+        # The one copy of the pools' stored rows, in order, which stage 2
+        # reads normalised as the pools themselves would be.
         parts = (train, pseudo, world["typical"])
-        assert merged.frames.tobytes() == b"".join(p.stack().rows.tobytes() for p in parts)
-        assert not any(np.shares_memory(merged.frames, p.frames) for p in parts)
-        assert merged.features is None
-        with pytest.raises(ParameterError, match="made in memory"):
-            save_corpus(merged, tmp_path / "stage2")
+        assert merged.features.tobytes() == b"".join(p.stored().rows.tobytes() for p in parts)
+        assert not any(np.shares_memory(merged.features, p.features) for p in parts)
+        assert merged.stack().rows.tobytes() == b"".join(p.stack().rows.tobytes() for p in parts)
+
+    def test_mix_round_trips_through_save_and_load(self, stage1, world, splits, tmp_path):
+        train, _, _ = splits
+        pseudo = pseudo_label(stage1.net, world["unlabeled"])
+        merged = build_stage2_corpus(train, pseudo, world["typical"])
+        save_corpus(merged, tmp_path / "stage2")
+        loaded = load_corpus(tmp_path / "stage2")
+        assert loaded.name == "stage2"
+        assert loaded.features.tobytes() == merged.features.tobytes()
+        assert np.array_equal(loaded.offsets, merged.offsets)
+        for column in ("ids", "speakers", "provenance"):
+            assert getattr(loaded, column).tolist() == getattr(merged, column).tolist()
+        assert loaded.labels.tobytes() == merged.labels.tobytes()
+        assert loaded.stack().rows.tobytes() == merged.stack().rows.tobytes()
 
     def test_omitting_pools(self, world, splits):
         train, _, _ = splits

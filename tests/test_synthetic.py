@@ -26,7 +26,7 @@ def corpora_equal(a, b):
 
 def utterance_means(corpus, columns):
     """Each utterance's mean over its frames of the given feature columns."""
-    return np.array([f[:, columns].mean(axis=0) for f in corpus.stack(values=corpus.features)])
+    return np.array([f[:, columns].mean(axis=0) for f in corpus.stored()])
 
 
 def test_same_seed_identical_corpora():
@@ -94,7 +94,7 @@ def test_strip_labels():
     stripped = strip_labels(corpus)
     assert np.isnan(stripped.labels).all() and np.all(stripped.provenance == "pseudo")
     assert not np.isnan(corpus.labels).any()  # source untouched
-    assert stripped.features is corpus.features and stripped.frames is corpus.frames
+    assert stripped.features is corpus.features
 
 
 def test_build_world_shapes():
