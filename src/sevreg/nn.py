@@ -5,12 +5,12 @@ dtype of its inputs: a net built in float32 (as the pipeline trains) runs in
 float32, one built in float64 (as the gradient checks use) in float64.
 Sequences are (T, D) matrices; batches of sequences are processed as one
 stacked matrix with segmented pooling, which keeps the matmuls large and the
-gradients exact. ReLU and dropout run in place on the linear output, so a
-forward pass keeps each hidden layer once: its activation h. In training with
-dropout each hidden layer also keeps one boolean keep mask, the ReLU gate
-ANDed with the dropout draw; with the inverted-dropout scale s it gives
-h = a * keep * s forward and grad_a = grad_h * keep * s backward. Without
-dropout the ReLU gradient reads h, which is > 0 exactly where a is.
+gradients exact. ReLU and dropout run in place on the linear output, in
+chunks, so a training step holds each hidden layer once: h = a * keep * s,
+keep being the ReLU gate ANDed with the dropout draw and s = 1/(1-p) >= 1.
+So h > 0 exactly where keep is, and backward reads no mask but h > 0
+(grad_a = grad_h * (h > 0) * s, or without dropout grad_h * (h > 0)),
+then writes each layer's gradient over its h.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ POOL_GROUP_BYTES = 512 * 1024
 # 448 rows did not in float64. Above one block the sum differs from the one
 # product in its last bits, at any thread count.
 GRAD_BLOCK_ROWS = 384
+
+# Elements per chunk of the in-place ReLU-dropout: 2**16 raw words (512 KiB)
+# at a time. Even, so the chunks read the words of one whole-array draw.
+RELU_DROPOUT_CHUNK = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +114,13 @@ def linear_param_grads(
 
 def linear_backward(
     params: LayerParams, x: np.ndarray, grad_out: np.ndarray,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
+    out: tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (grad_w, grad_b, grad_x) for y = x @ W.T + b; `out` as in
-    linear_param_grads."""
-    grad_w, grad_b = linear_param_grads(x, grad_out, out)
-    return grad_w, grad_b, grad_out @ params.weight
+    """Returns (grad_w, grad_b, grad_x) for y = x @ W.T + b, each into its
+    array of `out` that is not None; grad_x last, so it may overwrite x."""
+    grad_w, grad_b, grad_x = (None, None, None) if out is None else out
+    grad_w, grad_b = linear_param_grads(x, grad_out, (grad_w, grad_b))
+    return grad_w, grad_b, np.matmul(grad_out, params.weight, out=grad_x)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -141,7 +146,7 @@ def dropout_keep(
     two per word, and is kept where u >= round(p * 2**32) (capped at
     2**32 - 1), so the keep probability is 1 - p to within 2**-32 and n
     elements advance the stream by ceil(n/2) words. A boolean `gate` of the
-    same shape is ANDed in; forward_batch passes a > 0, so one mask applies
+    same shape is ANDed in; _relu_dropout passes c > 0, so one mask applies
     ReLU and dropout together.
     """
     if not 0.0 <= p < 1.0:
@@ -235,8 +240,10 @@ def stats_pool_backward(
     grad_out: np.ndarray,
     offsets: np.ndarray | None = None,
     pooled: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Backward of stats_pool: grad_out (2D,) -> grad_h (T, D).
+    """Backward of stats_pool: grad_out (2D,) -> grad_h (T, D), into `out`
+    (which may be `h`) when given.
 
     With segment `offsets`, grad_out is (B, 2D). `pooled` is the forward
     result, whose mean | std rows are reused; without it they are computed
@@ -249,7 +256,7 @@ def stats_pool_backward(
     grad_out = grad_out.reshape(len(lengths), -1)
     pooled = pooled.reshape(len(lengths), -1)
     d = h.shape[1]
-    grad_h = np.empty_like(h)
+    grad_h = np.empty_like(h) if out is None else out
     for first, stop in _segment_groups(lengths, d, h.itemsize):
         t = lengths[first:stop]
         t_col = t[:, None].astype(h.dtype)
@@ -438,14 +445,13 @@ class Stack:
 
 @dataclass
 class ForwardCache:
-    """What backward reads of one batched forward pass. Every array but
-    `offsets` and the keep masks has the net's dtype."""
+    """What backward reads of one batched forward pass, which backward_batch
+    consumes. Every array but `offsets` has the net's dtype."""
 
     x: np.ndarray           # stacked input (sum T, D)
     h1: np.ndarray          # adaptor1 after ReLU/dropout, in its output's buffer
     h2: np.ndarray
-    mask1: np.ndarray | None  # bool: ReLU gate AND dropout keep; None without dropout
-    mask2: np.ndarray | None
+    dropout: bool           # dropout applied: h = a * keep * s, not relu(a)
     offsets: np.ndarray     # segment boundaries into the stacked rows
     pooled: np.ndarray      # (B, 2 * hidden_dim): mean | std, reused by backward
     out: np.ndarray         # final output (B, out_dim)
@@ -459,29 +465,30 @@ def _dropout_scale(net: AdaptorNet) -> np.ndarray:
 
 def _relu_dropout(
     net: AdaptorNet, a: np.ndarray, drop: bool, rng: np.random.Generator | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """ReLU, then dropout when `drop`, written over `a`: returns (h, keep),
-    h being `a` itself. With dropout, keep is the ReLU gate AND the dropout
-    keep mask, and h = a * keep * s with s = 1/(1-p) in the net's dtype."""
+) -> np.ndarray:
+    """ReLU, then dropout when `drop`, over `a`, which it returns. Dropout
+    draws dropout_keep gated by c > 0 for each RELU_DROPOUT_CHUNK elements c
+    in order: the bytes and stream position of one whole-array draw."""
     if not drop:
-        return np.maximum(a, 0.0, out=a), None
-    keep = dropout_keep(a.shape, net.dropout_p, rng, gate=a > 0.0)
-    a *= keep
-    a *= _dropout_scale(net)
-    return a, keep
+        return np.maximum(a, 0.0, out=a)
+    flat = a.reshape(-1)
+    for start in range(0, flat.size, RELU_DROPOUT_CHUNK):
+        c = flat[start : start + RELU_DROPOUT_CHUNK]
+        c *= dropout_keep(c.shape, net.dropout_p, rng, gate=c > 0.0)
+        c *= _dropout_scale(net)
+    return a
 
 
 def _relu_dropout_backward(
-    net: AdaptorNet, h: np.ndarray, keep: np.ndarray | None, grad_h: np.ndarray
+    net: AdaptorNet, gate: np.ndarray, grad_h: np.ndarray, drop: bool
 ) -> np.ndarray:
-    """dL/da from dL/dh; overwrites grad_h when there is a keep mask.
-
-    grad_h * keep * s equals grad_h * dropout_mask bit for bit: x * 1 is x,
-    and x * 0 is a zero of x's sign (or x's NaN), which s keeps."""
-    if keep is None:
-        return relu_backward(h, grad_h)
-    grad_h *= keep
-    grad_h *= _dropout_scale(net)
+    """dL/da from dL/dh, written over grad_h: grad_h * gate, times s when
+    `drop`, `gate` being h > 0 (the keep mask). That equals grad_h times
+    dropout_mask bit for bit: x * 1 is x, and x * 0 is a zero of x's sign
+    (or x's NaN), which s keeps."""
+    grad_h *= gate
+    if drop:
+        grad_h *= _dropout_scale(net)
     return grad_h
 
 
@@ -502,8 +509,8 @@ def forward_batch(
         raise EmptyInputError("sequences must have T >= 1")
 
     drop = training and net.dropout_p > 0.0
-    h1, mask1 = _relu_dropout(net, linear_forward(net.layers["adaptor1"], x), drop, rng)
-    h2, mask2 = _relu_dropout(net, linear_forward(net.layers["adaptor2"], h1), drop, rng)
+    h1 = _relu_dropout(net, linear_forward(net.layers["adaptor1"], x), drop, rng)
+    h2 = _relu_dropout(net, linear_forward(net.layers["adaptor2"], h1), drop, rng)
 
     pooled = stats_pool(h2, offsets)
     out = linear_forward(net.layers["head"], pooled)
@@ -513,7 +520,7 @@ def forward_batch(
         norms = np.maximum(np.linalg.norm(out, axis=1, keepdims=True), 1e-12)
         out = out / norms
     return ForwardCache(
-        x=x, h1=h1, h2=h2, mask1=mask1, mask2=mask2,
+        x=x, h1=h1, h2=h2, dropout=drop,
         offsets=offsets, pooled=pooled, out=out, norms=norms,
     )
 
@@ -522,7 +529,9 @@ def backward_batch(
     net: AdaptorNet, cache: ForwardCache, grad_out: np.ndarray
 ) -> np.ndarray:
     """Gradient of a scalar loss w.r.t. all parameters, in the layout of
-    `net.flat`, given dL/d out, which is cast to the net's dtype first."""
+    `net.flat`, given dL/d out, which is cast to the net's dtype first. It
+    consumes the cache: dL/da2 goes over h2 and dL/da1 over h1, each once
+    all that reads the activation (its gate, adaptor2's gradient) has."""
     grad_out = np.asarray(grad_out, dtype=net.dtype)
     if net.normalize_output:
         # z = y / ||y||; dy = (dz - z (z . dz)) / ||y||
@@ -535,16 +544,18 @@ def backward_batch(
     grad = np.empty_like(net.flat)
     g = net.named(grad)
     *_, grad_pooled = linear_backward(
-        net.layers["head"], cache.pooled, grad_raw, out=(g["head.weight"], g["head.bias"])
+        net.layers["head"], cache.pooled, grad_raw, out=(g["head.weight"], g["head.bias"], None)
     )
 
-    grad_h2 = stats_pool_backward(cache.h2, grad_pooled, cache.offsets, cache.pooled)
+    gate = cache.h2 > 0.0
+    grad_h2 = stats_pool_backward(cache.h2, grad_pooled, cache.offsets, cache.pooled, out=cache.h2)
+    grad_a2 = _relu_dropout_backward(net, gate, grad_h2, cache.dropout)
 
-    grad_a2 = _relu_dropout_backward(net, cache.h2, cache.mask2, grad_h2)
+    gate = np.greater(cache.h1, 0.0, out=gate)  # h1 has h2's shape
     *_, grad_h1 = linear_backward(
-        net.layers["adaptor2"], cache.h1, grad_a2, out=(g["adaptor2.weight"], g["adaptor2.bias"])
+        net.layers["adaptor2"], cache.h1, grad_a2,
+        out=(g["adaptor2.weight"], g["adaptor2.bias"], cache.h1),
     )
-
-    grad_a1 = _relu_dropout_backward(net, cache.h1, cache.mask1, grad_h1)
+    grad_a1 = _relu_dropout_backward(net, gate, grad_h1, cache.dropout)
     linear_param_grads(cache.x, grad_a1, out=(g["adaptor1.weight"], g["adaptor1.bias"]))
     return grad

@@ -196,7 +196,8 @@ def fit(
     and its gradient w.r.t. the output; a non-finite loss raises
     TrainingDivergedError carrying the completed epochs' rows. The optimizer
     (lr and weight decay of `cfg`, `decoupled` or not) steps the net's one
-    flat parameter array, named `stage`."""
+    flat parameter array, named `stage`. A step's batch, cache and output
+    gradient are released before the next batch is drawn."""
     params = {stage: net.flat}
     opt = init_optimizer(
         params, lr=cfg.lr, weight_decay=cfg.weight_decay, decoupled=decoupled
@@ -213,6 +214,7 @@ def fit(
                 )
             optimizer_step(params, {stage: backward_batch(net, cache, grad_out)}, opt)
             epoch_losses.append(value)
+            del seqs, target, cache, grad_out  # one step alive at a time
         history.append(
             {
                 "epoch": epoch,
@@ -367,6 +369,7 @@ def train_stage2(
             if len(idx) >= 2:
                 batch = build_batch(source, labels, idx, s2cfg.augment, aug_rng)
                 yield batch.views, batch
+                del batch  # freed before the next batch is built
 
     # Every view's sibling is among its positives, so no anchor is ever
     # skipped; the count stays in the history as a health record.

@@ -136,7 +136,7 @@ class TestDropout:
         net = self._net()
         seqs = [np.random.default_rng(1).normal(size=(5, 4))]
         cache = forward_batch(net, stack_of(seqs), training=False, rng=None)
-        assert cache.mask1 is None and cache.mask2 is None
+        assert not cache.dropout
         a1 = linear_forward(net.layers["adaptor1"], cache.x)
         a2 = linear_forward(net.layers["adaptor2"], cache.h1)
         assert np.array_equal(cache.h1, relu(a1))
@@ -209,6 +209,8 @@ class TestFusedDropout:
         monkeypatch.setattr(nn, "relu", None)
         monkeypatch.setattr(nn, "relu_backward", None)
         cache = forward_batch(net, stack_of(seqs), training=True, rng=np.random.default_rng(5))
+        # backward_batch consumes the cache, so its fields are read first
+        forward = {name: getattr(cache, name).copy() for name in ("h1", "h2", "pooled", "out")}
         grads = net.named(backward_batch(net, cache, grad_out))
         monkeypatch.undo()
 
@@ -223,7 +225,7 @@ class TestFusedDropout:
         pooled = stats_pool(h2, cache.offsets)
         out = linear_forward(layers["head"], pooled)
         for name, ref in {"h1": h1, "h2": h2, "pooled": pooled, "out": out}.items():
-            assert np.array_equal(getattr(cache, name), ref), name
+            assert np.array_equal(forward[name], ref), name
 
         gw3, gb3, grad_pooled = linear_backward(layers["head"], pooled, grad_out)
         grad_h2 = stats_pool_backward(h2, grad_pooled, cache.offsets, pooled)
@@ -251,16 +253,20 @@ class TestFusedDropout:
 
 
 class TestInPlaceActivations:
-    """ReLU and dropout overwrite the linear output, and training keeps a
-    boolean keep mask; forward and backward equal the float multiplier of
-    dropout_mask bit for bit."""
+    """ReLU and dropout overwrite the linear output and keep no mask:
+    backward reads its gate as h > 0. Forward and backward equal the float
+    multiplier of dropout_mask bit for bit."""
 
-    SPECIALS = np.array([-1.5, -0.0, 0.0, np.nan, 2.5, -3e-8])
+    SPECIALS = np.array(
+        [-1.5, -0.0, 0.0, np.nan, 2.5, -3e-8, np.inf, -np.inf,
+         1e-40, 5e-324],  # subnormal in float32, in float64
+    )
 
-    def _values(self, dtype, seed):
-        """Normal draws with negatives, +-0.0 and NaN planted at random."""
+    def _values(self, dtype, seed, shape=(40, 24)):
+        """Normal draws with negatives, +-0.0, +-inf, subnormals and NaN
+        planted at random."""
         rng = np.random.default_rng(seed)
-        values = rng.standard_normal((40, 24)).astype(dtype)
+        values = rng.standard_normal(shape).astype(dtype)
         flat = values.reshape(-1)
         flat[rng.choice(flat.size, 120, replace=False)] = np.resize(self.SPECIALS, 120)
         return values
@@ -270,25 +276,47 @@ class TestInPlaceActivations:
     def test_keep_mask_equals_the_multiplier(self, dtype, p):
         net = build_net(feat_dim=4, seed_or_rng=0, hidden_dim=24, dropout_p=p, dtype=dtype)
         a, grad_h = self._values(dtype, 1), self._values(dtype, 2)
+        keep = nn.dropout_keep(a.shape, p, np.random.default_rng(3), gate=a > 0.0)
         mask = dropout_mask(a.shape, p, np.random.default_rng(3), dtype, gate=a > 0.0)
         buffer, grad_buffer = a.copy(), grad_h.copy()
-        h, keep = nn._relu_dropout(net, buffer, True, np.random.default_rng(3))
-        grad_a = nn._relu_dropout_backward(net, h, keep, grad_buffer)
+        with np.errstate(invalid="ignore"):  # inf * 0
+            h = nn._relu_dropout(net, buffer, True, np.random.default_rng(3))
+            grad_a = nn._relu_dropout_backward(net, h > 0.0, grad_buffer, True)
+            want_h, want_grad = a * mask, grad_h * mask
         assert h is buffer and grad_a is grad_buffer
-        assert keep.dtype == bool and np.array_equal(keep, mask != 0.0)
-        assert h.dtype == dtype and h.tobytes() == (a * mask).tobytes()
-        assert grad_a.dtype == dtype and grad_a.tobytes() == (grad_h * mask).tobytes()
+        assert np.array_equal(h > 0.0, keep) and np.array_equal(keep, mask != 0.0)
+        assert h.dtype == dtype and h.tobytes() == want_h.tobytes()
+        assert grad_a.dtype == dtype and grad_a.tobytes() == want_grad.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_in_place_and_its_gradient_from_h(self, dtype):
         net = build_net(feat_dim=4, seed_or_rng=0, hidden_dim=24, dtype=dtype)
         a, grad_h = self._values(dtype, 4), self._values(dtype, 5)
         buffer = a.copy()
-        h, keep = nn._relu_dropout(net, buffer, False, None)
-        assert h is buffer and keep is None
+        h = nn._relu_dropout(net, buffer, False, None)
+        assert h is buffer
         assert h.tobytes() == relu(a).tobytes()
-        grad_a = nn._relu_dropout_backward(net, h, None, grad_h)
-        assert grad_a.tobytes() == relu_backward(a, grad_h).tobytes()
+        with np.errstate(invalid="ignore"):  # inf * 0
+            grad_a = nn._relu_dropout_backward(net, h > 0.0, grad_h.copy(), False)
+            want = relu_backward(a, grad_h)
+        assert grad_a.tobytes() == want.tobytes()
+
+    C = nn.RELU_DROPOUT_CHUNK
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape", [(C - 2,), (C,), (C + 2,), (3 * C + 6,), (2 * C // 7 | 1, 7)],
+        ids=["chunk-2", "chunk", "chunk+2", "3chunk+6", "odd-width-odd-total"],
+    )
+    def test_chunks_equal_one_whole_array_draw(self, shape, dtype):
+        net = build_net(feat_dim=4, seed_or_rng=0, hidden_dim=8, dropout_p=0.3, dtype=dtype)
+        a = self._values(dtype, 7, shape)
+        drawn, ref = np.random.default_rng(9), np.random.default_rng(9)
+        with np.errstate(invalid="ignore"):  # inf * 0
+            h = nn._relu_dropout(net, a.copy(), True, drawn)
+            want = a * dropout_mask(a.shape, 0.3, ref, dtype, gate=a > 0.0)
+        assert h.tobytes() == want.tobytes()
+        assert drawn.bit_generator.random_raw() == ref.bit_generator.random_raw()
 
     def test_training_cache_holds_no_pre_activations(self):
         from dataclasses import fields
@@ -297,30 +325,38 @@ class TestInPlaceActivations:
         rng = np.random.default_rng(6)
         seqs = [rng.standard_normal((t, 4)) for t in (5, 9, 3)]
         cache = forward_batch(net, stack_of(seqs), training=True, rng=rng)
-        assert not {f.name for f in fields(cache)} & {"a1", "a2"}
-        for h, keep in ((cache.h1, cache.mask1), (cache.h2, cache.mask2)):
-            assert keep.dtype == bool and keep.shape == h.shape
-            assert np.all(h >= 0.0) and not np.any(h[~keep])
+        assert not {f.name for f in fields(cache)} & {"a1", "a2", "mask1", "mask2"}
+        assert cache.dropout
+        for h in (cache.h1, cache.h2):
+            assert np.all(h >= 0.0) and 0 < np.count_nonzero(h) < h.size
+
+    # A float32 stage-2 batch: 128 views, 2137 rows, H 320, 128 outputs.
+    ROWS, VIEWS, FEAT, HIDDEN, EMBED = 2137, 128, 16, 320, 128
+    LAYER_BYTES = ROWS * HIDDEN * np.dtype(np.float32).itemsize
+
+    def _stage2_step(self, seed):
+        """A stage-2-shaped projector and one batch: (net, stack, grad_out)."""
+        rng = np.random.default_rng(seed)
+        net = build_net(
+            self.FEAT, 0, hidden_dim=self.HIDDEN, out_dim=self.EMBED, dropout_p=0.1,
+            normalize_output=True, dtype=np.float32,
+        )
+        cuts = np.sort(rng.choice(np.arange(1, self.ROWS), self.VIEWS - 1, replace=False))
+        stack = nn.Stack(
+            rng.standard_normal((self.ROWS, self.FEAT)).astype(np.float32),
+            np.concatenate([[0], cuts, [self.ROWS]]),
+        )
+        return net, stack, rng.standard_normal((self.VIEWS, self.EMBED)).astype(np.float32)
 
     def test_training_step_live_memory(self):
         """One float32 training forward + backward at a stage-2 batch shape
-        (128 views, 2137 rows, H 320) peaks below six hidden-layer arrays
-        of live memory: the cache keeps h1, h2 and two one-byte keep masks,
-        and backward adds grad_h2 and grad_h1. A cache that also keeps the
-        pre-activations and float masks peaks at about 8.6."""
+        peaks below 3.5 hidden-layer arrays of live memory: the cache keeps
+        h1 and h2, ReLU-dropout draws in chunks, backward writes its
+        gradients over h2 and h1 and holds one boolean gate at a time. With
+        full-size keep masks and gradient buffers it peaks at about 5.1."""
         import tracemalloc
 
-        rows, views, d, hidden, embed = 2137, 128, 16, 320, 128
-        rng = np.random.default_rng(0)
-        net = build_net(
-            d, 0, hidden_dim=hidden, out_dim=embed, dropout_p=0.1,
-            normalize_output=True, dtype=np.float32,
-        )
-        cuts = np.sort(rng.choice(np.arange(1, rows), views - 1, replace=False))
-        stack = nn.Stack(
-            rng.standard_normal((rows, d)).astype(np.float32), np.concatenate([[0], cuts, [rows]])
-        )
-        grad_out = rng.standard_normal((views, embed)).astype(np.float32)
+        net, stack, grad_out = self._stage2_step(0)
         drop_rng = np.random.default_rng(1)
         tracemalloc.start()
         try:
@@ -329,7 +365,36 @@ class TestInPlaceActivations:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6 * rows * hidden * np.dtype(np.float32).itemsize
+        assert peak < 3.5 * self.LAYER_BYTES
+
+    def test_fit_holds_one_step_at_a_time(self):
+        """Three stage-2-shaped steps through pipeline.fit stay under the
+        one-step bound: a step's cache, gradient and batch are gone before
+        the next batch is drawn. Traced from the first batch on, so the
+        optimizer moments made before it are not counted; each step's
+        parameter gradient is. Holding the previous step reads about 6.8."""
+        import tracemalloc
+
+        from sevreg.config import Stage2Config
+        from sevreg.pipeline import fit
+
+        net, stack, grad_out = self._stage2_step(0)
+        steps = [stack] + [self._stage2_step(seed)[1] for seed in (1, 2)]
+
+        def batches():
+            tracemalloc.start()
+            while steps:
+                yield steps.pop(0), None
+
+        try:
+            fit(
+                net, Stage2Config(epochs=1), batches, lambda out, _: (0.0, grad_out),
+                lambda epoch: {}, np.random.default_rng(1), "stage-2", decoupled=True,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * self.LAYER_BYTES
 
 
 class TestStatsPool:
@@ -610,8 +675,8 @@ class TestFlatLayout:
 
 
 class TestDtype:
-    """A net keeps its dtype through a training step: activations, masks,
-    pooled statistics, output, gradients and the optimizer moments."""
+    """A net keeps its dtype through a training step: activations, pooled
+    statistics, output, gradients and the optimizer moments."""
 
     @staticmethod
     def _step(dtype, projector):
@@ -640,35 +705,33 @@ class TestDtype:
             targets = np.array([1.0, 2.5, 4.0, 6.0])  # float64 labels
             _, dpred = huber_loss_batch(cache.out[:, 0], targets, 0.5)
             grad_out = dpred[:, None]
+        # backward_batch consumes the cache, so its dtypes are read first
+        arrays = {
+            f"cache.{f.name}": np.dtype(getattr(cache, f.name).dtype)
+            for f in fields(cache)
+            if f.name not in ("offsets", "dropout") and getattr(cache, f.name) is not None
+        }
         opt = init_optimizer({"net": net.flat}, lr=1e-3, weight_decay=0.01)
         grad = backward_batch(net, cache, grad_out)
         optimizer_step({"net": net.flat}, {"net": grad}, opt)
         grads = net.named(grad)
-        arrays = {
-            f"cache.{f.name}": getattr(cache, f.name)
-            for f in fields(cache)
-            if f.name != "offsets" and getattr(cache, f.name) is not None
-        }
-        arrays.update({f"grad.{k}": v for k, v in grads.items()})
-        arrays.update({f"param.{k}": v for k, v in net.param_arrays().items()})
-        arrays.update({f"m.{k}": v for k, v in opt.m.items()})
-        arrays.update({f"v.{k}": v for k, v in opt.v.items()})
+        arrays.update({f"grad.{k}": v.dtype for k, v in grads.items()})
+        arrays.update({f"param.{k}": v.dtype for k, v in net.param_arrays().items()})
+        arrays.update({f"m.{k}": v.dtype for k, v in opt.m.items()})
+        arrays.update({f"v.{k}": v.dtype for k, v in opt.v.items()})
         return net, arrays
 
     @pytest.mark.parametrize("projector", [False, True], ids=["regression", "stage-2"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_step_keeps_the_net_dtype(self, dtype, projector):
-        net, arrays = self._step(dtype, projector)
+        net, dtypes = self._step(dtype, projector)
         assert net.dtype == dtype
-        expected = {"x", "h1", "h2", "mask1", "mask2", "pooled", "out"}
+        expected = {"x", "h1", "h2", "pooled", "out"}
         if projector:
             expected.add("norms")
-        assert {k[len("cache."):] for k in arrays if k.startswith("cache.")} == expected
-        assert len([k for k in arrays if k.startswith(("m.", "v."))]) == 2
-        masks = {"cache.mask1", "cache.mask2"}
-        assert {k: arrays[k].dtype for k in masks} == {k: np.dtype(bool) for k in masks}
-        floats = {k: a.dtype for k, a in arrays.items() if k not in masks}
-        assert floats == {k: np.dtype(dtype) for k in floats}
+        assert {k[len("cache."):] for k in dtypes if k.startswith("cache.")} == expected
+        assert len([k for k in dtypes if k.startswith(("m.", "v."))]) == 2
+        assert dtypes == {k: np.dtype(dtype) for k in dtypes}
 
     def test_init_draws_do_not_depend_on_dtype(self):
         wide = build_net(feat_dim=4, seed_or_rng=3, hidden_dim=8)
@@ -722,11 +785,13 @@ class TestStackedViews:
         caches, grads = [], []
         for views in (batch.views, stack_of(list(batch.views))):
             cache = forward_batch(net, views, training=True, rng=np.random.default_rng(23))
-            caches.append(cache)
+            # copies of the fields, which backward_batch consumes
+            caches.append({f.name: np.array(getattr(cache, f.name)) for f in fields(cache)})
             grads.append(net.named(backward_batch(net, cache, grad_out)))
-        for f in fields(caches[0]):
-            a, b = getattr(caches[0], f.name), getattr(caches[1], f.name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        assert caches[0].keys() == caches[1].keys()
+        for name, a in caches[0].items():
+            b = caches[1][name]
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert grads[0].keys() == grads[1].keys()
         for k in grads[0]:
             assert np.array_equal(grads[0][k], grads[1][k]), k
