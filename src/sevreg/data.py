@@ -305,7 +305,7 @@ def load_corpus(directory: str | Path) -> Corpus:
                 f"manifest {path} lists {len(fields)} utterances, {features} holds {len(rows)}"
             )
         return make_corpus(manifest["name"], rows, *zip(*fields))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         if isinstance(exc, SevregError):  # a corrupt feature file or a bad value
             raise
         raise FeatureFormatError(
@@ -328,13 +328,15 @@ def _byte_offset(exc: Exception) -> int | None:
 
 
 def normalize_frames(h: np.ndarray) -> np.ndarray:
-    """Scale each row of a (T, D) matrix to unit L2 norm; zero rows stay zero.
-    Idempotent."""
+    """Scale each row of a writable float (T, D) matrix to unit L2 norm in
+    place and return it; zero rows stay zero. Idempotent. Corpus.stack hands
+    it the fresh float64 cast of each gather, so no second copy is made."""
     if h.ndim != 2 or h.shape[0] < 1:
         raise EmptyInputError(f"normalize_frames needs (T>=1, D), got {h.shape}")
     norms = np.linalg.norm(h, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return h / norms
+    h /= norms
+    return h
 
 
 # ---------------------------------------------------------------------------

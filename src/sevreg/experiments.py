@@ -188,10 +188,12 @@ class Stages:
         if not self.has_stage2:
             return None
         cfg = self.cfg
-        mixed = build_stage2_corpus(
-            self.train, pool, self.corpora["typical"] if cfg.ablation.use_typical else None
+        typical = self.corpora["typical"] if cfg.ablation.use_typical else None
+        # unnamed, so train_stage2 frees the mix's stored rows once normalised
+        return train_stage2(
+            build_stage2_corpus(self.train, pool, typical),
+            cfg.model, cfg.stage2, self.seed, cfg.strategy,
         )
-        return train_stage2(mixed, cfg.model, cfg.stage2, self.seed, cfg.strategy)
 
     def final(self, stage2: Callable[[], AdaptorNet]) -> StageResult:
         """The evaluated model: a fine-tune from the trunk of the net `stage2`

@@ -51,7 +51,11 @@ ROLE_STAGE2_AUGMENT = 4
 ROLE_STAGE2_DROPOUT = 5
 
 SCORE_MIN, SCORE_MAX = 1.0, 7.0
-EVAL_CHUNK = 256  # utterances per eval-mode forward
+# Utterances per eval-mode forward. A chunk's cache holds h1 and h2 at its
+# row count: on the default corpora at most 2,409 rows, about one stage-2
+# step (2,137 rows). Twice as many (up to 4,732 rows, a 12.1 MB pair at
+# H 320) would make evaluation hold the largest arrays of a run.
+EVAL_CHUNK = 128
 
 CKPT_MAGIC = b"DSQC"
 CKPT_VERSION = 2
@@ -328,7 +332,8 @@ def build_stage2_corpus(
     labeled: Corpus, pseudo: Corpus | None, typical: Corpus | None
 ) -> Corpus:
     """Concatenate the pretraining pools, preserving provenance: the one
-    copy of their stored rows, which train_stage2 normalises once.
+    copy of their stored rows, which train_stage2 normalises once and then
+    drops.
 
     Dropping `typical` or `pseudo` yields the corresponding data ablations.
     """
@@ -350,7 +355,9 @@ def train_stage2(
 ) -> StageResult:
     """Train the projector for exactly s2cfg.epochs; final weights returned
     (longer training degrades, so there is no model selection). Each epoch
-    is one shuffle of the corpus; a last batch of one source is dropped."""
+    is one shuffle of the corpus; a last batch of one source is dropped.
+    Only the normalised rows, the labels and the length of `mixed` are kept
+    past the start."""
     pairing = s2cfg.pairing.spec(strategy)
     pairing.validate()
     labels = mixed.labels
@@ -358,13 +365,14 @@ def train_stage2(
         raise ParameterError("weakly supervised pairing needs labels on every sample")
 
     net = seeded_net(model_cfg, mixed, seed, projector=True)
-    source = mixed.stack()
+    source, n = mixed.stack(), len(mixed)
+    del mixed  # a caller that binds no name frees the stored rows here
     order_rng = role_rng(seed, ROLE_STAGE2_ORDER)
     aug_rng = role_rng(seed, ROLE_STAGE2_AUGMENT)
 
     def batches():
-        order = order_rng.permutation(len(mixed))
-        for start in range(0, len(mixed), s2cfg.batch_size):
+        order = order_rng.permutation(n)
+        for start in range(0, n, s2cfg.batch_size):
             idx = order[start : start + s2cfg.batch_size]
             if len(idx) >= 2:
                 batch = build_batch(source, labels, idx, s2cfg.augment, aug_rng)

@@ -290,8 +290,18 @@ class TestNormalize:
         rng = np.random.default_rng(seed)
         h = rng.standard_normal((3, 4)) * rng.uniform(0.1, 100)
         once = normalize_frames(h)
-        twice = normalize_frames(once)
+        twice = normalize_frames(once.copy())
         assert np.max(np.abs(once - twice)) < 1e-12
+
+    def test_in_place(self):
+        h = np.array([[3.0, 4.0], [0.0, 0.0]])
+        assert normalize_frames(h) is h
+        assert np.array_equal(h, [[0.6, 0.8], [0.0, 0.0]])
+
+    def test_same_bytes_as_a_division_into_a_new_array(self):
+        h = np.random.default_rng(3).standard_normal((1000, 16)) * 7.0
+        expected = h / np.linalg.norm(h, axis=1, keepdims=True)
+        assert normalize_frames(h).tobytes() == expected.tobytes()
 
     def test_one_call_per_corpus_equals_one_per_utterance(self):
         for name, corpus in build_world(WorldConfig()).items():

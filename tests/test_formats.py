@@ -1,6 +1,7 @@
 """The shared framing of DSQF, DSQC and DSQE files: one error convention, and
 no corrupt file gets past its reader as anything but FeatureFormatError."""
 
+import json
 import struct
 
 import numpy as np
@@ -175,3 +176,19 @@ def huge_count_checkpoint() -> bytes:
 def test_empty_embedding_dump_rejected_on_write(tmp_path):
     with pytest.raises(EmptyInputError):
         write_embeddings(tmp_path / "e.dsqe", np.zeros((0, 4)), [], [])
+
+
+def test_deeply_nested_manifest_exits_1(tmp_path, capsys):
+    """A manifest nested past the JSON parser's recursion limit is a format
+    error (exit 1), as deep checkpoint metadata or a deep history.json is,
+    not a runtime failure (exit 2)."""
+    from sevreg.cli import CORPUS_NAMES, main
+
+    for name in CORPUS_NAMES:
+        (tmp_path / "data" / name).mkdir(parents=True)
+        (tmp_path / "data" / name / "manifest.json").write_text("[" * 200_000 + "]" * 200_000)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": {"root": str(tmp_path / "data")}}))
+    assert main(["run-all", "--config", str(config), "run_root=" + str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err and "corrupt corpus manifest" in err

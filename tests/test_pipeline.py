@@ -36,7 +36,7 @@ from sevreg.pipeline import (
 )
 from sevreg.evaluation import read_embeddings
 from sevreg.experiments import split_labeled
-from sevreg.nn import build_net, forward_batch
+from sevreg.nn import Stack, build_net, forward_batch
 from sevreg.synthetic import WorldConfig, build_world
 
 SMALL_WORLD = WorldConfig(
@@ -205,6 +205,41 @@ class TestPredict:
         finally:
             tracemalloc.stop()
         assert peak < 3 * chunk_rows * net.hidden_dim * net.dtype.itemsize
+
+    def test_no_chunk_outgrows_a_stage2_step(self):
+        """On every default corpus predict peaks below the live memory of
+        one default stage-2 training step (2,137 rows, 128 views, H 320):
+        no evaluation chunk is larger than a step. At 256 utterances a chunk
+        reached 4,732 rows, and its h1/h2 pair alone was 12.1 MB."""
+        import tracemalloc
+
+        from sevreg.nn import backward_batch
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rows, views, model, world = 2137, 128, ModelConfig(), WorldConfig()
+        rng = np.random.default_rng(0)
+        cuts = np.sort(rng.choice(np.arange(1, rows), views - 1, replace=False))
+        batch = Stack(
+            rng.standard_normal((rows, world.feat_dim)), np.concatenate([[0], cuts, [rows]])
+        )
+        projector = build_net(
+            world.feat_dim, 0, hidden_dim=model.hidden_dim, out_dim=model.embed_dim,
+            dropout_p=model.dropout, normalize_output=True, dtype=pipeline.NET_DTYPE,
+        )
+        grad_out = rng.standard_normal((views, model.embed_dim))
+        step = traced_peak(lambda: backward_batch(
+            projector, forward_batch(projector, batch, training=True, rng=rng), grad_out
+        ))
+        for name, corpus in build_world(world).items():
+            net = pipeline.seeded_net(model, corpus, seed=0)
+            assert traced_peak(lambda: predict(net, corpus)) < step, name
 
     def test_projector_rejected(self, splits):
         _, _, test = splits

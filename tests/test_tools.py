@@ -4,6 +4,7 @@ benchmark and no oracle run here."""
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,6 +48,42 @@ class TestVerdict:
     def test_a_parent_spread_wider_than_the_bound_is_not_resolvable(self):
         parent = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
         assert not bench_compare.verdict(parent, parent, "lower", 0.25)["resolvable"]
+
+
+class TestExitStatus:
+    """bench_compare.py's exit status over the records of synthetic runs:
+    compare() drives a stand-in for run_bench that runs nothing."""
+
+    def comparison(self, monkeypatch, tmp_path, records):
+        queue = list(records)
+
+        def fake_run(tarball, dest, workload, seed, seconds):
+            correct, digests = queue.pop(0)
+            return {"returncode": 0 if correct else 1, "correct": correct, "wall_s": 0.0,
+                    "metrics": {"pass_s": 1.0}, "digests": digests}
+
+        monkeypatch.setattr(bench_compare, "run_bench", fake_run)
+        args = SimpleNamespace(pairs=len(records) // 2, workload="w", seed=0, seconds=1.0)
+        return bench_compare.compare(args, {"parent": b"", "change": b""}, tmp_path)
+
+    def test_same_digests_exit_0(self, monkeypatch, tmp_path):
+        c = self.comparison(monkeypatch, tmp_path, [(True, {"a": "1"})] * 4)
+        assert c["digests_equal"]
+        assert bench_compare.exit_status(c, same_bytes=True) == 0
+
+    def test_differing_digests_exit_1_only_with_same_bytes(self, monkeypatch, tmp_path):
+        records = [(True, {"a": "1"})] * 3 + [(True, {"a": "2"})]
+        c = self.comparison(monkeypatch, tmp_path, records)
+        assert not c["digests_equal"]
+        assert bench_compare.exit_status(c, same_bytes=True) == 1
+        assert bench_compare.exit_status(c, same_bytes=False) == 0
+
+    @pytest.mark.parametrize("same_bytes", [False, True])
+    def test_a_failed_run_exits_1(self, monkeypatch, tmp_path, same_bytes):
+        records = [(True, {"a": "1"})] * 3 + [(False, None)]
+        c = self.comparison(monkeypatch, tmp_path, records)
+        assert c["digests_equal"] and c["correct"] == {"parent": 1, "change": 2}
+        assert bench_compare.exit_status(c, same_bytes) == 1
 
 
 class TestManifestCheck:

@@ -25,6 +25,11 @@ the medians differ by more than the parent's interquartile range; else
 than the parent's by more than the metric's bound in BENCHMARK.json.
 `resolvable` is false where the parent's own IQR exceeds that bound. With
 an existing `--out` file the comparison is appended to its list.
+
+The exit status is 1 when any run failed or reported `correct: false`, and
+with `--same-bytes` also when the digests of any two correct runs differ,
+as a change that claims byte-identical output requires; else 0. The output
+file is written either way.
 """
 
 from __future__ import annotations
@@ -179,7 +184,16 @@ def compare(args, tarballs: dict, work: Path) -> dict:
     }
 
 
-def main() -> None:
+def exit_status(comparison: dict, same_bytes: bool) -> int:
+    """1 when a run failed, or with `same_bytes` when two correct runs'
+    digests differ; else 0."""
+    runs = [r for side in comparison["runs"].values() for r in side]
+    if any(r["returncode"] != 0 or not r["correct"] for r in runs):
+        return 1
+    return int(same_bytes and not comparison["digests_equal"])
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="git ref (default HEAD)")
     parser.add_argument("--change", default=WORKTREE, help=f"git ref or {WORKTREE} (default)")
@@ -189,6 +203,8 @@ def main() -> None:
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--work", type=Path, help="where the copies go (default: a temp dir, removed)")
+    parser.add_argument("--same-bytes", action="store_true",
+                        help="exit 1 unless every correct run printed the same digests")
     args = parser.parse_args()
 
     (parent, parent_desc), (change, change_desc) = snapshot(args.parent), snapshot(args.change)
@@ -198,7 +214,8 @@ def main() -> None:
     finally:
         shutil.rmtree(work, ignore_errors=True)
     facts = {**machine_facts(), "cpus": os.cpu_count(), "python": sys.version.split()[0]}
-    comparison = {"parent": parent_desc, "change": change_desc, "machine": facts, **comparison}
+    comparison = {"parent": parent_desc, "change": change_desc, "machine": facts,
+                  "same_bytes": args.same_bytes, **comparison}
     report = json.loads(args.out.read_text()) if args.out.exists() else {"comparisons": []}
     report["comparisons"].append(comparison)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
@@ -209,7 +226,8 @@ def main() -> None:
     correct = comparison["correct"]
     print(f"correct runs: parent {correct['parent']}, change {correct['change']} of {args.pairs}; "
           f"digests equal: {comparison['digests_equal']}")
+    return exit_status(comparison, args.same_bytes)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
