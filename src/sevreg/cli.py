@@ -1,7 +1,9 @@
 """Command-line entry points for data generation, the three stages, and the
 experiment harnesses. The stage chain `stage1` -> `stage2` -> `stage3` ->
-`evaluate` runs run-all's steps for one seed, `cfg.seed`, in one run
-directory; each step reads the checkpoint the one before it left there.
+`evaluate` is run-all's walk for one seed, `cfg.seed`, cut short: each
+command makes its own step in the run directory from the checkpoint the one
+before it left there, and trains nothing else. `run-all`, `sweep-tau` and
+`ablate` take the whole walk, so a killed run resumes from what it saved.
 Exit codes: 0 success, 1 validation error, 2 runtime failure."""
 
 from __future__ import annotations
@@ -97,67 +99,29 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
     return 0
 
 
-def stage_runner(cfg: RunConfig) -> Stages:
-    """The stage commands run one seed, `cfg.seed`, by run-all's rules."""
-    return Stages(cfg, load_world(cfg), cfg.seed)
+# The one step each stage command makes.
+STAGE_STEPS = {"stage1": "stage1", "stage2": "stage2", "stage3": "final"}
 
 
-def cmd_stage1(cfg: RunConfig, args) -> int:
+def cmd_stage(cfg: RunConfig, args) -> int:
+    """run-all's walk over --run-dir cut short at this command's stage, which
+    is the one step it makes; the step before is loaded from --run-dir."""
     run_dir = output_dir(args.run_dir)
-    stages = stage_runner(cfg)
-    if not stages.pseudo_labels:
-        raise ConfigError(
-            "this config reads no stage-1 teacher or pseudo-labels (strategy 'baseline' "
-            "or 'simclr', ablation.skip_stage1, ablation.skip_stage2 or no ablation.use_pseudo)"
-        )
-    history = stages.read_history(run_dir)
-    result = stages.teacher().fit
+    step = STAGE_STEPS[args.command]
+    Stages(cfg, load_world(cfg), cfg.seed).run(run_dir, until=step, first=step)
     persist_config(cfg, run_dir)
-    stages.save(run_dir, {"stage1": result}, history)
-    stages.save_pool_histogram(run_dir, stages.pool())
-    print(f"stage1 checkpoint written to {run_dir / CHECKPOINTS['stage1']}")
-    return 0
-
-
-def cmd_stage2(cfg: RunConfig, args) -> int:
-    run_dir = output_dir(args.run_dir)
-    stages = stage_runner(cfg)
-    if not stages.has_stage2:
-        raise ConfigError(
-            "this config trains no stage 2 (strategy 'baseline' or ablation.skip_stage2)"
-        )
-    history = stages.read_history(run_dir)
-    if stages.pseudo_labels:
-        stages.load_teacher(run_dir)
-    pool = stages.pool()
-    result = stages.stage2(pool)
-    persist_config(cfg, run_dir)
-    stages.save(run_dir, {"stage2": result}, history)
-    stages.save_pool_histogram(run_dir, pool)
-    print(f"stage2 checkpoint written to {run_dir / CHECKPOINTS['stage2']}")
-    return 0
-
-
-def cmd_stage3(cfg: RunConfig, args) -> int:
-    run_dir = output_dir(args.run_dir)
-    stages = stage_runner(cfg)
-    history = stages.read_history(run_dir)
-    result = stages.final(lambda: stages.load(run_dir, "stage2"))
-    persist_config(cfg, run_dir)
-    stages.save(run_dir, {"final": result}, history)
-    print(f"final model written to {run_dir / CHECKPOINTS['final']}")
+    print(f"{args.command} checkpoint written to {run_dir / CHECKPOINTS[step]}")
     return 0
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     run_dir = output_dir(args.run_dir)
-    stages = stage_runner(cfg)
+    stages = Stages(cfg, load_world(cfg), cfg.seed)
     if args.checkpoint:
         net = net_from_checkpoint(load_checkpoint(Path(args.checkpoint)))
+        reports = stages.report(run_dir, net)
     else:
-        net = stages.load(run_dir, "final")
-    reports = stages.evaluate(net)
-    stages.save_report(run_dir, reports)
+        reports = stages.run(run_dir, until="report", first="report")
     write_results_csv(run_dir / "results.csv", stages.rows(reports))
     for r in reports:
         tag = " [FLAGGED: " + r.flag_reason + "]" if r.flagged else ""
@@ -227,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("gen-data", cmd_gen_data, "generate the synthetic corpora")
-    add("stage1", cmd_stage1, "train the teacher and pseudo-label the pool", run_dir=True)
-    add("stage2", cmd_stage2, "weakly supervised contrastive pretraining", run_dir=True)
-    add("stage3", cmd_stage3, "transfer weights and fine-tune", run_dir=True)
+    add("stage1", cmd_stage, "train the teacher and pseudo-label the pool", run_dir=True)
+    add("stage2", cmd_stage, "weakly supervised contrastive pretraining", run_dir=True)
+    add("stage3", cmd_stage, "transfer weights and fine-tune", run_dir=True)
 
     def eval_extra(p):
         p.add_argument("--checkpoint", help="model checkpoint (default run-dir/model.dsqc)")

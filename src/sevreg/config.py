@@ -128,6 +128,8 @@ class DataConfig:
             raise ConfigError(str(exc)) from exc
         if len(self.world.split) != 3:
             raise ConfigError("world.split needs 3 ratios")
+        if self.world.seed < 0:
+            raise ConfigError(f"data.world.seed must be >= 0, got {self.world.seed}")
 
 
 @dataclass
@@ -151,6 +153,12 @@ class RunConfig:
             )
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
+        if min(self.seed, *self.seeds) < 0:
+            raise ConfigError(
+                f"seed and seeds must be >= 0, got {self.seed} and {list(self.seeds)}"
+            )
         for section in (
             self.data, self.model, self.stage1, self.stage2, self.stage3,
             self.ablation,

@@ -1,9 +1,9 @@
 """Experiment flows: single runs, multi-seed runs, the temperature sweep,
-and the ablation harness, with one worker process per seed. These produce
-the run-directory artifacts; the files of a seed directory are written and
-read by `Stages` alone, for run-all and the CLI stage commands alike. The
-stage commands pseudo-label with the stage-1 checkpoint, loaded into the
-teacher memo where run-all keeps its fit (made only if stage 2 reads it)."""
+and the ablation harness, with one worker process per seed. A seed directory
+is written and read by one walk over its steps, `Stages.run`: each step
+loads what a run before left there or is made and saved, so a killed run
+resumes to the same bytes. run_single walks to the report; each CLI stage
+command walks to its own stage, the only one it makes."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 from .config import RunConfig, config_to_dict, run_id_for
 from .data import Corpus, atomic_write, label_histogram, split
 from .errors import ConfigError, FeatureFormatError
-from .evaluation import EvalReport, write_report_json, write_results_csv
+from .evaluation import RESULTS_COLUMNS, EvalReport, write_report_json, write_results_csv
 from .nn import AdaptorNet
 from .pipeline import (
     StageResult,
@@ -51,6 +51,16 @@ ABLATION_VARIANTS = (
 # The checkpoint each stage leaves in a seed directory. The keys, in this
 # order, are also the sections of its history.json.
 CHECKPOINTS = {"stage1": "stage1.dsqc", "stage2": "stage2.dsqc", "final": "model.dsqc"}
+
+# The steps of a seed directory in walk order, and the file that commits each.
+STEPS = {**CHECKPOINTS, "report": "report.json"}
+
+# Why a config takes no such step.
+NOT_TAKEN = {
+    "stage1": "this config reads no stage-1 teacher or pseudo-labels (strategy 'baseline' "
+    "or 'simclr', ablation.skip_stage1, ablation.skip_stage2 or no ablation.use_pseudo)",
+    "stage2": "this config trains no stage 2 (strategy 'baseline' or ablation.skip_stage2)",
+}
 
 # The config keys every stage reads, and those besides that made each stage's
 # checkpoint; a checkpoint recording other values belongs to another chain.
@@ -105,13 +115,13 @@ def teacher_key(resolved: dict, section: str, seed: int) -> str:
 
 
 class Stages:
-    """The stage steps of one (config, seed) run on a set of corpora. Both
-    run_single and the CLI stage commands call them, so every strategy and
-    ablation decision is made here, once.
+    """The steps of one (config, seed) run on a set of corpora, and the one
+    walk over them (`run`). Both run_single and the CLI stage commands walk
+    it, so every strategy and ablation decision is made here, once.
 
     `memo` shares teachers between runs on the same corpora: a fit with no
-    transferred trunk is made once per `teacher_key`, or read from its
-    checkpoint (`load_teacher`)."""
+    transferred trunk is made once per `teacher_key`, or read from a stage-1
+    checkpoint the walk loads."""
 
     def __init__(
         self,
@@ -130,6 +140,7 @@ class Stages:
         self.resolved = config_to_dict(cfg)
         self.run_id = run_id_for(self.resolved, seed=seed)
         self.snapshot = {**self.resolved, "seed": seed}  # as checkpoints record it
+        self.report_id = {"run_id": self.run_id, "strategy": cfg.strategy, "seed": seed}
 
     @property
     def has_stage2(self) -> bool:
@@ -158,13 +169,6 @@ class Stages:
             )
         return self.memo[key]
 
-    def load_teacher(self, run_dir: Path) -> None:
-        """Memoise the net of `run_dir`'s stage-1 checkpoint, read through
-        `load`, as this run's stage-1 teacher: the fit a stage-1 step left
-        stands in for the one `teacher` would make."""
-        key = teacher_key(self.resolved, "stage1", self.seed)
-        self.memo[key] = Teacher(StageResult(self.load(run_dir, "stage1")))
-
     def pool(self) -> Corpus | None:
         """The unlabeled pool as stage 2 sees it: none if it reads none, raw
         for label-free `simclr`, wholly assumed dysarthric when stage 1 is
@@ -181,12 +185,9 @@ class Stages:
             f"{unlabeled.name}/assumed",
         )
 
-    def stage2(self, pool: Corpus | None) -> StageResult | None:
+    def stage2(self, pool: Corpus | None) -> StageResult:
         """Contrastive pretraining on the labeled split, the pool and the
-        typical corpus, each as the ablation switches allow; None when the
-        config has no stage 2."""
-        if not self.has_stage2:
-            return None
+        typical corpus, each as the ablation switches allow."""
         cfg = self.cfg
         typical = self.corpora["typical"] if cfg.ablation.use_typical else None
         # unnamed, so train_stage2 frees the mix's stored rows once normalised
@@ -195,38 +196,99 @@ class Stages:
             cfg.model, cfg.stage2, self.seed, cfg.strategy,
         )
 
-    def final(self, stage2: Callable[[], AdaptorNet]) -> StageResult:
-        """The evaluated model: a fine-tune from the trunk of the net `stage2`
-        returns, or without a stage 2 the teacher fit of `stage1` (baseline)
-        or `stage3` (stage 2 skipped)."""
+    def final(self, stage2: AdaptorNet | None) -> StageResult:
+        """The evaluated model: a fine-tune from the trunk of the stage-2 net,
+        or without a stage 2 the teacher fit of `stage1` (baseline) or
+        `stage3` (stage 2 skipped)."""
         if not self.has_stage2:
             section = "stage1" if self.cfg.strategy == "baseline" else "stage3"
             return self.teacher(section).result()
-        return train_stage3(self.train, self.val, self.cfg, stage2(), seed=self.seed)
-
-    def evaluate(self, net: AdaptorNet) -> list[EvalReport]:
-        """In-domain utterance-level and shifted speaker-level reports."""
-        return [
-            evaluate(net, self.test, level="utterance"),
-            evaluate(net, self.corpora["shifted_test"], level="speaker"),
-        ]
+        return train_stage3(self.train, self.val, self.cfg, stage2, seed=self.seed)
 
     def rows(self, reports: list[EvalReport]) -> list[dict]:
+        """The results.csv row of each report."""
         return [
-            {
-                "run_id": self.run_id,
-                "strategy": self.cfg.strategy,
-                "dataset": r.dataset,
-                "level": r.level,
-                "seed": self.seed,
-                "srcc": r.srcc,
-                "pcc": r.pcc,
-                "n": r.n,
-            }
+            {key: {**self.report_id, **r.to_dict()}[key] for key in RESULTS_COLUMNS}
             for r in reports
         ]
 
-    # -- the seed directory -------------------------------------------------
+    # -- the walk over a seed directory --------------------------------------
+
+    @property
+    def steps(self) -> tuple[str, ...]:
+        """The steps this config takes, in walk order."""
+        taken = {"stage1": self.pseudo_labels, "stage2": self.has_stage2}
+        return tuple(step for step in STEPS if taken.get(step, True))
+
+    def run(self, run_dir: Path | None, until: str = "report", first: str | None = None):
+        """Walk this config's steps up to `until` over `run_dir`; return the
+        output of `until`, a net or (for "report") the reports. Every step
+        from `first` on is made and, with a run_dir, saved. The step before
+        `first`, whose output they read, is loaded from run_dir (a stage-1
+        teacher with its history.json section); nothing before it is read.
+        By default `first` is the first step whose file run_dir lacks, so a
+        killed run resumes where it stopped and a finished one only reads
+        its report."""
+        if until not in self.steps:
+            raise ConfigError(NOT_TAKEN[until])
+        steps = self.steps[: self.steps.index(until) + 1]
+        if first is None:
+            missing = [s for s in steps if run_dir is None or not (run_dir / STEPS[s]).exists()]
+            first = missing[0] if missing else None
+        start = steps.index(first) if first else len(steps)
+        history = self.read_history(run_dir) if run_dir else None
+        out = None
+        if start:
+            loaded = steps[start - 1]
+            if loaded == "report":
+                return self.read_report(run_dir)
+            out = self.load(run_dir, loaded)
+            if loaded == "stage1":  # into the memo, where stage 2 reads its teacher
+                key = teacher_key(self.resolved, "stage1", self.seed)
+                self.memo.setdefault(key, Teacher(StageResult(out, history["stage1"])))
+        for step in steps[start:]:
+            out = self.report(run_dir, out) if step == "report" else self.make(
+                run_dir, step, out, history
+            )
+        return out
+
+    def make(
+        self, run_dir: Path | None, step: str, prev: AdaptorNet | None, history: dict | None
+    ) -> AdaptorNet:
+        """Train a stage on the output of the step before it (the stage-1
+        teacher reaches stage 2 through the memo) and, with a run_dir, save
+        it: the label histogram of a labelled stage-2 pool and the stage's
+        history.json section first, then its checkpoint, which commits it."""
+        pool = None if step == "final" else self.pool()
+        if step == "stage1":
+            result = self.teacher().fit
+        elif step == "stage2":
+            result = self.stage2(pool)
+        else:
+            result = self.final(prev)
+        if run_dir is not None:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            if pool is not None and not np.isnan(pool.labels).all():
+                hist = {str(k): v for k, v in label_histogram(pool.labels).items()}
+                write_report_json(run_dir / "pseudo_histogram.json", hist)
+            history[step] = result.history
+            atomic_write(run_dir / "history.json", json.dumps(history, indent=2) + "\n")
+            ckpt = checkpoint_from_net(result.net, step, self.snapshot)
+            save_checkpoint(run_dir / CHECKPOINTS[step], ckpt)
+        return result.net
+
+    def report(self, run_dir: Path | None, net: AdaptorNet) -> list[EvalReport]:
+        """The in-domain utterance-level and shifted speaker-level reports of
+        `net`; with a run_dir, written to report.json, which commits the seed."""
+        reports = [
+            evaluate(net, self.test, level="utterance"),
+            evaluate(net, self.corpora["shifted_test"], level="speaker"),
+        ]
+        if run_dir is not None:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            doc = {**self.report_id, "reports": [r.to_dict() for r in reports]}
+            write_report_json(run_dir / STEPS["report"], doc)
+        return reports
 
     def load(self, run_dir: Path, stage: str) -> AdaptorNet:
         """The net of a stage's checkpoint, through the strict reader; one
@@ -241,6 +303,19 @@ class Stages:
             if config_value(recorded, key) != config_value(self.snapshot, key):
                 raise FeatureFormatError(f"{path} was made with another {key} than this config")
         return net_from_checkpoint(ckpt)
+
+    def read_report(self, run_dir: Path) -> list[EvalReport]:
+        """The reports of the report.json `report` wrote for this run; one of
+        another run, or not in that layout, raises FeatureFormatError."""
+        path = run_dir / STEPS["report"]
+        try:
+            doc = json.loads(path.read_bytes())
+            reports = [EvalReport(**r) for r in doc.pop("reports")]
+            if doc != self.report_id:
+                raise ValueError(f"expected the report of {self.report_id}")
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise FeatureFormatError(f"bad {path}: {exc!r}") from exc
+        return reports
 
     @staticmethod
     def read_history(run_dir: Path) -> dict[str, list]:
@@ -259,33 +334,6 @@ class Stages:
             raise FeatureFormatError(f"bad {path}: {exc}") from exc
         return history
 
-    def save(
-        self, run_dir: Path, results: dict[str, StageResult | None], history: dict | None = None
-    ) -> None:
-        """Write the checkpoint of each stage in `results` that ran, then
-        history.json: `history` with the sections of `results` replaced."""
-        run_dir.mkdir(parents=True, exist_ok=True)
-        history = dict(history or {})
-        for stage, result in results.items():
-            history[stage] = result.history if result else []
-            if result:
-                ckpt = checkpoint_from_net(result.net, stage, self.snapshot)
-                save_checkpoint(run_dir / CHECKPOINTS[stage], ckpt)
-        rows = {stage: history[stage] for stage in CHECKPOINTS}
-        atomic_write(run_dir / "history.json", json.dumps(rows, indent=2) + "\n")
-
-    @staticmethod
-    def save_pool_histogram(run_dir: Path, pool: Corpus | None) -> None:
-        """The label histogram of the stage-2 pool, when it is labelled."""
-        if pool is not None and not np.isnan(pool.labels).all():
-            hist = {str(k): v for k, v in label_histogram(pool.labels).items()}
-            write_report_json(run_dir / "pseudo_histogram.json", hist)
-
-    def save_report(self, run_dir: Path, reports: list[EvalReport]) -> None:
-        report = {"run_id": self.run_id, "strategy": self.cfg.strategy, "seed": self.seed}
-        report["reports"] = [r.to_dict() for r in reports]
-        write_report_json(run_dir / "report.json", report)
-
 
 def run_single(
     cfg: RunConfig,
@@ -294,28 +342,14 @@ def run_single(
     run_dir: Path | None = None,
     memo: dict[str, Teacher] | None = None,
 ) -> dict:
-    """One (strategy, seed) run: train the configured stages, evaluate the
-    final model in-domain (utterance level) and on the shifted test corpus
-    (speaker level), and optionally persist artifacts. Without a `memo`, a
-    teacher is still shared between the stages of this run."""
+    """One (strategy, seed) run: the walk of its steps to the report over
+    `run_dir` (Stages.run), which loads what an earlier run committed there
+    and trains the rest. Without a run_dir every step runs and nothing is
+    written. Without a `memo`, a teacher is still shared between the stages
+    of this run."""
     stages = Stages(cfg, corpora, seed, memo)
-    stage1 = stages.teacher().fit if stages.pseudo_labels else None
-    pool = stages.pool()
-    stage2 = stages.stage2(pool)
-    final = stages.final(lambda: stage2.net)
-    reports = stages.evaluate(final.net)
-
-    if run_dir is not None:
-        stages.save(run_dir, {"stage1": stage1, "stage2": stage2, "final": final})
-        stages.save_pool_histogram(run_dir, pool)
-        stages.save_report(run_dir, reports)
-
-    return {
-        "run_id": stages.run_id,
-        "rows": stages.rows(reports),
-        "final": final,
-        "reports": reports,
-    }
+    reports = stages.run(run_dir)
+    return {"run_id": stages.run_id, "rows": stages.rows(reports), "reports": reports}
 
 
 def median_summary(rows: list[dict]) -> dict:

@@ -132,11 +132,11 @@ def net_from_checkpoint(ckpt: Checkpoint) -> AdaptorNet:
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     """Framed file whose header fields are the metadata length and the value
     count: the metadata JSON, then the flat array as float32, to which a
-    float64 array rounds to nearest."""
+    float64 array rounds to nearest. The parts are written unjoined."""
     meta_bytes = json.dumps(ckpt.meta, sort_keys=True).encode()
-    values = np.asarray(ckpt.flat, dtype="<f4")
+    values = np.ascontiguousarray(ckpt.flat, dtype="<f4")
     header = frame_header(CKPT_MAGIC, CKPT_VERSION, len(meta_bytes), values.size)
-    atomic_write(path, header + meta_bytes + values.tobytes())
+    atomic_write(path, [header, meta_bytes, values])
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

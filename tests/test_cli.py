@@ -117,6 +117,28 @@ class TestConfigHandling:
         assert main(["run-all", "--config", str(cfg)]) == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, override, message",
+        [
+            ("run-all", "seeds=[0,0]", "seeds must be distinct, got [0, 0]"),
+            ("run-all", "seeds=[0,-1]", "seed and seeds must be >= 0"),
+            ("stage1", "seed=-1", "seed and seeds must be >= 0"),
+            ("gen-data", "data.world.seed=-3", "data.world.seed must be >= 0, got -3"),
+        ],
+        ids=["duplicate_seeds", "negative_seeds", "negative_seed", "negative_world_seed"],
+    )
+    def test_bad_seed_exits_1(self, workspace, tmp_path, capsys, command, override, message):
+        _, config_path, _ = workspace
+        argv = [
+            command, "--config", str(config_path), override,
+            f"run_root={tmp_path / 'runs'}", f"data.root={tmp_path / 'data'}",
+        ]
+        if command == "stage1":
+            argv += ["--run-dir", str(tmp_path / "chain")]
+        assert main(argv) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_schema_comes_from_annotations(self):
         from sevreg.config import RunConfig, config_from_dict, config_to_dict
 
@@ -620,6 +642,41 @@ def no_training(monkeypatch):
         monkeypatch.setattr(experiments, name, trained)
 
 
+@pytest.fixture(scope="module")
+def finished_run(workspace, tmp_path_factory):
+    """The run root of a finished run-all of the template config, seed 0."""
+    _, config_path, _ = workspace
+    run_root = tmp_path_factory.mktemp("finished") / "runs"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SEVREG_RUN_ROOT", str(run_root))
+        assert main(["run-all", "--config", str(config_path)]) == 0
+    return run_root
+
+
+# The files a resume of a seed directory reads, each only if those after it are missing.
+RESUMED = ("stage2.dsqc", "model.dsqc", "report.json")
+
+
+def damage_seed_dir(seed_dir: Path, kind: str, name: str) -> None:
+    """Make file `name` of a seed directory corrupt or foreign, and remove the
+    files after it, so that a resume reads it."""
+    from sevreg.pipeline import load_checkpoint, save_checkpoint
+
+    for later in RESUMED[RESUMED.index(name) + 1:]:
+        (seed_dir / later).unlink()
+    path = seed_dir / name
+    if kind == "corrupt":
+        path.write_bytes(b"DSQC\x02\x00\x00\x00\x05\x00")
+    elif name == "report.json":
+        report = json.loads(path.read_text())
+        report["seed"] = 1
+        path.write_text(json.dumps(report))
+    else:
+        ckpt = load_checkpoint(path)
+        ckpt.meta["config"]["seed"] = 5
+        save_checkpoint(path, ckpt)
+
+
 @pytest.mark.usefixtures("no_training")
 class TestStageInputs:
     """A corrupt or foreign stage input exits 1 before any training, and
@@ -692,6 +749,37 @@ class TestStageInputs:
         err = capsys.readouterr().err
         assert "validation error" in err and named in err
         assert {path: path.read_bytes() for path in run_dir.rglob("*")} == before
+
+    @pytest.mark.parametrize(
+        "kind, name, named",
+        [
+            ("corrupt", "stage2.dsqc", "byte offset"),
+            ("foreign", "stage2.dsqc", "stage2.dsqc was made with another seed"),
+            ("foreign", "model.dsqc", "model.dsqc was made with another seed"),
+            ("corrupt", "report.json", "report.json"),
+            ("foreign", "report.json", "expected the report of"),
+        ],
+        ids=["corrupt_stage2", "foreign_stage2", "foreign_model", "corrupt_report",
+             "foreign_report"],
+    )
+    def test_run_all_resume_from_a_bad_seed_file_exits_1(
+        self, workspace, finished_run, tmp_path, capsys, monkeypatch, kind, name, named
+    ):
+        """run-all resumes a seed directory from its last committed step; a
+        corrupt or foreign file there exits 1 and is never refitted."""
+        _, config_path, _ = workspace
+        run_root = tmp_path / "runs"
+        shutil.copytree(finished_run, run_root)
+        (run_dir,) = run_root.iterdir()
+        (run_dir / "results.csv").unlink()
+        damage_seed_dir(run_dir / "seed_0", kind, name)
+        before = {path: path.read_bytes() for path in run_root.rglob("*") if path.is_file()}
+        monkeypatch.setenv("SEVREG_RUN_ROOT", str(run_root))
+        assert main(["run-all", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and named in err
+        after = {path: path.read_bytes() for path in run_root.rglob("*") if path.is_file()}
+        assert after == before
 
     def test_evaluate_projector_checkpoint_exits_1(
         self, workspace, stage2_inputs, tmp_path, capsys

@@ -185,6 +185,92 @@ class TestWorkers:
         assert [row["seed"] for row in result["rows"]] == [1, 1]
 
 
+class Killed(Exception):
+    """Stands in for a kill of the run."""
+
+
+def kill_at(monkeypatch, name: str, call: int, seed: int | None = None) -> None:
+    """Make experiments.<name> raise Killed on its `call`-th call (1-based),
+    counting only the calls for `seed` when it is given (run_single)."""
+    real, seen = getattr(experiments, name), []
+
+    def dying(*args, **kwargs):
+        if seed is None or args[2] == seed:
+            seen.append(1)
+            if len(seen) == call:
+                raise Killed(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, dying)
+
+
+@pytest.fixture(scope="module")
+def fresh_run(corpora, tmp_path_factory):
+    """The files of one uninterrupted in-process run_all of fast_cfg()."""
+    out_root = tmp_path_factory.mktemp("fresh") / "runs"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "workers", lambda n_seeds: 1)
+        run_all(fast_cfg(), corpora, out_root)
+    return tree(out_root)
+
+
+class TestResume:
+    """A run killed at any point and run again trains only what it had not
+    committed, and leaves the bytes of an uninterrupted run."""
+
+    def test_sweep_killed_between_seeds(self, swept, corpora, tmp_path, monkeypatch):
+        out_root = tmp_path / "runs"
+        monkeypatch.setattr(experiments, "workers", lambda n_seeds: 1)
+        with monkeypatch.context() as mp:
+            kill_at(mp, "run_single", call=1, seed=1)
+            with pytest.raises(Killed):
+                sweep_tau(fast_cfg(), corpora, out_root, grid=GRID)
+        assert not list(out_root.rglob("seed_1"))
+        _, teacher_fits, calls = counted(sweep_tau, fast_cfg(), corpora, out_root, grid=GRID)
+        assert (teacher_fits, calls) == (1, 1 + len(GRID))  # seed 1's alone
+        assert tree(out_root) == tree(swept[0])
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [("save_checkpoint", 2), ("train_stage3", 1), ("evaluate", 1)],
+        ids=["before_stage2_checkpoint", "in_stage3", "before_report"],
+    )
+    def test_run_all_killed_inside_a_seed(
+        self, fresh_run, corpora, tmp_path, monkeypatch, name, call
+    ):
+        out_root = tmp_path / "runs"
+        monkeypatch.setattr(experiments, "workers", lambda n_seeds: 1)
+        with monkeypatch.context() as mp:
+            kill_at(mp, name, call)
+            with pytest.raises(Killed):
+                run_all(fast_cfg(), corpora, out_root)
+        (seed_dir,) = out_root.glob("*/seed_0")
+        committed = {p.name: p.read_bytes() for p in seed_dir.glob("*.dsqc")}
+        stage2_fits = []
+        real = experiments.train_stage2
+        monkeypatch.setattr(
+            experiments, "train_stage2", lambda *a, **kw: stage2_fits.append(1) or real(*a, **kw)
+        )
+        _, teacher_fits, _ = counted(run_all, fast_cfg(), corpora, out_root)
+        # seed 0 loads its committed stages, seed 1 trains all of its own
+        assert teacher_fits == 1
+        assert len(stage2_fits) == (1 if "stage2.dsqc" in committed else 2)
+        assert {n: (seed_dir / n).read_bytes() for n in committed} == committed
+        assert tree(out_root) == fresh_run
+
+    def test_finished_run_reads_its_reports(self, fresh_run, corpora, tmp_path, monkeypatch):
+        out_root = tmp_path / "runs"
+        for name, data in fresh_run.items():
+            (out_root / name).parent.mkdir(parents=True, exist_ok=True)
+            (out_root / name).write_bytes(data)
+        for name in ("train_regression", "train_stage2", "train_stage3", "evaluate"):
+            monkeypatch.setattr(experiments, name, pytest.fail)
+        monkeypatch.setattr(experiments, "workers", lambda n_seeds: 1)
+        result = run_all(fast_cfg(), corpora, out_root)
+        assert [row["seed"] for row in result["rows"]] == [0, 0, 1, 1]
+        assert tree(out_root) == fresh_run
+
+
 def normalize_calls(fn) -> list[tuple[int, int]]:
     """The shapes of the normalize_frames calls made while fn() runs."""
     from sevreg import data

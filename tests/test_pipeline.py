@@ -555,6 +555,19 @@ class TestCheckpointIO:
         save_checkpoint(p2, load_checkpoint(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_parameters_are_written_without_a_joined_copy(self, stage1, tmp_path, monkeypatch):
+        ckpt = checkpoint_from_net(stage1.net, "stage1", {})
+        written = []
+        real = pipeline.atomic_write
+        monkeypatch.setattr(
+            pipeline, "atomic_write", lambda path, data: written.append(data) or real(path, data)
+        )
+        path = tmp_path / "m.dsqc"
+        save_checkpoint(path, ckpt)
+        (parts,) = written
+        assert isinstance(parts, list) and parts[-1] is ckpt.flat
+        assert b"".join(bytes(memoryview(part)) for part in parts) == path.read_bytes()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.dsqc"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
@@ -767,10 +780,10 @@ from sevreg.experiments import Stages
 from sevreg.synthetic import build_world
 
 cfg = RunConfig()
-cfg = replace(cfg, stage2=replace(cfg.stage2, epochs=1))
-stages = Stages(cfg, build_world(cfg.data.world), seed=0)
-run_dir = Path(sys.argv[1])
-stages.save(run_dir, {"stage2": stages.stage2(None)}, stages.read_history(run_dir))
+cfg = replace(
+    cfg, stage2=replace(cfg.stage2, epochs=1), ablation=replace(cfg.ablation, use_pseudo=False)
+)
+Stages(cfg, build_world(cfg.data.world), seed=0).run(Path(sys.argv[1]), until="stage2")
 """
 
 

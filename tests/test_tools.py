@@ -86,6 +86,40 @@ class TestExitStatus:
         assert bench_compare.exit_status(c, same_bytes) == 1
 
 
+class TestReferenceKernel:
+    """Each run's reference-kernel timings are summarised per side and leave
+    the verdicts as they are."""
+
+    def comparison(self, monkeypatch, tmp_path, references):
+        queue = list(references)
+
+        def fake_run(tarball, dest, workload, seed, seconds):
+            record = {"returncode": 0, "correct": True, "wall_s": 0.0, "digests": {"a": "1"},
+                      "metrics": {"pass_s": 1.0 + 0.1 * len(queue)}}
+            reference = queue.pop(0)
+            if reference is not None:
+                record["reference_s"] = reference
+            return record
+
+        monkeypatch.setattr(bench_compare, "run_bench", fake_run)
+        args = SimpleNamespace(pairs=len(references) // 2, workload="w", seed=0, seconds=1.0)
+        return bench_compare.compare(args, {"parent": b"", "change": b""}, tmp_path)
+
+    def test_each_side_reports_its_median(self, monkeypatch, tmp_path):
+        # pair 0 runs the parent first, pair 1 the change first
+        timed = [[0.20, 0.22], [0.30, 0.26], [0.21, 0.19], [0.28, 0.40]]
+        c = self.comparison(monkeypatch, tmp_path, timed)
+        assert c["reference_kernel_s"] == {
+            "parent_median": pytest.approx(0.25), "change_median": pytest.approx(0.235)
+        }
+        untimed = self.comparison(monkeypatch, tmp_path, [None] * 4)
+        assert untimed["reference_kernel_s"] == {"parent_median": None, "change_median": None}
+        assert untimed["metrics"] == c["metrics"]
+
+    def test_the_kernel_times_itself(self):
+        assert bench_compare.reference_kernel() > 0.0
+
+
 class TestManifestCheck:
     LINES = ["aa" * 32 + "  runs/a.csv", "bb" * 32 + "  runs/b.dsqc"]
 

@@ -14,7 +14,10 @@ and the change first when it is odd.
 Beside the bench's JSON line each run records, through `os.wait4`, the
 bench process's `ru_maxrss` (the largest resident set of it or of any
 process it waited for) and its minor page faults `ru_minflt`, and the
-`digests` line of its report. A run that exits non-zero or reports
+`digests` line of its report. It also records `reference_s`, the seconds a
+fixed float32 kernel took in this tool's own process right before and right
+after the run, so a comparison shows how fast the machine was meanwhile;
+each side's median of those is printed beside `pass_s`. A run that exits non-zero or reports
 `correct: false` keeps its return code, stdout tail and stderr.
 
 Per metric the output holds both sides' runs, medians, quartiles, the pairs
@@ -47,6 +50,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 from byte_oracle import machine_facts
 
 REPO = Path(__file__).resolve().parent.parent
@@ -57,6 +61,25 @@ RUSAGE_METRICS = [
     {"name": "ru_maxrss_mb", "unit": "MB", "better": "lower", "bound": None},
     {"name": "ru_minflt", "unit": "count", "better": "lower", "bound": None},
 ]
+
+
+def reference_kernel() -> float:
+    """Seconds for a fixed float32 kernel at the benchmark's hidden width:
+    300 320x320 products, each followed by a tanh, then 800 elementwise
+    passes over a 320x320 array (about 0.2 s on a 2-core Xeon VM). A few
+    untimed products first wake the BLAS threads."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((320, 320), dtype=np.float32) / np.float32(18)
+    x = rng.standard_normal((320, 320), dtype=np.float32)
+    for _ in range(5):
+        a @ x
+    start = time.perf_counter()
+    y = x
+    for _ in range(300):
+        y = np.tanh(a @ y)
+    for _ in range(800):
+        x = np.sqrt(x * x + 1.0) - 0.5 * x
+    return time.perf_counter() - start
 
 
 def git(*args: str) -> bytes:
@@ -84,6 +107,7 @@ def run_bench(tarball: bytes, dest: Path, workload: str, seed: int, seconds: flo
     with tarfile.open(fileobj=io.BytesIO(tarball)) as tar:
         tar.extractall(dest, filter="data")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    before = reference_kernel()
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     with open(dest / "bench.out", "w+") as out, open(dest / "bench.err", "w+") as err:
@@ -95,6 +119,7 @@ def run_bench(tarball: bytes, dest: Path, workload: str, seed: int, seconds: flo
         out.seek(0)
         err.seek(0)
         stdout, stderr = out.read(), err.read()
+    reference = [before, reference_kernel()]
     lines = stdout.splitlines()
     try:
         result = json.loads(lines[-1])
@@ -106,7 +131,7 @@ def run_bench(tarball: bytes, dest: Path, workload: str, seed: int, seconds: flo
     metrics["ru_minflt"] = usage.ru_minflt
     record = {"returncode": proc.returncode, "correct": bool(result.get("correct")),
               "passes": result.get("attempted"), "wall_s": wall, "metrics": metrics,
-              "digests": digests}
+              "digests": digests, "reference_s": reference}
     if proc.returncode != 0 or not record["correct"]:
         record["stdout_tail"] = lines[-40:]
         record["stderr"] = stderr
@@ -173,12 +198,16 @@ def compare(args, tarballs: dict, work: Path) -> dict:
                              **verdict(*sides, spec["better"], spec["bound"])}
     digests = {s: [r["digests"] for r in runs[s] if r["correct"]] for s in runs}
     every = digests["parent"] + digests["change"]
+    reference = {s: [t for r in runs[s] for t in r.get("reference_s", ())] for s in runs}
     return {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "pairs": args.pairs, "pairs_compared": len(good),
         "correct": {s: sum(r["correct"] for r in runs[s]) for s in runs},
         "digests_equal": bool(every) and all(d == every[0] for d in every),
         "digests": every[0] if every else None,
+        "reference_kernel_s": {
+            f"{s}_median": statistics.median(t) if t else None for s, t in reference.items()
+        },
         "metrics": metrics,
         "runs": runs,
     }
@@ -219,10 +248,14 @@ def main() -> int:
     report = json.loads(args.out.read_text()) if args.out.exists() else {"comparisons": []}
     report["comparisons"].append(comparison)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    reference = comparison["reference_kernel_s"]
     for name, m in comparison["metrics"].items():
         print(f"{name}: parent {m['parent_median']:.6g} change {m['change_median']:.6g} "
               f"won {m['pairs_won']}/{comparison['pairs_compared']} "
               f"{m['verdict']} within_bound={m['within_bound']}")
+        if name == "pass_s":
+            print(f"reference kernel s: parent {reference['parent_median']:.4g} "
+                  f"change {reference['change_median']:.4g}")
     correct = comparison["correct"]
     print(f"correct runs: parent {correct['parent']}, change {correct['change']} of {args.pairs}; "
           f"digests equal: {comparison['digests_equal']}")
