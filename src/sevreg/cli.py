@@ -3,7 +3,8 @@ experiment harnesses. The stage chain `stage1` -> `stage2` -> `stage3` ->
 `evaluate` is run-all's walk for one seed, `cfg.seed`, cut short: each
 command makes its own step in the run directory from the checkpoint the one
 before it left there, and trains nothing else. `run-all`, `sweep-tau` and
-`ablate` take the whole walk, so a killed run resumes from what it saved.
+`ablate` take the whole walk, so a killed run resumes from what it saved,
+also after its run root or data root moved: a run id leaves both paths out.
 Exit codes: 0 success, 1 validation error, 2 runtime failure."""
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .pipeline import dump_embeddings, load_checkpoint, net_from_checkpoint
 from .synthetic import build_world
 
 logger = logging.getLogger(__name__)
-
-RUN_ROOT_ENV = "SEVREG_RUN_ROOT"
 
 CORPUS_NAMES = ("labeled", "unlabeled", "typical", "shifted_test")
 
@@ -65,18 +64,30 @@ def output_file(path: str | Path) -> Path:
     return path
 
 
-def resolve_run_root(cfg: RunConfig) -> Path:
-    return output_dir(os.environ.get(RUN_ROOT_ENV, cfg.run_root))
-
-
 def load_world(cfg: RunConfig):
+    """The corpora under data.root. The config.json gen-data wrote there must
+    record this config's data.world, `split` aside (build_world does not
+    read it); else ConfigError, before any work."""
     root = Path(cfg.data.root)
     missing = [n for n in CORPUS_NAMES if not (root / n / "manifest.json").exists()]
     if missing:
         raise ConfigError(
             f"missing corpora under '{root}': {missing}; run gen-data first"
         )
-    return {name: load_corpus(root / name) for name in CORPUS_NAMES}
+    corpora = {name: load_corpus(root / name) for name in CORPUS_NAMES}
+    want, path = config_to_dict(cfg)["data"]["world"], root / "config.json"
+    try:
+        made = json.loads(path.read_bytes())["data"]["world"]
+        keys = (want.keys() | made.keys()) - {"split"}
+    except (OSError, ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"no data.world in '{path}': {type(exc).__name__}: {exc}") from exc
+    differ = sorted(key for key in keys if want.get(key) != made.get(key))
+    if differ:
+        raise ConfigError(
+            f"data.world differs in {', '.join(differ)} from the world the corpora "
+            f"under '{root}' were made of; run gen-data with this config"
+        )
+    return corpora
 
 
 def persist_config(cfg: RunConfig, directory: Path) -> None:
@@ -130,33 +141,29 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
 
 def cmd_run_all(cfg: RunConfig, args) -> int:
-    corpora = load_world(cfg)
-    result = run_all(cfg, corpora, resolve_run_root(cfg))
+    result = run_all(cfg, load_world(cfg), output_dir(cfg.run_root))
     print(f"run {result['run_id']} complete: {result['run_dir'] / 'results.csv'}")
     return 0
 
 
 def cmd_sweep_tau(cfg: RunConfig, args) -> int:
-    corpora = load_world(cfg)
     grid = tuple(args.grid) if args.grid else TAU_GRID
-    result = sweep_tau(cfg, corpora, resolve_run_root(cfg), grid=grid)
+    result = sweep_tau(cfg, load_world(cfg), output_dir(cfg.run_root), grid=grid)
     print(f"sweep complete: {result['sweep_dir'] / 'sweep_tau.json'}")
     return 0
 
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
-    corpora = load_world(cfg)
     variants = tuple(args.variants) if args.variants else ABLATION_VARIANTS
-    result = ablate(cfg, corpora, resolve_run_root(cfg), variants=variants)
+    result = ablate(cfg, load_world(cfg), output_dir(cfg.run_root), variants=variants)
     print(f"ablations complete: {result['ablate_dir'] / 'ablate_summary.json'}")
     return 0
 
 
 def cmd_dump_embeddings(cfg: RunConfig, args) -> int:
     out = output_file(args.out)
-    corpora = load_world(cfg)
+    corpus = load_world(cfg)[args.corpus]
     net = net_from_checkpoint(load_checkpoint(Path(args.checkpoint)))
-    corpus = corpora[args.corpus]
     dump_embeddings(net, corpus, out)
     print(f"embeddings for '{args.corpus}' written to {args.out}")
     return 0
@@ -174,19 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, run_dir=False, extra=None):
+    def add(name, fn, help_text, run_dir=False):
+        """The subparser of one command; its own flags are added to it."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file (defaults apply)")
         p.add_argument(
-            "overrides",
-            nargs="*",
-            metavar="key.path=value",
-            help="dotted-path config overrides",
+            "overrides", nargs="*", metavar="key.path=value", help="dotted-path config overrides"
         )
         if run_dir:
             p.add_argument("--run-dir", required=True, help="stage artifact directory")
-        if extra:
-            extra(p)
         p.set_defaults(fn=fn)
         return p
 
@@ -194,34 +197,20 @@ def build_parser() -> argparse.ArgumentParser:
     add("stage1", cmd_stage, "train the teacher and pseudo-label the pool", run_dir=True)
     add("stage2", cmd_stage, "weakly supervised contrastive pretraining", run_dir=True)
     add("stage3", cmd_stage, "transfer weights and fine-tune", run_dir=True)
-
-    def eval_extra(p):
-        p.add_argument("--checkpoint", help="model checkpoint (default run-dir/model.dsqc)")
-
-    add("evaluate", cmd_evaluate, "evaluate a checkpoint", run_dir=True, extra=eval_extra)
+    add("evaluate", cmd_evaluate, "evaluate a checkpoint", run_dir=True).add_argument(
+        "--checkpoint", help="model checkpoint (default run-dir/model.dsqc)"
+    )
     add("run-all", cmd_run_all, "full multi-seed pipeline run")
-
-    def sweep_extra(p):
-        p.add_argument("--grid", type=float, nargs="*", help="temperature grid")
-
-    add("sweep-tau", cmd_sweep_tau, "temperature sweep with baseline comparison",
-        extra=sweep_extra)
-
-    def ablate_extra(p):
-        p.add_argument(
-            "--variants", nargs="*", choices=ABLATION_VARIANTS,
-            help="subset of ablation variants",
-        )
-
-    add("ablate", cmd_ablate, "data/loss/stage ablation harness", extra=ablate_extra)
-
-    def dump_extra(p):
-        p.add_argument("--checkpoint", required=True)
-        p.add_argument("--corpus", choices=CORPUS_NAMES, default="labeled")
-        p.add_argument("--out", required=True)
-
-    add("dump-embeddings", cmd_dump_embeddings, "write post-pooling embeddings",
-        extra=dump_extra)
+    add("sweep-tau", cmd_sweep_tau, "temperature sweep with baseline comparison").add_argument(
+        "--grid", type=float, nargs="*", help="temperature grid"
+    )
+    add("ablate", cmd_ablate, "data/loss/stage ablation harness").add_argument(
+        "--variants", nargs="*", choices=ABLATION_VARIANTS, help="subset of ablation variants"
+    )
+    dump = add("dump-embeddings", cmd_dump_embeddings, "write post-pooling embeddings")
+    dump.add_argument("--checkpoint", required=True)
+    dump.add_argument("--corpus", choices=CORPUS_NAMES, default="labeled")
+    dump.add_argument("--out", required=True)
     return parser
 
 

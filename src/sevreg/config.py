@@ -2,7 +2,7 @@
 
 A config document is one nested JSON object. CLI overrides are dotted-path
 key=value pairs validated against the schema; the fully resolved config is
-persisted with every run and hashed into the run id.
+persisted with every run and hashed, paths aside, into the run id.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .augment import AugmentConfig
 from .contrastive import DEFAULT_TAU, PairingSpec
+from .data import LABEL_MAX, LABEL_MIN
 from .errors import ConfigError, ParameterError
 from .synthetic import WorldConfig
 
@@ -109,11 +110,11 @@ class AblationConfig:
     use_pseudo: bool = True
     skip_stage1: bool = False
     skip_stage2: bool = False
-    assumed_dysarthric_label: float = 7.0  # pool label when stage 1 is skipped
+    assumed_dysarthric_label: float = LABEL_MAX  # pool label when stage 1 is skipped
 
     def validate(self) -> None:
-        if not 1.0 <= self.assumed_dysarthric_label <= 7.0:
-            raise ConfigError("assumed_dysarthric_label must be in [1, 7]")
+        if not LABEL_MIN <= self.assumed_dysarthric_label <= LABEL_MAX:
+            raise ConfigError(f"assumed_dysarthric_label must be in [{LABEL_MIN:g}, {LABEL_MAX:g}]")
 
 
 @dataclass
@@ -188,9 +189,10 @@ def _fits(hint, value) -> bool:
     return type(value) is hint or (hint is float and type(value) is int)
 
 
-def _build(cls, value, path: str):
+def from_json(cls, value, path: str):
     """Instantiate dataclass `cls` from a JSON object; nested sections, tuple
-    fields and the type of every value come from the field annotations."""
+    fields and the type of every value come from the field annotations. A
+    key `cls` lacks or a value that does not fit raises ConfigError."""
     if not isinstance(value, dict):
         raise ConfigError(f"'{path.lstrip('.')}' must be an object")
     hints = typing.get_type_hints(cls)
@@ -202,7 +204,7 @@ def _build(cls, value, path: str):
             raise ConfigError(f"unknown config key '{where}'")
         hint = hints[key]
         if is_dataclass(hint):
-            kwargs[key] = _build(hint, sub, where)
+            kwargs[key] = from_json(hint, sub, where)
         elif not _fits(hint, sub):
             name = hint.__name__ if isinstance(hint, type) else hint
             raise ConfigError(f"'{where}' must be {name}, got {json.dumps(sub)}")
@@ -213,7 +215,7 @@ def _build(cls, value, path: str):
 
 def config_from_dict(doc: dict) -> RunConfig:
     """Parse and validate a config document; unknown keys are rejected."""
-    cfg = _build(RunConfig, doc, "")
+    cfg = from_json(RunConfig, doc, "")
     cfg.validate()
     return cfg
 
@@ -264,9 +266,11 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
 
 
 def run_id_for(resolved: dict, seed: int | None = None) -> str:
-    """Stable 12-hex id from the resolved config (plus an optional seed)."""
-    payload = {"config": resolved}
-    if seed is not None:
-        payload["seed"] = seed
+    """Stable 12-hex id of what a run computes: the resolved config (plus an
+    optional seed) without `data.root` and `run_root`, which say where its
+    files live. So a run keeps its id, and resumes, after either moves."""
+    config = {**resolved, "data": dict(resolved["data"])}
+    del config["run_root"], config["data"]["root"]
+    payload = {"config": config} if seed is None else {"config": config, "seed": seed}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]

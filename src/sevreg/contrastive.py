@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, draw_views
-from .data import label_bins
+from .data import LABEL_MAX, LABEL_MIN, label_bins
 from .errors import DimensionError, ParameterError
 from .nn import Stack
 
@@ -47,8 +47,10 @@ class PairingSpec:
             raise ParameterError(f"unknown pairing strategy '{self.strategy}'")
         if self.alpha <= 0:
             raise ParameterError("alpha must be > 0")
-        if not 1.0 <= self.beta <= 7.0:
-            raise ParameterError("beta must lie in the label range [1, 7]")
+        if not LABEL_MIN <= self.beta <= LABEL_MAX:
+            raise ParameterError(
+                f"beta must lie in the label range [{LABEL_MIN:g}, {LABEL_MAX:g}]"
+            )
         self.resolved_tau()
 
 

@@ -363,8 +363,9 @@ def label_histogram(labels: np.ndarray) -> dict[int, int]:
     """Counts per rounded severity bin 1..7 of a label vector; NaN (no
     label) is not counted."""
     labels = np.asarray(labels, dtype=float)
-    counts = np.bincount(label_bins(labels[~np.isnan(labels)]), minlength=8)
-    return {b: int(counts[b]) for b in range(1, 8)}
+    bins = range(int(LABEL_MIN), int(LABEL_MAX) + 1)
+    counts = np.bincount(label_bins(labels[~np.isnan(labels)]), minlength=bins.stop)
+    return {b: int(counts[b]) for b in bins}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import RunConfig, config_to_dict, run_id_for
+from .config import RunConfig, config_to_dict, from_json, run_id_for
 from .data import Corpus, atomic_write, label_histogram, split
 from .errors import ConfigError, FeatureFormatError
 from .evaluation import RESULTS_COLUMNS, EvalReport, write_report_json, write_results_csv
@@ -62,10 +62,14 @@ NOT_TAKEN = {
     "stage2": "this config trains no stage 2 (strategy 'baseline' or ablation.skip_stage2)",
 }
 
-# The config keys every stage reads, and those besides that made each stage's
-# checkpoint; a checkpoint recording other values belongs to another chain.
-LINEAGE_KEYS = ("seed", "model", "data.world")
-STAGE_KEYS = {"stage1": ("stage1",), "stage2": ("strategy", "stage2"), "final": ()}
+# The config keys whose values a stage's checkpoint must record: one that
+# records others belongs to another chain (Stages.load). A fit from the
+# seeded init is made once per value of the stage-1 keys (teacher_key).
+READS = {
+    "stage1": ("seed", "model", "data.world", "stage1"),
+    "stage2": ("seed", "model", "data.world", "strategy", "stage2"),
+    "final": ("seed", "model", "data.world"),
+}
 
 
 def config_value(doc, key: str):
@@ -104,14 +108,11 @@ class Teacher:
 
 
 def teacher_key(resolved: dict, section: str, seed: int) -> str:
-    """Everything a fit without a transferred trunk reads from the config: the
-    seed, the model, the regression-stage section and the world (which fixes
-    the split). The run id is no key: it also hashes the stage-2 settings,
-    which never reach this fit."""
-    return json.dumps(
-        [seed, resolved["model"], resolved[section], resolved["data"]["world"]],
-        sort_keys=True,
-    )
+    """The memo key of a fit of regression section `section` from the seeded
+    init: the values of the stage-1 keys of READS, with `section` in place
+    of `stage1`, so equal `stage1` and `stage3` sections share one fit."""
+    doc = {**resolved, "seed": seed, "stage1": resolved[section]}
+    return json.dumps([config_value(doc, key) for key in READS["stage1"]], sort_keys=True)
 
 
 class Stages:
@@ -292,29 +293,30 @@ class Stages:
 
     def load(self, run_dir: Path, stage: str) -> AdaptorNet:
         """The net of a stage's checkpoint, through the strict reader; one
-        made for another seed, model or world, or with other settings of its
-        own stage (STAGE_KEYS), raises FeatureFormatError."""
+        that records other values of the keys the stage reads (READS)
+        raises FeatureFormatError."""
         path = run_dir / CHECKPOINTS[stage]
         ckpt = load_checkpoint(path)
         recorded = ckpt.meta.get("config")
         if not isinstance(recorded, dict):
             raise FeatureFormatError(f"{path} records no config object")
-        for key in LINEAGE_KEYS + STAGE_KEYS[stage]:
+        for key in READS[stage]:
             if config_value(recorded, key) != config_value(self.snapshot, key):
                 raise FeatureFormatError(f"{path} was made with another {key} than this config")
         return net_from_checkpoint(ckpt)
 
     def read_report(self, run_dir: Path) -> list[EvalReport]:
         """The reports of the report.json `report` wrote for this run; one of
-        another run, or not in that layout, raises FeatureFormatError."""
+        another run, not in that layout, or with a value of another JSON type
+        than its EvalReport field, raises FeatureFormatError."""
         path = run_dir / STEPS["report"]
         try:
             doc = json.loads(path.read_bytes())
-            reports = [EvalReport(**r) for r in doc.pop("reports")]
+            reports = [from_json(EvalReport, r, "reports") for r in doc.pop("reports")]
             if doc != self.report_id:
                 raise ValueError(f"expected the report of {self.report_id}")
         except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise FeatureFormatError(f"bad {path}: {exc!r}") from exc
+            raise FeatureFormatError(f"bad {path}: {type(exc).__name__}: {exc}") from exc
         return reports
 
     @staticmethod
@@ -435,13 +437,16 @@ def run_configs(
     that runs every config (run_seed), so a teacher is fitted once per seed;
     map_seeds hands the tasks to worker processes. Only the parent writes
     each run's config.json, results.csv and summary.json, in seed order, so
-    a run directory is the same bytes for any number of workers."""
+    a run directory is the same bytes for any number of workers. A run
+    directory keeps the config.json it was made with: a run of the same id
+    differs from it at most in its paths."""
     runs = []
     for cfg in configs:
         resolved = config_to_dict(cfg)
         run_dir = out_root / run_id_for(resolved)
         run_dir.mkdir(parents=True, exist_ok=True)
-        write_report_json(run_dir / "config.json", resolved)
+        if not (run_dir / "config.json").exists():
+            write_report_json(run_dir / "config.json", resolved)
         runs.append((cfg, run_dir))
     per_seed = map_seeds(partial(run_seed, runs, corpora), configs[0].seeds)
     results = []

@@ -21,6 +21,8 @@ import numpy as np
 from .config import ModelConfig, RegressionStageConfig, RunConfig, Stage2Config
 from .contrastive import build_batch, stage2_loss
 from .data import (
+    LABEL_MAX,
+    LABEL_MIN,
     PROVENANCES,
     Corpus,
     FrameReader,
@@ -50,7 +52,6 @@ ROLE_STAGE2_ORDER = 3
 ROLE_STAGE2_AUGMENT = 4
 ROLE_STAGE2_DROPOUT = 5
 
-SCORE_MIN, SCORE_MAX = 1.0, 7.0
 # Utterances per eval-mode forward. A chunk's cache holds h1 and h2 at its
 # row count: on the default corpora at most 2,409 rows, about one stage-2
 # step (2,137 rows). Twice as many (up to 4,732 rows, a 12.1 MB pair at
@@ -307,10 +308,11 @@ def eval_forward(net: AdaptorNet, corpus: Corpus, field: str) -> np.ndarray:
 
 
 def predict(net: AdaptorNet, corpus: Corpus) -> np.ndarray:
-    """Eval-mode severity scores of a one-output regressor, clamped to [1, 7]."""
+    """Eval-mode severity scores of a one-output regressor, clamped to the
+    label range."""
     if net.out_dim != 1:
         raise DimensionError(f"predict needs a one-output regressor, got out_dim {net.out_dim}")
-    return np.clip(eval_forward(net, corpus, "out")[:, 0], SCORE_MIN, SCORE_MAX)
+    return np.clip(eval_forward(net, corpus, "out")[:, 0], LABEL_MIN, LABEL_MAX)
 
 
 def pseudo_label(net: AdaptorNet, unlabeled: Corpus) -> Corpus:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Corpus, make_corpus
+from .data import LABEL_MAX, LABEL_MIN, Corpus, make_corpus
 from .errors import ParameterError
 from .nn import Stack
 
@@ -75,8 +75,9 @@ def signal_scales(spec: SyntheticSpec) -> np.ndarray:
 
 
 def severity_to_unit(y) -> np.ndarray:
-    """Map severity in [1, 7] to [-1, 1]."""
-    return (np.asarray(y, dtype=float) - 4.0) / 3.0
+    """Map severity in the label range [1, 7] to [-1, 1]."""
+    half = (LABEL_MAX - LABEL_MIN) / 2
+    return (np.asarray(y, dtype=float) - (LABEL_MIN + half)) / half
 
 
 def gen_synthetic_corpus(spec: SyntheticSpec, seed: int) -> Corpus:
@@ -112,7 +113,7 @@ def gen_synthetic_corpus(spec: SyntheticSpec, seed: int) -> Corpus:
         t = int(rng.integers(spec.t_range[0], spec.t_range[1] + 1))
         noise.append(rng.normal(0.0, spec.frame_noise, size=(t, d)))
     spk = np.arange(spec.n_utts) % spec.n_speakers
-    labels = np.clip(severities[spk] + jitter, 1.0, 7.0)  # typical: exactly 1
+    labels = np.clip(severities[spk] + jitter, LABEL_MIN, LABEL_MAX)  # typical: exactly 1
     lengths = [len(n) for n in noise]
     base = np.zeros((spec.n_utts, d))
     base[:, :s] = severity_to_unit(labels)[:, None] * scales

@@ -39,6 +39,7 @@ from test_contrastive import (
     double_loop_ntxent,
     index_lists,
 )
+from worlds import FAST_WORLD, FAST_WORLD_DOC
 
 
 def report(number: int, description: str, ok: bool, detail: str = ""):
@@ -50,22 +51,6 @@ def report(number: int, description: str, ok: bool, detail: str = ""):
 
 
 # fast harness configuration shared by criteria 8-10
-FAST_WORLD = WorldConfig(
-    feat_dim=8,
-    signal_dims=4,
-    nuisance_dims=3,
-    n_labeled=400,
-    n_unlabeled=160,
-    n_typical=120,
-    n_shifted_test=100,
-    labeled_speakers=20,
-    unlabeled_speakers=10,
-    typical_speakers=6,
-    shifted_speakers=8,
-    t_range=(6, 12),
-)
-
-
 def fast_config(**updates) -> RunConfig:
     cfg = RunConfig(
         model=ModelConfig(hidden_dim=32, embed_dim=16),
@@ -319,43 +304,42 @@ def test_criterion_08_ablation_harness(fast_corpora, tmp_path):
     )
 
 
-def test_criterion_09_run_all_determinism(tmp_path):
-    world_doc = {
-        "feat_dim": 8, "signal_dims": 4, "nuisance_dims": 3,
-        "n_labeled": 400, "n_unlabeled": 160, "n_typical": 120,
-        "n_shifted_test": 100, "labeled_speakers": 20,
-        "unlabeled_speakers": 10, "typical_speakers": 6,
-        "shifted_speakers": 8, "t_range": [6, 12],
-    }
+def test_criterion_09_run_all_determinism(tmp_path, monkeypatch):
     doc = {
-        "data": {"root": str(tmp_path / "data"), "world": world_doc},
+        "data": {"root": str(tmp_path / "data"), "world": FAST_WORLD_DOC},
         "model": {"hidden_dim": 32, "embed_dim": 16},
         "stage1": {"lr": 3e-3, "epochs": 4},
         "stage3": {"lr": 3e-3, "epochs": 4},
         "stage2": {"batch_size": 32},
         "strategy": "coarse",
         "seeds": [0],
-        "run_root": str(tmp_path / "runsA"),
+        # relative, so each invocation writes under its own working directory
+        # and both checkpoints record the same config
+        "run_root": "runs",
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc))
+    for cwd in ("a", "b"):
+        (tmp_path / cwd).mkdir()
+    monkeypatch.chdir(tmp_path / "a")
     assert cli_main(["gen-data", "--config", str(config_path)]) == 0
     assert cli_main(["run-all", "--config", str(config_path)]) == 0
-    run_a = next((tmp_path / "runsA").iterdir())
+    run_a = next((tmp_path / "a" / "runs").iterdir())
 
-    # second invocation in a fresh process, redirected via the env root; the
+    # second invocation in a fresh process, under another run root; the
     # child imports the package from the same source tree as this process
     src = str(Path(sevreg.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, SEVREG_RUN_ROOT=str(tmp_path / "runsB"))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "sevreg", "run-all", "--config", str(config_path)],
+        cwd=tmp_path / "b",
         env=env,
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    run_b = tmp_path / "runsB" / run_a.name
+    run_b = tmp_path / "b" / "runs" / run_a.name
 
     compared = ["results.csv"]
     compared += [f"seed_0/{p.name}" for p in (run_a / "seed_0").glob("*.dsqc")]

@@ -15,21 +15,7 @@ import pytest
 import sevreg
 from sevreg.cli import main
 from sevreg.nn import build_net
-
-WORLD = {
-    "feat_dim": 8,
-    "signal_dims": 4,
-    "nuisance_dims": 3,
-    "n_labeled": 400,
-    "n_unlabeled": 160,
-    "n_typical": 120,
-    "n_shifted_test": 100,
-    "labeled_speakers": 20,
-    "unlabeled_speakers": 10,
-    "typical_speakers": 6,
-    "shifted_speakers": 8,
-    "t_range": [6, 12],
-}
+from worlds import FAST_WORLD_DOC as WORLD
 
 
 @pytest.fixture(scope="module")
@@ -647,14 +633,19 @@ def finished_run(workspace, tmp_path_factory):
     """The run root of a finished run-all of the template config, seed 0."""
     _, config_path, _ = workspace
     run_root = tmp_path_factory.mktemp("finished") / "runs"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("SEVREG_RUN_ROOT", str(run_root))
-        assert main(["run-all", "--config", str(config_path)]) == 0
+    assert main(["run-all", "--config", str(config_path), f"run_root={run_root}"]) == 0
     return run_root
 
 
 # The files a resume of a seed directory reads, each only if those after it are missing.
 RESUMED = ("stage2.dsqc", "model.dsqc", "report.json")
+
+# Values of a report.json entry that do not fit the JSON types of its fields.
+BAD_REPORT_VALUES = {
+    "srcc_string": {"srcc": "x"},
+    "srcc_bool_n_string": {"srcc": True, "n": "many"},
+    "flagged_int": {"flagged": 0},
+}
 
 
 def damage_seed_dir(seed_dir: Path, kind: str, name: str) -> None:
@@ -669,7 +660,10 @@ def damage_seed_dir(seed_dir: Path, kind: str, name: str) -> None:
         path.write_bytes(b"DSQC\x02\x00\x00\x00\x05\x00")
     elif name == "report.json":
         report = json.loads(path.read_text())
-        report["seed"] = 1
+        if kind == "foreign":
+            report["seed"] = 1
+        else:
+            report["reports"][0].update(BAD_REPORT_VALUES[kind])
         path.write_text(json.dumps(report))
     else:
         ckpt = load_checkpoint(path)
@@ -743,6 +737,10 @@ class TestStageInputs:
             save_checkpoint(run_dir / checkpoint, ckpt)
         else:
             shutil.copyfile(stage2_inputs / checkpoint, run_dir / checkpoint)
+        if any(override.startswith("data.world.") for override in overrides or []):
+            # corpora of that world, so that only the checkpoint's lineage differs
+            overrides = [*overrides, f"data.root={tmp_path / 'data'}"]
+            assert main(["gen-data", "--config", str(config_path), *overrides]) == 0
         before = {path: path.read_bytes() for path in run_dir.rglob("*")}
         args = [step, "--config", str(config_path), *(overrides or []), "--run-dir", str(run_dir)]
         assert main(args) == 1
@@ -758,15 +756,20 @@ class TestStageInputs:
             ("foreign", "model.dsqc", "model.dsqc was made with another seed"),
             ("corrupt", "report.json", "report.json"),
             ("foreign", "report.json", "expected the report of"),
+            ("srcc_string", "report.json", "'reports.srcc' must be float | None, got \"x\""),
+            ("srcc_bool_n_string", "report.json", "'reports.n' must be int, got \"many\""),
+            ("flagged_int", "report.json", "'reports.flagged' must be bool, got 0"),
         ],
         ids=["corrupt_stage2", "foreign_stage2", "foreign_model", "corrupt_report",
-             "foreign_report"],
+             "foreign_report", "report_srcc_string", "report_srcc_bool_n_string",
+             "report_flagged_int"],
     )
     def test_run_all_resume_from_a_bad_seed_file_exits_1(
-        self, workspace, finished_run, tmp_path, capsys, monkeypatch, kind, name, named
+        self, workspace, finished_run, tmp_path, capsys, kind, name, named
     ):
         """run-all resumes a seed directory from its last committed step; a
-        corrupt or foreign file there exits 1 and is never refitted."""
+        corrupt or foreign file there, or a report.json value of another JSON
+        type than its field, exits 1 and is never refitted."""
         _, config_path, _ = workspace
         run_root = tmp_path / "runs"
         shutil.copytree(finished_run, run_root)
@@ -774,8 +777,7 @@ class TestStageInputs:
         (run_dir / "results.csv").unlink()
         damage_seed_dir(run_dir / "seed_0", kind, name)
         before = {path: path.read_bytes() for path in run_root.rglob("*") if path.is_file()}
-        monkeypatch.setenv("SEVREG_RUN_ROOT", str(run_root))
-        assert main(["run-all", "--config", str(config_path)]) == 1
+        assert main(["run-all", "--config", str(config_path), f"run_root={run_root}"]) == 1
         err = capsys.readouterr().err
         assert "validation error" in err and named in err
         after = {path: path.read_bytes() for path in run_root.rglob("*") if path.is_file()}
@@ -838,6 +840,53 @@ class TestStageInputs:
         assert taken.read_bytes() == b"not a directory"
 
 
+class TestWorldCheck:
+    """A run id leaves data.root out, so every command that reads corpora
+    checks that the config.json gen-data wrote beside them records the
+    config's data.world."""
+
+    @pytest.mark.parametrize("command", ["run-all", "stage1"])
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ("other_world", "data.world differs in n_labeled, seed from the world"),
+            ("no_config", "no data.world in"),
+        ],
+    )
+    def test_corpora_of_another_world_exit_1(
+        self, workspace, tmp_path, capsys, no_training, command, data, named
+    ):
+        from sevreg.cli import CORPUS_NAMES
+
+        root, config_path, _ = workspace
+        argv = [command, "--config", str(config_path), f"run_root={tmp_path / 'runs'}"]
+        if data == "other_world":
+            argv += ["data.world.seed=99", "data.world.n_labeled=300"]
+        else:  # the corpora alone, without gen-data's config.json
+            (tmp_path / "data").mkdir()
+            for name in CORPUS_NAMES:
+                (tmp_path / "data" / name).symlink_to(root / "data" / name)
+            argv.append(f"data.root={tmp_path / 'data'}")
+        if command == "stage1":
+            argv += ["--run-dir", str(tmp_path / "chain")]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and named in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_a_split_only_difference_is_accepted(self, workspace, tmp_path):
+        """build_world does not read data.world.split."""
+        _, config_path, _ = workspace
+        run_dir = tmp_path / "chain"
+        argv = [
+            "stage1", "--config", str(config_path), "data.world.split=[0.6, 0.2, 0.2]",
+            "--run-dir", str(run_dir),
+        ]
+        assert main(argv) == 0
+        assert (run_dir / "stage1.dsqc").exists()
+
+
 class TestRunAll:
     def test_rows_per_seed_and_resolved_config(self, workspace, tmp_path):
         root, _, doc = workspace
@@ -859,22 +908,36 @@ class TestRunAll:
         for seed in range(5):
             assert (run_dirs[0] / f"seed_{seed}" / "model.dsqc").exists()
 
-    def test_determinism_across_invocations_and_env_root(
+    def test_determinism_across_invocations_and_run_roots(
         self, workspace, tmp_path, monkeypatch
     ):
+        """One relative run_root in two working directories: a checkpoint
+        records the config, its paths too, so only then do the bytes match."""
         root, config_path, doc = workspace
-        cfg = write_config(
-            tmp_path, doc, "det.json", run_root=str(tmp_path / "runsA")
-        )
-        assert main(["run-all", "--config", str(cfg)]) == 0
-        run_a = next((tmp_path / "runsA").iterdir())
-        monkeypatch.setenv("SEVREG_RUN_ROOT", str(tmp_path / "runsB"))
-        assert main(["run-all", "--config", str(cfg)]) == 0
-        monkeypatch.delenv("SEVREG_RUN_ROOT")
-        run_b = (tmp_path / "runsB") / run_a.name  # same run id, new root
+        cfg = write_config(tmp_path, doc, "det.json", run_root="runs")
+        for cwd in ("A", "B"):
+            (tmp_path / cwd).mkdir()
+            monkeypatch.chdir(tmp_path / cwd)
+            assert main(["run-all", "--config", str(cfg)]) == 0
+        run_a = next((tmp_path / "A" / "runs").iterdir())
+        run_b = (tmp_path / "B" / "runs") / run_a.name  # same run id, new root
         assert run_b.exists()
         for rel in ("results.csv", "seed_0/model.dsqc", "seed_0/stage2.dsqc"):
             assert (run_a / rel).read_bytes() == (run_b / rel).read_bytes()
+
+    def test_a_moved_run_resumes_without_work(
+        self, workspace, finished_run, tmp_path, no_training, no_forward
+    ):
+        """A run id leaves run_root out, so a finished run copied to another
+        run root is found there: nothing trains or is evaluated, and every
+        file keeps its bytes."""
+        _, config_path, _ = workspace
+        moved = tmp_path / "moved"
+        shutil.copytree(finished_run, moved)
+        before = {path: path.read_bytes() for path in moved.rglob("*") if path.is_file()}
+        assert main(["run-all", "--config", str(config_path), f"run_root={moved}"]) == 0
+        after = {path: path.read_bytes() for path in moved.rglob("*") if path.is_file()}
+        assert after == before
 
 
 class TestHarnesses:
@@ -954,7 +1017,6 @@ def sevreg_process(args: list[str], tmp_path: Path, site: str) -> subprocess.Com
     src = str(Path(sevreg.__file__).resolve().parents[1])
     path = [str(site_dir), src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    env.pop("SEVREG_RUN_ROOT", None)
     return subprocess.run(
         [sys.executable, "-m", "sevreg", *args],
         env=env, capture_output=True, text=True, timeout=600,

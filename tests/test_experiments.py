@@ -29,22 +29,9 @@ from sevreg.experiments import (
     sweep_tau,
     teacher_key,
 )
-from sevreg.synthetic import WorldConfig, build_world
+from sevreg.synthetic import build_world
+from worlds import FAST_WORLD as WORLD
 
-WORLD = WorldConfig(
-    feat_dim=8,
-    signal_dims=4,
-    nuisance_dims=3,
-    n_labeled=400,
-    n_unlabeled=160,
-    n_typical=120,
-    n_shifted_test=100,
-    labeled_speakers=20,
-    unlabeled_speakers=10,
-    typical_speakers=6,
-    shifted_speakers=8,
-    t_range=(6, 12),
-)
 SEEDS = (0, 1)
 GRID = (1.0, 10.0)
 

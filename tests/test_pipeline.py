@@ -38,21 +38,7 @@ from sevreg.evaluation import read_embeddings
 from sevreg.experiments import split_labeled
 from sevreg.nn import Stack, build_net, forward_batch
 from sevreg.synthetic import WorldConfig, build_world
-
-SMALL_WORLD = WorldConfig(
-    feat_dim=8,
-    signal_dims=4,
-    nuisance_dims=3,
-    n_labeled=400,
-    n_unlabeled=160,
-    n_typical=120,
-    n_shifted_test=100,
-    labeled_speakers=20,
-    unlabeled_speakers=10,
-    typical_speakers=6,
-    shifted_speakers=8,
-    t_range=(6, 12),
-)
+from worlds import FAST_WORLD as SMALL_WORLD
 
 # the tiny corpus sees few optimizer steps, so it needs a hotter lr than the
 # full-scale defaults to leave the clamped-prediction regime

@@ -134,6 +134,31 @@ class TestManifestCheck:
             "changed runs/a.csv", "missing runs/b.dsqc", "new runs/c.json"
         ]
 
+    def test_a_missing_and_a_new_file_of_one_digest_moved(self, tmp_path, capsys):
+        manifest = tmp_path / "oracle.sha256"
+        lines = [*self.LINES, "bb" * 32 + "  runs/old/b.dsqc", "bb" * 32 + "  runs/old/c.dsqc"]
+        byte_oracle.write_manifest(lines, manifest)
+        renamed = [
+            "aa" * 32 + "  runs/a.csv", "bb" * 32 + "  runs/b.dsqc",
+            "bb" * 32 + "  runs/new/b.dsqc", "bb" * 32 + "  runs/new/c.dsqc",
+            "ee" * 32 + "  runs/new/d.json",
+        ]
+        capsys.readouterr()
+        assert byte_oracle.check(renamed, manifest) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "moved runs/old/b.dsqc -> runs/new/b.dsqc",
+            "moved runs/old/c.dsqc -> runs/new/c.dsqc",
+            "new runs/new/d.json",
+        ]
+        # files of one digest pair in path order; one left over is missing
+        byte_oracle.write_manifest(renamed, manifest)
+        assert byte_oracle.check([*self.LINES, lines[3]], manifest) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "missing runs/new/c.dsqc",
+            "missing runs/new/d.json",
+            "moved runs/new/b.dsqc -> runs/old/c.dsqc",
+        ]
+
     def test_another_machine_is_refused(self, tmp_path, monkeypatch):
         manifest = tmp_path / "oracle.sha256"
         byte_oracle.write_manifest(self.LINES, manifest)

@@ -20,7 +20,9 @@ manifest, `tools/oracle.sha256`:
 
     python3 tools/byte_oracle.py --check
 
-which exits 1 and names every file that differs, is missing or is new. The
+which exits 1 and names every file that differs, is missing or is new; a
+missing and a new file with the same digest are one file that moved (files
+of one digest pair in path order), as under a change of run ids. The
 manifest's header records the numpy version, the OpenBLAS version and the
 CPU model it was made on; matmul bits depend on the BLAS kernel, so
 `--check` refuses to compare (exit 2) where any of them differs. Then diff
@@ -134,8 +136,8 @@ def write_manifest(lines: list[str], path: Path) -> None:
 
 
 def check(lines: list[str], path: Path) -> int:
-    """0 if `lines` equal the manifest, 1 if files differ (each named), 2 if
-    the manifest was made on another machine."""
+    """0 if `lines` equal the manifest, 1 if files differ, moved, are missing
+    or are new (each named), 2 if the manifest was made on another machine."""
     text = path.read_text().splitlines()
     facts = dict(line[2:].split(": ", 1) for line in text if line.startswith("# "))
     ours = machine_facts()
@@ -144,11 +146,14 @@ def check(lines: list[str], path: Path) -> int:
         return 2
     want = dict(line.split("  ", 1)[::-1] for line in text if not line.startswith("# "))
     got = dict(line.split("  ", 1)[::-1] for line in lines)
-    changed = sorted(
-        (f"changed {name}" if name in want and name in got else
-         f"missing {name}" if name in want else f"new {name}")
-        for name in want.keys() | got.keys() if want.get(name) != got.get(name)
-    )
+    new = {}  # digest -> the new files of that digest, in path order
+    for name in sorted(got.keys() - want.keys()):
+        new.setdefault(got[name], []).append(name)
+    changed = [f"changed {name}" for name in want.keys() & got.keys() if want[name] != got[name]]
+    for old in sorted(want.keys() - got.keys()):
+        moved = new.get(want[old])
+        changed.append(f"moved {old} -> {moved.pop(0)}" if moved else f"missing {old}")
+    changed = sorted(changed + [f"new {name}" for names in new.values() for name in names])
     print("\n".join(changed) or f"{len(got)} files identical to {path}")
     return 1 if changed else 0
 
