@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import RunConfig, apply_overrides, config_from_dict, config_to_dict
+from .config import RunConfig, apply_overrides, config_from_dict, run_record
 from .data import load_corpus, save_corpus
 from .errors import ConfigError, SevregError, TrainingDivergedError
 from .evaluation import write_report_json, write_results_csv
@@ -25,11 +25,11 @@ from .experiments import (
     ABLATION_VARIANTS, CHECKPOINTS, TAU_GRID, Stages, ablate, run_all, sweep_tau,
 )
 from .pipeline import dump_embeddings, load_checkpoint, net_from_checkpoint
-from .synthetic import build_world
+from .synthetic import CORPORA, build_world
 
 logger = logging.getLogger(__name__)
 
-CORPUS_NAMES = ("labeled", "unlabeled", "typical", "shifted_test")
+CORPUS_NAMES = tuple(row[0] for row in CORPORA)
 
 
 def load_config(path: str | None, overrides: list[str]) -> RunConfig:
@@ -75,7 +75,7 @@ def load_world(cfg: RunConfig):
             f"missing corpora under '{root}': {missing}; run gen-data first"
         )
     corpora = {name: load_corpus(root / name) for name in CORPUS_NAMES}
-    want, path = config_to_dict(cfg)["data"]["world"], root / "config.json"
+    want, path = run_record(cfg)["data"]["world"], root / "config.json"
     try:
         made = json.loads(path.read_bytes())["data"]["world"]
         keys = (want.keys() | made.keys()) - {"split"}
@@ -92,7 +92,7 @@ def load_world(cfg: RunConfig):
 
 def persist_config(cfg: RunConfig, directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
-    write_report_json(directory / "config.json", config_to_dict(cfg))
+    write_report_json(directory / "config.json", run_record(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,8 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     stages = Stages(cfg, load_world(cfg), cfg.seed)
     if args.checkpoint:
         net = net_from_checkpoint(load_checkpoint(Path(args.checkpoint)))
-        reports = stages.report(run_dir, net)
+        reports = stages.report(None, net)  # a report.json would commit the seed
+        run_dir.mkdir(parents=True, exist_ok=True)
     else:
         reports = stages.run(run_dir, until="report", first="report")
     write_results_csv(run_dir / "results.csv", stages.rows(reports))

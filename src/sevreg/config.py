@@ -1,8 +1,8 @@
 """Run configuration: dataclasses, JSON round trips, and override handling.
 
 A config document is one nested JSON object. CLI overrides are dotted-path
-key=value pairs validated against the schema; the fully resolved config is
-persisted with every run and hashed, paths aside, into the run id.
+key=value pairs validated against the schema; the resolved config, paths
+aside (run_record), is persisted with every run and hashed into its id.
 """
 
 from __future__ import annotations
@@ -123,10 +123,11 @@ class DataConfig:
     world: WorldConfig = field(default_factory=WorldConfig)
 
     def validate(self) -> None:
-        try:
-            self.world.base_spec().validate()
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        for name, spec in self.world.specs().items():
+            try:
+                spec.validate()
+            except ParameterError as exc:
+                raise ConfigError(f"data.world corpus '{name}': {exc}") from exc
         if len(self.world.split) != 3:
             raise ConfigError("world.split needs 3 ratios")
         if self.world.seed < 0:
@@ -265,12 +266,18 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
     return result
 
 
-def run_id_for(resolved: dict, seed: int | None = None) -> str:
-    """Stable 12-hex id of what a run computes: the resolved config (plus an
-    optional seed) without `data.root` and `run_root`, which say where its
-    files live. So a run keeps its id, and resumes, after either moves."""
-    config = {**resolved, "data": dict(resolved["data"])}
-    del config["run_root"], config["data"]["root"]
-    payload = {"config": config} if seed is None else {"config": config, "seed": seed}
+def run_record(cfg: RunConfig) -> dict:
+    """What a run computes: the resolved config without `data.root` and
+    `run_root`, which say where its files live. Checkpoints and config.json
+    record it, and run_id_for hashes it, so a run keeps its id and its bytes,
+    and resumes, after either moves."""
+    record = config_to_dict(cfg)
+    del record["run_root"], record["data"]["root"]
+    return record
+
+
+def run_id_for(record: dict, seed: int | None = None) -> str:
+    """Stable 12-hex id of a run record (plus an optional seed)."""
+    payload = {"config": record} if seed is None else {"config": record, "seed": seed}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import RunConfig, config_to_dict, from_json, run_id_for
+from .config import RunConfig, from_json, run_id_for, run_record
 from .data import Corpus, atomic_write, label_histogram, split
 from .errors import ConfigError, FeatureFormatError
 from .evaluation import RESULTS_COLUMNS, EvalReport, write_report_json, write_results_csv
@@ -138,7 +138,7 @@ class Stages:
         self.train, self.val, self.test = split_labeled(
             corpora["labeled"], cfg.data.world
         )
-        self.resolved = config_to_dict(cfg)
+        self.resolved = run_record(cfg)
         self.run_id = run_id_for(self.resolved, seed=seed)
         self.snapshot = {**self.resolved, "seed": seed}  # as checkpoints record it
         self.report_id = {"run_id": self.run_id, "strategy": cfg.strategy, "seed": seed}
@@ -436,17 +436,15 @@ def run_configs(
     """run_all of each config over their common seeds. Each seed is one task
     that runs every config (run_seed), so a teacher is fitted once per seed;
     map_seeds hands the tasks to worker processes. Only the parent writes
-    each run's config.json, results.csv and summary.json, in seed order, so
-    a run directory is the same bytes for any number of workers. A run
-    directory keeps the config.json it was made with: a run of the same id
-    differs from it at most in its paths."""
+    each run's config.json (its run_record), results.csv and summary.json,
+    in seed order, so a run directory is the same bytes for any number of
+    workers."""
     runs = []
     for cfg in configs:
-        resolved = config_to_dict(cfg)
-        run_dir = out_root / run_id_for(resolved)
+        record = run_record(cfg)
+        run_dir = out_root / run_id_for(record)
         run_dir.mkdir(parents=True, exist_ok=True)
-        if not (run_dir / "config.json").exists():
-            write_report_json(run_dir / "config.json", resolved)
+        write_report_json(run_dir / "config.json", record)
         runs.append((cfg, run_dir))
     per_seed = map_seeds(partial(run_seed, runs, corpora), configs[0].seeds)
     results = []
@@ -505,7 +503,7 @@ def sweep_tau(
                 )
             sweep_rows.append(entry)
 
-    sweep_dir = out_root / f"sweep_{run_id_for(config_to_dict(cfg))}"
+    sweep_dir = out_root / f"sweep_{run_id_for(run_record(cfg))}"
     sweep_dir.mkdir(parents=True, exist_ok=True)
     write_report_json(
         sweep_dir / "sweep_tau.json",
@@ -552,7 +550,7 @@ def ablate(
         variant: {"run_id": r["run_id"], "summary": r["summary"]}
         for variant, r in results.items()
     }
-    ablate_dir = out_root / f"ablate_{run_id_for(config_to_dict(cfg))}"
+    ablate_dir = out_root / f"ablate_{run_id_for(run_record(cfg))}"
     ablate_dir.mkdir(parents=True, exist_ok=True)
     write_report_json(ablate_dir / "ablate_summary.json", summary)
     return {"ablate_dir": ablate_dir, "results": results, "summary": summary}

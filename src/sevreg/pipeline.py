@@ -87,9 +87,7 @@ class Checkpoint:
     meta: dict
 
 
-def checkpoint_from_net(
-    net: AdaptorNet, stage: str, config_snapshot: dict, metrics: dict | None = None
-) -> Checkpoint:
+def checkpoint_from_net(net: AdaptorNet, stage: str, config_snapshot: dict) -> Checkpoint:
     meta = {
         "stage": stage,
         "model": {
@@ -100,7 +98,6 @@ def checkpoint_from_net(
             "normalize_output": net.normalize_output,
         },
         "config": config_snapshot,
-        "metrics": metrics or {},
     }
     return Checkpoint(net.flat.copy(), meta)
 

@@ -11,7 +11,7 @@ offset scaled by domain_shift, so robustness to unseen domains is measurable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,6 +141,23 @@ def strip_labels(corpus: Corpus, name: str | None = None) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
+# One row per corpus of a world, in generation order (corpus k draws from
+# seed + k): its name, id prefix, the WorldConfig fields of its size and
+# speaker count, its nuisance-label correlation (None: 0, the shortcut is
+# broken) and its domain shift (None: 0, in-domain).
+CORPORA = (
+    ("labeled", "lab", "n_labeled", "labeled_speakers", "nuisance_label_corr", None),
+    ("unlabeled", "unl", "n_unlabeled", "unlabeled_speakers", "nuisance_label_corr",
+     "unlabeled_domain_shift"),
+    ("typical", "typ", "n_typical", "typical_speakers", None, "typical_domain_shift"),
+    ("shifted_test", "shf", "n_shifted_test", "shifted_speakers", None, "test_domain_shift"),
+)
+
+# The WorldConfig fields every corpus takes unchanged.
+SHARED = ("feat_dim", "t_range", "signal_dims", "nuisance_dims", "label_histogram",
+          "label_jitter", "frame_noise", "speaker_offset_scale")
+
+
 @dataclass
 class WorldConfig:
     """All corpora one experiment needs, derived from a single seed."""
@@ -168,18 +185,18 @@ class WorldConfig:
     test_domain_shift: float = 2.0
     split: tuple[float, float, float] = (0.7, 0.15, 0.15)
 
-    def base_spec(self) -> SyntheticSpec:
-        return SyntheticSpec(
-            n_utts=self.n_labeled,
-            feat_dim=self.feat_dim,
-            t_range=self.t_range,
-            signal_dims=self.signal_dims,
-            nuisance_dims=self.nuisance_dims,
-            label_histogram=self.label_histogram,
-            label_jitter=self.label_jitter,
-            frame_noise=self.frame_noise,
-            speaker_offset_scale=self.speaker_offset_scale,
-        )
+    def specs(self) -> dict[str, SyntheticSpec]:
+        """Each corpus's spec (CORPORA), by name in generation order."""
+        shared = {key: getattr(self, key) for key in SHARED}
+        return {
+            name: SyntheticSpec(
+                n_utts=getattr(self, size), n_speakers=getattr(self, speakers),
+                nuisance_label_corr=getattr(self, corr) if corr else 0.0,
+                domain_shift=getattr(self, shift) if shift else 0.0,
+                typical=name == "typical", name=name, id_prefix=prefix, **shared,
+            )
+            for name, prefix, size, speakers, corr, shift in CORPORA
+        }
 
 
 def build_world(cfg: WorldConfig) -> dict[str, Corpus]:
@@ -191,58 +208,9 @@ def build_world(cfg: WorldConfig) -> dict[str, Corpus]:
     shifted_test: labeled data from an unseen domain where the nuisance
     shortcut is broken (offsets uncorrelated with severity).
     """
-    base = cfg.base_spec()
-    labeled = gen_synthetic_corpus(
-        replace(
-            base,
-            name="labeled",
-            id_prefix="lab",
-            n_speakers=cfg.labeled_speakers,
-            nuisance_label_corr=cfg.nuisance_label_corr,
-            domain_shift=0.0,
-        ),
-        seed=cfg.seed,
-    )
-    unlabeled_src = gen_synthetic_corpus(
-        replace(
-            base,
-            name="unlabeled",
-            id_prefix="unl",
-            n_utts=cfg.n_unlabeled,
-            n_speakers=cfg.unlabeled_speakers,
-            nuisance_label_corr=cfg.nuisance_label_corr,
-            domain_shift=cfg.unlabeled_domain_shift,
-        ),
-        seed=cfg.seed + 1,
-    )
-    typical = gen_synthetic_corpus(
-        replace(
-            base,
-            name="typical",
-            id_prefix="typ",
-            n_utts=cfg.n_typical,
-            n_speakers=cfg.typical_speakers,
-            nuisance_label_corr=0.0,
-            domain_shift=cfg.typical_domain_shift,
-            typical=True,
-        ),
-        seed=cfg.seed + 2,
-    )
-    shifted_test = gen_synthetic_corpus(
-        replace(
-            base,
-            name="shifted_test",
-            id_prefix="shf",
-            n_utts=cfg.n_shifted_test,
-            n_speakers=cfg.shifted_speakers,
-            nuisance_label_corr=0.0,
-            domain_shift=cfg.test_domain_shift,
-        ),
-        seed=cfg.seed + 3,
-    )
-    return {
-        "labeled": labeled,
-        "unlabeled": strip_labels(unlabeled_src, name="unlabeled"),
-        "typical": typical,
-        "shifted_test": shifted_test,
+    world = {
+        name: gen_synthetic_corpus(spec, seed=cfg.seed + k)
+        for k, (name, spec) in enumerate(cfg.specs().items())
     }
+    world["unlabeled"] = strip_labels(world["unlabeled"], name="unlabeled")
+    return world

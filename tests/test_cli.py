@@ -125,6 +125,30 @@ class TestConfigHandling:
         assert f"config error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("which", ["utterances", "speakers"])
+    @pytest.mark.parametrize(
+        "corpus, size, speakers",
+        [
+            ("labeled", "n_labeled", "labeled_speakers"),
+            ("unlabeled", "n_unlabeled", "unlabeled_speakers"),
+            ("typical", "n_typical", "typical_speakers"),
+            ("shifted_test", "n_shifted_test", "shifted_speakers"),
+        ],
+    )
+    def test_empty_corpus_exits_1_at_config_load(
+        self, workspace, tmp_path, capsys, corpus, size, speakers, which
+    ):
+        """Config validation checks every corpus of the world, and names it."""
+        _, config_path, _ = workspace
+        key = size if which == "utterances" else speakers
+        argv = [
+            "gen-data", "--config", str(config_path), f"data.world.{key}=0",
+            f"data.root={tmp_path / 'data'}",
+        ]
+        assert main(argv) == 1
+        assert f"config error: data.world corpus '{corpus}':" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_schema_comes_from_annotations(self):
         from sevreg.config import RunConfig, config_from_dict, config_to_dict
 
@@ -908,22 +932,42 @@ class TestRunAll:
         for seed in range(5):
             assert (run_dirs[0] / f"seed_{seed}" / "model.dsqc").exists()
 
-    def test_determinism_across_invocations_and_run_roots(
-        self, workspace, tmp_path, monkeypatch
-    ):
-        """One relative run_root in two working directories: a checkpoint
-        records the config, its paths too, so only then do the bytes match."""
-        root, config_path, doc = workspace
-        cfg = write_config(tmp_path, doc, "det.json", run_root="runs")
-        for cwd in ("A", "B"):
-            (tmp_path / cwd).mkdir()
-            monkeypatch.chdir(tmp_path / cwd)
-            assert main(["run-all", "--config", str(cfg)]) == 0
-        run_a = next((tmp_path / "A" / "runs").iterdir())
-        run_b = (tmp_path / "B" / "runs") / run_a.name  # same run id, new root
-        assert run_b.exists()
-        for rel in ("results.csv", "seed_0/model.dsqc", "seed_0/stage2.dsqc"):
-            assert (run_a / rel).read_bytes() == (run_b / rel).read_bytes()
+    def test_determinism_across_invocations_and_run_roots(self, workspace, tmp_path):
+        """One run under two absolute run roots: a run id and every file of
+        a run directory leave the run root out."""
+        _, config_path, _ = workspace
+        for name in ("runsA", "runsB"):
+            argv = ["run-all", "--config", str(config_path), f"run_root={tmp_path / name}"]
+            assert main(argv) == 0
+        run_a = next((tmp_path / "runsA").iterdir())
+        run_b = (tmp_path / "runsB") / run_a.name  # same run id, new root
+        files_a, files_b = (
+            {p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()}
+            for run in (run_a, run_b)
+        )
+        assert Path("seed_0/model.dsqc") in files_a
+        assert files_a == files_b
+
+    def test_evaluating_a_checkpoint_commits_no_report(self, workspace, tmp_path):
+        """evaluate --checkpoint in a run-all seed directory writes its
+        results.csv only: a report.json there would be read back by the next
+        run-all as the seed's, with another model's numbers."""
+        _, config_path, _ = workspace
+        argv = ["run-all", "--config", str(config_path), f"run_root={tmp_path / 'runs'}"]
+        assert main(argv) == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        seed_dir = run_dir / "seed_0"
+        results, report = (run_dir / "results.csv").read_bytes(), seed_dir / "report.json"
+        before = report.read_bytes()
+        assert main([
+            "evaluate", "--config", str(config_path), "--run-dir", str(seed_dir),
+            "--checkpoint", str(seed_dir / "stage1.dsqc"),
+        ]) == 0
+        assert report.read_bytes() == before
+        srcc = [[r["srcc"] for r in read_csv_rows(d / "results.csv")] for d in (seed_dir, run_dir)]
+        assert srcc[0] != srcc[1]  # the teacher's numbers, not the run's
+        assert main(argv) == 0
+        assert (run_dir / "results.csv").read_bytes() == results
 
     def test_a_moved_run_resumes_without_work(
         self, workspace, finished_run, tmp_path, no_training, no_forward

@@ -3,6 +3,7 @@ once per sweep_tau / ablate call, and the artifacts match separate runs and
 do not depend on the number of worker processes."""
 
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -244,6 +245,33 @@ class TestResume:
         assert len(stage2_fits) == (1 if "stage2.dsqc" in committed else 2)
         assert {n: (seed_dir / n).read_bytes() for n in committed} == committed
         assert tree(out_root) == fresh_run
+
+    def test_run_killed_under_one_root_resumes_under_another(
+        self, corpora, tmp_path, monkeypatch
+    ):
+        """A run killed under run root and data root A, moved and resumed
+        under B, equals an uninterrupted run under B: a run's files record
+        no path."""
+
+        def cfg_at(root: Path) -> RunConfig:
+            cfg = fast_cfg(run_root=str(root / "runs"))
+            cfg.data.root = str(root / "data")
+            return cfg
+
+        monkeypatch.setattr(experiments, "workers", lambda n_seeds: 1)
+        with monkeypatch.context() as mp:
+            kill_at(mp, "train_stage3", 1)
+            with pytest.raises(Killed):
+                run_all(cfg_at(tmp_path / "A"), corpora, tmp_path / "A" / "runs")
+        (tmp_path / "B").mkdir()
+        (tmp_path / "A" / "runs").rename(tmp_path / "B" / "runs")
+        out_root = tmp_path / "B" / "runs"
+        _, teacher_fits, _ = counted(run_all, cfg_at(tmp_path / "B"), corpora, out_root)
+        assert teacher_fits == 1  # seed 0 loads its stage-2 checkpoint
+        resumed = tree(out_root)
+        shutil.rmtree(out_root)
+        run_all(cfg_at(tmp_path / "B"), corpora, out_root)
+        assert resumed == tree(out_root)
 
     def test_finished_run_reads_its_reports(self, fresh_run, corpora, tmp_path, monkeypatch):
         out_root = tmp_path / "runs"

@@ -526,7 +526,7 @@ class TestStage3:
 
 class TestCheckpointIO:
     def test_round_trip_bit_exact(self, stage1, tmp_path):
-        ckpt = checkpoint_from_net(stage1.net, "stage1", {"lr": 1e-4}, {"srcc": 0.9})
+        ckpt = checkpoint_from_net(stage1.net, "stage1", {"lr": 1e-4})
         path = tmp_path / "m.dsqc"
         save_checkpoint(path, ckpt)
         loaded = load_checkpoint(path)
